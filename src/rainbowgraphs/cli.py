@@ -290,6 +290,10 @@ def _check_args(args) -> str | None:
             return f"--grid is not valid JSON: {exc}"
         if not isinstance(obj, dict):
             return "--grid must be a JSON object"
+        try:
+            verify.check_grid(args.theorem, obj)
+        except GraphError as exc:
+            return f"--grid: {exc}"
     return None
 
 

@@ -3,8 +3,14 @@
 Colorings of a complete graph are enumerated as set partitions of the edge
 slots via restricted-growth strings, which yields every coloring exactly
 once up to renaming of colors (vertex symmetry is deliberately not
-quotiented; it affects speed only).  Named checks replay the combinatorial
-implications over exhaustive grids or seeded samples:
+quotiented; it affects speed only).  The strings come in lexicographic
+order, in blocks that share everything but the last slot.  The T1, T2, T4
+and L1 scans run the last slot inline and compute once per block what does
+not depend on it: the color count, the color degrees off the last edge and
+the rainbow triangles avoiding the last slot.  A block in which no value
+reaches the premise or the witness boundary is counted without looking at
+its strings.  Named checks replay the combinatorial implications over
+exhaustive grids or seeded samples:
 
   T1     m+c >= C(n+1,2)                    =>  a rainbow triangle
   T2(k)  m+c >= C(n+1,2)+k-1                =>  k rainbow triangles
@@ -101,48 +107,93 @@ def bell_number(q: int) -> int:
     return sum(_stirling_row(q))
 
 
-def _rgs_iter(slots, exact=None, prefix=()):
-    """Yield restricted-growth strings over ``slots`` positions.
+def _rgs_blocks(slots, exact=None, prefix=()):
+    """Yield the restricted-growth strings over ``slots`` >= 1 positions in
+    blocks that share everything but the last position.
 
-    The yielded list is a shared buffer: consume it before advancing.
-    With ``exact`` only strings using exactly that many values appear,
-    pruned during generation.  ``prefix`` pins the first positions, which
-    partitions the space for parallel scans.
+    Each block is ``(a, used, last_values)``: ``a[:slots-1]`` is a valid
+    prefix using ``used`` values, and the block's strings are ``a`` with
+    ``a[slots-1]`` set to each value of the range ``last_values`` in turn
+    (``range(used+1)``; under ``exact``, ``range(used, used+1)`` or
+    ``range(used)``).  The last position of ``a`` is left to the caller,
+    and ``a`` is a shared buffer: consume it before advancing.  Blocks come
+    in lexicographic order, so the strings do too.  With ``exact`` only
+    strings using exactly that many values appear, pruned during
+    generation.  ``prefix`` pins the first positions, which partitions the
+    space for parallel scans.
+
+    The prefixes are stepped iteratively, as in the successor loop of
+    Knuth's Algorithm H (TAOCP 7.2.1.5): raise the rightmost position
+    that can still grow, then refill the positions after it with their
+    smallest feasible values.
     """
-    if slots == 0:
-        if not prefix and exact in (None, 0):
-            yield []
+    if slots == 0 or (exact is not None and not 1 <= exact <= slots):
         return
-    if exact is not None and not 1 <= exact <= slots:
-        return
+    last = slots - 1
+    cap = slots if exact is None else exact    # most values a string uses
+    need = 0 if exact is None else exact       # fewest values a string uses
+    if len(prefix) > slots:
+        raise GraphError(f"invalid restricted-growth prefix {prefix!r}")
+    fixed, pinned = prefix[:last], prefix[last:]
     a = [0] * slots
+    before = [0] * slots    # before[i]: values used by a[:i]
     used = 0
     for i, val in enumerate(prefix):
         if not 0 <= val <= used:
             raise GraphError(f"invalid restricted-growth prefix {prefix!r}")
         a[i] = val
-        if val == used:
+        if val == used and i < last:
             used += 1
-    start = len(prefix)
-
-    def rec(i: int, used: int):
-        if exact is not None and used > exact:
+    start = len(fixed)
+    if used > cap or used + slots - start < need:
+        return
+    ranges = [range(0 if u >= need else u, u + 1 if u < cap else u)
+              for u in range(slots + 1)]
+    if pinned:
+        if pinned[0] in ranges[used]:
+            yield a, used, range(pinned[0], pinned[0] + 1)
+        return
+    i = start
+    while True:
+        while i < last:
+            before[i] = used
+            if used and used + last - i >= need:
+                a[i] = 0
+            else:
+                a[i] = used
+                used += 1
+            i += 1
+        yield a, used, ranges[used]
+        i = last - 1
+        while i >= start:
+            used = before[i]
+            val = a[i] + 1
+            if val < used or (val == used < cap):
+                a[i] = val
+                if val == used:
+                    used += 1
+                i += 1
+                break
+            i -= 1
+        else:
             return
-        if i == slots:
-            if exact is None or used == exact:
-                yield a
-            return
-        hi = used
-        if exact is not None:
-            if used + (slots - i) < exact:
-                return
-            if used == exact:
-                hi = used - 1
-        for val in range(hi + 1):
-            a[i] = val
-            yield from rec(i + 1, used + (1 if val == used else 0))
 
-    yield from rec(start, used)
+
+def _rgs_iter(slots, exact=None, prefix=()):
+    """Yield restricted-growth strings over ``slots`` positions.
+
+    The yielded list is a shared buffer: consume it before advancing.
+    Arguments are as for :func:`_rgs_blocks`, which this flattens.
+    """
+    if slots == 0:
+        if not prefix and exact in (None, 0):
+            yield []
+        return
+    last = slots - 1
+    for a, _used, values in _rgs_blocks(slots, exact, prefix):
+        for val in values:
+            a[last] = val
+            yield a
 
 
 @lru_cache(maxsize=None)
@@ -170,12 +221,25 @@ def _count_rainbow_slots(a, tris) -> int:
     return count
 
 
-def _has_rainbow_slot(a, tris) -> bool:
-    for i, j, l in tris:
-        x, y, z = a[i], a[j], a[l]
-        if x != y and x != z and y != z:
-            return True
-    return False
+def _split_at_last(tris, last: int):
+    """The slot triangles avoiding slot ``last``, and the other two slots
+    of each triangle through it."""
+    rest = [t for t in tris if last not in t]
+    through = [tuple(s for s in t if s != last) for t in tris if last in t]
+    return rest, through
+
+
+def _last_slot_counts(a, used: int, rest, through) -> list[int]:
+    """Rainbow triangle counts of one RGS block, indexed by the value of
+    the last slot: the ``rest`` triangles count for every value, and one
+    through the last slot counts unless the value repeats one of its
+    other two (distinct) colors."""
+    closing = [(a[i], a[j]) for i, j in through if a[i] != a[j]]
+    counts = [_count_rainbow_slots(a, rest) + len(closing)] * (used + 1)
+    for x, y in closing:
+        counts[x] -= 1
+        counts[y] -= 1
+    return counts
 
 
 def _graph_from_rgs(n, pairs, a) -> EdgeColoredGraph:
@@ -469,24 +533,50 @@ def _map_tasks(task_fn, tasks, jobs):
         return pool.map(task_fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
 
 
+def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=()):
+    """Yield ``(a, m + c, t)`` for every coloring ``a`` of ``m`` slots, with
+    c colors and t rainbow triangles among ``tris``, whose total ``m + c``
+    reaches ``lowest``.
+
+    Every coloring, yielded or not, is counted in ``out["instances"]``.
+    Within a block c is ``used`` or, for the new value, ``used + 1``, so a
+    block whose best total stays below ``lowest`` is counted and skipped
+    whole.  ``a`` is a shared buffer with its last slot already set.
+    """
+    if m == 0:
+        out["instances"] += 1
+        if lowest <= 0:
+            yield [], 0, 0
+        return
+    last = m - 1
+    rest, through = _split_at_last(tris, last)
+    for a, used, values in _rgs_blocks(m, prefix=prefix):
+        out["instances"] += len(values)
+        if m + used + 1 < lowest:
+            continue
+        counts = _last_slot_counts(a, used, rest, through)
+        for val in values:
+            total = m + used + (val == used)
+            if total >= lowest:
+                a[last] = val
+                yield a, total, counts[val]
+
+
 def _t1_scan(n: int, prefix: tuple[int, ...]) -> dict:
     thresh = comb(n + 1, 2)
     pairs = _edge_slots(n)
-    m = len(pairs)
     tris = _triangle_slot_table(n)
     out = {"instances": 0, "premise": 0, "cex": [],
            "witness_count": 0, "witnesses": []}
-    for a in _rgs_iter(m, prefix=prefix):
-        out["instances"] += 1
-        c = (max(a) + 1) if a else 0
-        total = m + c
+    for a, total, t_count in _rgs_totals(len(pairs), tris, thresh - 1, out,
+                                         prefix):
         if total >= thresh:
             out["premise"] += 1
-            if not _has_rainbow_slot(a, tris):
+            if not t_count:
                 out["cex"].append(_cex_entry(
                     "T1", _graph_from_rgs(n, pairs, a), {"n": n},
                     "m+c above threshold without a rainbow triangle"))
-        elif total == thresh - 1 and not _has_rainbow_slot(a, tris):
+        elif not t_count:
             out["witness_count"] += 1
             if len(out["witnesses"]) < 3:
                 out["witnesses"].append(_graph_entry(_graph_from_rgs(n, pairs, a)))
@@ -550,27 +640,21 @@ def _t2_scan(n: int, k_max: int, masks) -> dict:
     boundary = thresh + k_max - 2
     for mask in masks:
         pairs, tris = _subset_tables(n, mask)
-        m = len(pairs)
-        for a in _rgs_iter(m):
-            out["instances"] += 1
-            c = (max(a) + 1) if a else 0
-            total = m + c
+        for a, total, t_count in _rgs_totals(len(pairs), tris,
+                                             min(thresh, boundary), out):
             need = min(k_max, total - thresh + 1)
             if need >= 1:
                 out["premise"] += 1
-                t_count = _count_rainbow_slots(a, tris)
                 if t_count < need:
                     out["cex"].append(_cex_entry(
                         "T2", _graph_from_rgs(n, pairs, a),
                         {"n": n, "k": t_count + 1},
                         f"m+c forces {need} rainbow triangles, found {t_count}"))
-            if total == boundary:
-                t_count = _count_rainbow_slots(a, tris)
-                if t_count == k_max - 1:
-                    out["witness_count"] += 1
-                    if len(out["witnesses"]) < 3:
-                        out["witnesses"].append(
-                            _graph_entry(_graph_from_rgs(n, pairs, a)))
+            if total == boundary and t_count == k_max - 1:
+                out["witness_count"] += 1
+                if len(out["witnesses"]) < 3:
+                    out["witnesses"].append(
+                        _graph_entry(_graph_from_rgs(n, pairs, a)))
     return out
 
 
@@ -584,23 +668,42 @@ def _t4_scan(n: int, k_max: int, masks) -> dict:
     for mask in masks:
         pairs, tris = _subset_tables(n, mask)
         m = len(pairs)
+        if m == 0:
+            # The empty coloring's color-degree sum 0 is below thresh >= 1.
+            out["instances"] += 1
+            continue
+        # Per block only the last slot moves: the color degrees of the
+        # vertices off the last edge are fixed, and each endpoint gains
+        # one exactly when the last color is new to its other slots.
+        last = m - 1
+        x, y = pairs[last]
         incident = [[] for _ in range(n)]
-        for l, (u, v) in enumerate(pairs):
+        for l, (u, v) in enumerate(pairs[:last]):
             incident[u].append(l)
             incident[v].append(l)
-        vertex_slots = [lst for lst in incident if lst]
-        for a in _rgs_iter(m):
-            out["instances"] += 1
-            sum_dc = 0
-            for lst in vertex_slots:
-                if len(lst) == 1:
-                    sum_dc += 1
-                else:
-                    sum_dc += len({a[i] for i in lst})
-            need = min(k_max, sum_dc - thresh + 1)
-            if need >= 1:
+        x_slots, y_slots = incident[x], incident[y]
+        others = [lst for w, lst in enumerate(incident) if w != x and w != y]
+        single = sum(1 for lst in others if len(lst) == 1)
+        multi = [lst for lst in others if len(lst) > 1]
+        rest, through = _split_at_last(tris, last)
+        for a, used, values in _rgs_blocks(m):
+            out["instances"] += len(values)
+            x_cols = {a[i] for i in x_slots}
+            y_cols = {a[i] for i in y_slots}
+            base = single + len(x_cols) + len(y_cols)
+            for lst in multi:
+                base += len({a[i] for i in lst})
+            if base + 2 < thresh:
+                continue
+            counts = _last_slot_counts(a, used, rest, through)
+            for val in values:
+                sum_dc = base + (val not in x_cols) + (val not in y_cols)
+                need = min(k_max, sum_dc - thresh + 1)
+                if need < 1:
+                    continue
+                a[last] = val
                 out["premise"] += 1
-                t_count = _count_rainbow_slots(a, tris)
+                t_count = counts[val]
                 if t_count < need:
                     out["cex"].append(_cex_entry(
                         "T4", _graph_from_rgs(n, pairs, a),
@@ -621,13 +724,8 @@ def _l1_scan(n: int, masks) -> dict:
     for mask in masks:
         pairs, tris = _subset_tables(n, mask)
         m = len(pairs)
-        for a in _rgs_iter(m):
-            out["instances"] += 1
-            c = (max(a) + 1) if a else 0
-            slack = m + c - thresh + 1
-            if slack < 0:
-                continue
-            t_count = _count_rainbow_slots(a, tris)
+        for a, total, t_count in _rgs_totals(m, tris, thresh - 1, out):
+            slack = total - thresh + 1
             if t_count > slack:
                 continue
             out["premise"] += 1
@@ -847,21 +945,21 @@ def sample_clique_free_extremal(n: int, k: int, rng: Random):
 # --------------------------------------------------------------------------
 
 
-def _check_complete_sweep_budget(n: int) -> None:
-    if n > 6:
-        raise BudgetError(
-            f"exhaustive sweep is capped at n=6; n={n} would visit "
-            f"Bell({comb(n, 2)}) = {bell_number(comb(n, 2))} colorings",
-            bell_number(comb(n, 2)))
-
-
-def _check_subset_sweep_budget(n: int) -> None:
-    # Summing Bell(|E'|) over all edge subsets E' gives Bell(slots + 1).
-    estimate = bell_number(comb(n, 2) + 1)
-    if estimate >= ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"edge-subset sweep at n={n} would visit {estimate} graphs "
-            f"(budget {ENUMERATION_BUDGET})", estimate)
+def _check_sweep_budget(n_max: int, subsets: bool) -> None:
+    """Raise BudgetError when the sweep over n = 1..n_max would visit
+    ENUMERATION_BUDGET instances: Bell(C(n,2)) colorings of each K_n, or,
+    summing Bell(|E'|) over the edge subsets E', Bell(C(n,2)+1) colored
+    subgraphs.  The sum stops at the budget, so a huge n_max costs nothing.
+    """
+    estimate = 0
+    for n in range(1, n_max + 1):
+        estimate += bell_number(comb(n, 2) + subsets)
+        if estimate >= ENUMERATION_BUDGET:
+            kind = "edge-subset" if subsets else "exhaustive"
+            raise BudgetError(
+                f"{kind} sweep up to n={n_max} would visit at least "
+                f"{estimate} instances (budget {ENUMERATION_BUDGET})",
+                estimate)
 
 
 def _check_exact_sweep_budget(n: int, c: int) -> None:
@@ -874,7 +972,7 @@ def _check_exact_sweep_budget(n: int, c: int) -> None:
 
 def _run_t1(grid, jobs):
     report = VerificationReport("T1", dict(grid))
-    _check_complete_sweep_budget(grid["n_max"])
+    _check_sweep_budget(grid["n_max"], subsets=False)
     for n in range(1, grid["n_max"] + 1):
         tasks = [(n, prefix) for prefix in _prefixes_for(comb(n, 2), jobs)]
         for part in _map_tasks(_t1_task, tasks, jobs):
@@ -884,7 +982,7 @@ def _run_t1(grid, jobs):
 
 def _run_t2(grid, jobs):
     report = VerificationReport("T2", dict(grid))
-    _check_subset_sweep_budget(grid["n_max"])
+    _check_sweep_budget(grid["n_max"], subsets=True)
     k_max = grid["k_max"]
     for n in range(1, grid["n_max"] + 1):
         tasks = [(n, k_max, chunk) for chunk in _mask_chunks(n)]
@@ -913,7 +1011,7 @@ def _run_t3(grid, jobs):
 
 def _run_t4(grid, jobs):
     report = VerificationReport("T4", dict(grid))
-    _check_subset_sweep_budget(grid["n_max"])
+    _check_sweep_budget(grid["n_max"], subsets=True)
     k_max = grid["k_max"]
     for n in range(1, grid["n_max"] + 1):
         tasks = [(n, k_max, chunk) for chunk in _mask_chunks(n)]
@@ -924,7 +1022,7 @@ def _run_t4(grid, jobs):
 
 def _run_l1(grid, jobs):
     report = VerificationReport("L1", dict(grid))
-    _check_subset_sweep_budget(grid["n_max"])
+    _check_sweep_budget(grid["n_max"], subsets=True)
     for n in range(1, grid["n_max"] + 1):
         tasks = [(n, chunk) for chunk in _mask_chunks(n)]
         for part in _map_tasks(_l1_task, tasks, jobs):
@@ -1148,13 +1246,31 @@ _RUNNERS = {
 }
 
 
+def check_grid(theorem: str, grid: dict) -> None:
+    """Raise GraphError unless ``grid`` can override the named check's
+    default grid: every key is a default key or ``seed``, and every value
+    whose default is an integer is an integer (not a bool)."""
+    key = theorem.upper()
+    if key not in _DEFAULT_GRIDS:
+        raise GraphError(
+            f"unknown check {theorem!r}; available: {', '.join(THEOREMS)}")
+    defaults = {"seed": DEFAULT_SEED, **_DEFAULT_GRIDS[key]}
+    for name, val in grid.items():
+        if name not in defaults:
+            raise GraphError(
+                f"unknown {key} grid key {name!r}; "
+                f"expected one of {', '.join(sorted(defaults))}")
+        if isinstance(defaults[name], int) and (
+                not isinstance(val, int) or isinstance(val, bool)):
+            raise GraphError(
+                f"{key} grid key {name!r} must be an integer, got {val!r}")
+
+
 def verify_theorem(theorem: str, grid: dict | None = None,
                    jobs: int = 1) -> VerificationReport:
     """Run one named check over its (possibly overridden) parameter grid."""
     key = theorem.upper()
-    if key not in _RUNNERS:
-        raise GraphError(
-            f"unknown check {theorem!r}; available: {', '.join(THEOREMS)}")
+    check_grid(key, grid or {})
     merged = dict(_DEFAULT_GRIDS[key])
     merged.update(grid or {})
     start = time.perf_counter()

@@ -34,6 +34,30 @@ def stirling_table(q_max):
     return table
 
 
+def set_partitions(items):
+    """Every set partition of the list ``items`` as a list of blocks: the
+    first item joins each block of a partition of the rest, or a block of
+    its own."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def partition_string(q, part):
+    """The restricted-growth string of a partition of range(q): each item
+    gets the rank of its block, blocks ordered by their smallest item."""
+    labels = [0] * q
+    for rank, block in enumerate(sorted(part, key=min)):
+        for x in block:
+            labels[x] = rank
+    return tuple(labels)
+
+
 def brute_rainbow_triangles(G):
     """All rainbow triangles by filtering every vertex triple."""
     out = []

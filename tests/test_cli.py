@@ -193,6 +193,20 @@ class TestVerifyCommand:
     def test_budget_violation_exit_2(self, capsys):
         assert run(["verify", "T1", "--grid", '{"n_max": 7}']) == 2
 
+    def test_t1_at_n6_exceeds_budget_exit_2(self, capsys):
+        assert run(["verify", "T1", "--grid", '{"n_max": 6}']) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_unknown_grid_key_exit_1(self, capsys):
+        assert run(["verify", "T2", "--grid", '{"nmax": 3}']) == 1
+        err = capsys.readouterr().err
+        assert "nmax" in err and "Traceback" not in err
+
+    def test_wrong_grid_type_exit_1(self, capsys):
+        assert run(["verify", "T1", "--grid", '{"n_max": "5"}']) == 1
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and "Traceback" not in err
+
     def test_counterexample_exit_code_mapping(self):
         # The theorems hold, so exit 3 is exercised via the report path.
         report = VerificationReport("T1", {}, counterexamples=[{"fake": True}])

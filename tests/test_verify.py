@@ -1,16 +1,26 @@
 import random
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 
 import pytest
 
 from rainbowgraphs.characterize import is_in_hk
 from rainbowgraphs.constructions import build_gk, turan_number
-from rainbowgraphs.graphs import GraphError, build, canonicalize_colors, is_complete, stats
+from rainbowgraphs.graphs import (
+    EdgeColoredGraph,
+    GraphError,
+    build,
+    canonicalize_colors,
+    is_complete,
+    stats,
+)
 from rainbowgraphs.rainbow import count_rainbow_triangles, enumerate_rainbow_cliques
 from rainbowgraphs.verify import (
     BudgetError,
+    _rgs_blocks,
+    _rgs_iter,
     bell_number,
+    check_grid,
     enumerate_colorings,
     find_tightness_witness,
     instance_satisfies,
@@ -22,7 +32,7 @@ from rainbowgraphs.verify import (
     verify_theorem,
 )
 
-from _oracles import bell_triangle, stirling_table
+from _oracles import bell_triangle, partition_string, set_partitions, stirling_table
 
 
 class TestBellStirling:
@@ -45,6 +55,120 @@ class TestBellStirling:
     def test_row_sums(self):
         for q in range(15):
             assert sum(stirling2(q, c) for c in range(q + 1)) == bell_number(q)
+
+
+class TestRgsKernel:
+    def test_rgs_iter_matches_naive_partitions(self):
+        for q in range(9):
+            naive = sorted(partition_string(q, part)
+                           for part in set_partitions(list(range(q))))
+            assert len(naive) == bell_number(q)
+            prefixes = {()}
+            for s in (naive[0], naive[len(naive) // 2], naive[-1]):
+                prefixes.update(s[:d] for d in {1, q // 2, q - 1, q} if d > 0)
+            for exact in [None] + list(range(q + 2)):
+                for prefix in prefixes:
+                    want = [s for s in naive
+                            if (exact is None or len(set(s)) == exact)
+                            and s[:len(prefix)] == prefix]
+                    got = [tuple(a) for a in _rgs_iter(q, exact, prefix)]
+                    assert got == want, (q, exact, prefix)
+
+    def test_blocks_report_used_and_last_values(self):
+        for q in range(1, 8):
+            for exact in (None, 1, q // 2 + 1, q):
+                for a, used, values in _rgs_blocks(q, exact):
+                    assert used == len(set(a[:-1]))
+                    want = [v for v in range(used + 1)
+                            if exact is None
+                            or len(set(a[:-1]) | {v}) == exact]
+                    assert list(values) == want
+
+    def test_invalid_prefix(self):
+        for prefix in ((1,), (0, 2), (0, 0, 0, 0)):
+            with pytest.raises(GraphError):
+                list(_rgs_iter(3, prefix=prefix))
+
+
+def _naive_sweep_counts(n_max, k_max):
+    """(instances, premises, witnesses) of T1, T2, T4 and L1, recounted
+    from every coloring of every edge subset of K_n, n <= n_max."""
+    counts = {check: [0, 0, 0] for check in ("T1", "T2", "T4", "L1")}
+    for n in range(1, n_max + 1):
+        thresh = comb(n + 1, 2)
+        pairs = list(combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for chosen in combinations(pairs, r):
+                for part in set_partitions(list(chosen)):
+                    G = EdgeColoredGraph(n, [(u, v, c)
+                                             for c, block in enumerate(part)
+                                             for u, v in block])
+                    st = stats(G)
+                    total = st.m + st.c
+                    t = count_rainbow_triangles(G)
+                    rows = {
+                        "T2": (min(k_max, total - thresh + 1) >= 1,
+                               total == thresh + k_max - 2 and t == k_max - 1),
+                        "T4": (min(k_max, st.profile.color_degree_sum
+                                   - thresh + 1) >= 1, False),
+                        "L1": (0 <= total - thresh + 1 >= t, False),
+                    }
+                    if r == len(pairs):
+                        rows["T1"] = (total >= thresh,
+                                      total == thresh - 1 and t == 0)
+                    for check, (premise, witness) in rows.items():
+                        row = counts[check]
+                        row[0] += 1
+                        row[1] += premise
+                        row[2] += witness
+    return counts
+
+
+class TestSweepsAgainstNaiveRecount:
+    def test_counts_at_n4(self):
+        for k_max in (1, 2, 3):
+            naive = _naive_sweep_counts(4, k_max)
+            for check in ("T1", "T2", "T4", "L1"):
+                grid = {"n_max": 4}
+                if check in ("T2", "T4"):
+                    grid["k_max"] = k_max
+                report = verify_theorem(check, grid)
+                assert report.ok
+                assert [report.instances, report.premise_instances,
+                        report.witness_count] == naive[check], (check, k_max)
+
+    def test_empty_coloring_is_an_l1_premise(self):
+        report = verify_theorem("L1", {"n_max": 1})
+        assert report.ok
+        assert (report.instances, report.premise_instances) == (1, 1)
+
+
+class TestGridAndBudget:
+    def test_t1_sweep_budget_sums_over_n(self):
+        with pytest.raises(BudgetError) as err:
+            verify_theorem("T1", {"n_max": 6})
+        assert err.value.estimate == sum(bell_number(comb(n, 2))
+                                         for n in range(1, 7))
+
+    def test_huge_n_max_is_rejected_at_once(self):
+        for check in ("T1", "T2", "T4", "L1"):
+            with pytest.raises(BudgetError):
+                verify_theorem(check, {"n_max": 10 ** 6})
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(GraphError, match="unknown T2 grid key 'nmax'"):
+            verify_theorem("T2", {"nmax": 3})
+
+    def test_non_integer_rejected(self):
+        for val in ("5", 5.0, True, None):
+            with pytest.raises(GraphError, match="must be an integer"):
+                verify_theorem("T1", {"n_max": val})
+
+    def test_valid_grids_accepted(self):
+        check_grid("T1", {"n_max": 3, "seed": 2})
+        check_grid("T6", {"pairs": [[8, 6]], "samples": 10})
+        with pytest.raises(GraphError, match="unknown check"):
+            check_grid("T9", {})
 
 
 class TestEnumerateColorings:

@@ -1,20 +1,11 @@
 """Exhaustive and randomized verification of the rainbow-substructure bounds.
 
-Colorings of a complete graph are enumerated as set partitions of the edge
-slots via restricted-growth strings, which yields every coloring exactly
-once up to renaming of colors (vertex symmetry is deliberately not
-quotiented; it affects speed only).  The strings come in lexicographic
-order, in blocks that share everything but the last slot.  The T1, T2, T4
-and L1 scans run the last slot inline and compute once per block what does
-not depend on it: the color count, the color degrees off the last edge and
-the rainbow triangles avoiding the last slot.  A block in which no value
-reaches the premise or the witness boundary is counted without looking at
-its strings.  Named checks replay the combinatorial implications over
-exhaustive grids or seeded samples:
+Each named check is one row of ``CHECKS``: a default grid, which is also
+the ``--grid`` schema, an instance source and one statement:
 
   T1     m+c >= C(n+1,2)                    =>  a rainbow triangle
   T2(k)  m+c >= C(n+1,2)+k-1                =>  k rainbow triangles
-  T3(k)  premises with exactly k triangles  =>  recursive-join certificate
+  T3(k)  premises with exactly k triangles  <=> recursive-join certificate
   T4(k)  sum of color degrees >= threshold  =>  k rainbow triangles
   T5(k)  m+c >= C(n,2)+t(n,k-2)+2           =>  a rainbow k-clique
   T6(k)  extremal premises                  =>  clique-extremal certificate
@@ -22,11 +13,30 @@ exhaustive grids or seeded samples:
   L2     arc+out-component sum threshold    =>  k directed triangles
   L3     extremal premises, parts of size>=2 => intra edges monochromatic
   L4     extremal premises                  =>  rainbow spanning partition
-  L5     extremal statistic, no k-clique    =>  graph is complete
+  L5     extremal statistic, incomplete     =>  a rainbow k-clique
   P1(l)  m+c >= C(n,2)+t(n,k-2)+2l          =>  l rainbow k-cliques
 
+A statement judges one instance: it returns a failure detail, None when
+the instance holds, or OUTSIDE when it lies outside the premise.  It tests
+the cheap parts of the premise, then the conclusion, and searches for a
+premise's rainbow cliques only when the conclusion fails.  The sampled
+runner, the minimizer, ``recheck_counterexample`` and
+``instance_satisfies`` all judge through it.
+
+Sweeps enumerate colorings of K_n, of its edge subsets, or with exactly c
+colors, as restricted-growth strings over the edge slots: every coloring
+once up to renaming of colors (vertex symmetry is deliberately not
+quotiented; it affects speed only).  The strings come in lexicographic
+order, in blocks that share everything but the last slot, and one worker
+pool scans the tasks of every n.  The T1, T2, T4 and L1 scans read slot
+arrays, never graphs: per block they compute the color count, the color
+degrees off the last edge and the rainbow triangles avoiding the last
+slot, and skip a block in which no value reaches the premise or the
+witness boundary.  Every counterexample a scan stores re-fails under the
+statement.
+
 No counterexamples are expected anywhere; any hit is greedily minimized
-and serialized so it re-fails on revalidation.
+where the statement allows, and serialized so it re-fails on revalidation.
 """
 
 from __future__ import annotations
@@ -34,9 +44,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import starmap
 from math import comb
 from multiprocessing import Pool
 from random import Random
+from typing import Callable
 
 from .characterize import (
     find_rainbow_spanning_turan,
@@ -53,6 +65,8 @@ from .graphs import (
     delete_edge,
     delete_vertex,
     edge_key,
+    graph_from_json_obj,
+    graph_to_json_obj,
     is_complete,
     stats,
 )
@@ -65,9 +79,7 @@ from .transform import associated_colored_graph
 
 DEFAULT_SEED = 0
 ENUMERATION_BUDGET = 10 ** 8
-
-THEOREMS = ("T1", "T2", "T3", "T4", "T5", "T6",
-            "L1", "L2", "L3", "L4", "L5", "P1")
+OUTSIDE = False    # a statement's verdict on an instance outside its premise
 
 
 class BudgetError(GraphError):
@@ -85,13 +97,10 @@ class BudgetError(GraphError):
 
 @lru_cache(maxsize=None)
 def _stirling_row(q: int) -> tuple[int, ...]:
-    if q == 0:
-        return (1,)
-    prev = _stirling_row(q - 1)
-    row = [0] * (q + 1)
-    for c in range(1, q + 1):
-        below = prev[c] if c < q else 0
-        row[c] = c * below + prev[c - 1]
+    """S(q, 0..q), built up row by row from S(0, 0) = 1."""
+    row = [1]
+    for r in range(1, q + 1):
+        row = [0] + [c * row[c] + row[c - 1] for c in range(1, r)] + [1]
     return tuple(row)
 
 
@@ -242,8 +251,9 @@ def _last_slot_counts(a, used: int, rest, through) -> list[int]:
     return counts
 
 
-def _graph_from_rgs(n, pairs, a) -> EdgeColoredGraph:
-    return EdgeColoredGraph(n, [(u, v, a[i]) for i, (u, v) in enumerate(pairs)])
+def _graph_from_colors(n, pairs, colors) -> EdgeColoredGraph:
+    return EdgeColoredGraph(
+        n, [(u, v, colors[i]) for i, (u, v) in enumerate(pairs)])
 
 
 def enumerate_colorings(n: int, exact_colors: int | None = None,
@@ -254,7 +264,7 @@ def enumerate_colorings(n: int, exact_colors: int | None = None,
     order over lexicographically sorted pairs).  Unconstrained enumeration
     is capped at n <= 6; with a class-count constraint n <= 7 is allowed
     while the Stirling estimate stays below 10^8, otherwise a BudgetError
-    reports the estimate.
+    reports the estimate (past a cap, the count at the first n over it).
     """
     if n < 0:
         raise GraphError(f"n={n} must be non-negative")
@@ -262,37 +272,28 @@ def enumerate_colorings(n: int, exact_colors: int | None = None,
         raise GraphError("give at most one of exact_colors / max_colors")
     slots = comb(n, 2)
     if exact_colors is None and max_colors is None:
-        estimate = bell_number(slots)
         if n > 6:
+            estimate = bell_number(comb(7, 2))
             raise BudgetError(
-                f"unconstrained enumeration is capped at n=6; "
-                f"n={n} would visit Bell({slots}) = {estimate} colorings",
-                estimate)
+                f"unconstrained enumeration is capped at n=6; n={n} would "
+                f"visit at least Bell(21) = {estimate} colorings", estimate)
         targets = [None]
     else:
-        if exact_colors is not None:
-            targets = [exact_colors]
-            estimate = stirling2(slots, exact_colors)
-        else:
-            targets = list(range(0 if slots == 0 else 1, max_colors + 1))
-            estimate = sum(stirling2(slots, c) for c in targets)
-        if n > 7 or estimate >= ENUMERATION_BUDGET:
-            raise BudgetError(
-                f"constrained enumeration at n={n} would visit {estimate} "
-                f"colorings (budget {ENUMERATION_BUDGET})",
-                estimate)
+        targets = [exact_colors] if exact_colors is not None else list(
+            range(0 if slots == 0 else 1, min(max_colors, slots) + 1))
+        _check_exact_budget(n, targets)
     pairs = _edge_slots(n)
 
     def gen():
         for target in targets:
             for a in _rgs_iter(slots, exact=target):
-                yield _graph_from_rgs(n, pairs, a)
+                yield _graph_from_colors(n, pairs, a)
 
     return gen()
 
 
 # --------------------------------------------------------------------------
-# Reports, per-instance predicates, counterexample minimization.
+# Reports, counterexample minimization and recheck.
 # --------------------------------------------------------------------------
 
 
@@ -345,120 +346,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _graph_entry(G: EdgeColoredGraph) -> dict:
-    return {"n": G.n, "edges": [[u, v, c] for u, v, c in G.sorted_edges()]}
-
-
-def _digraph_entry(D: OrientedGraph) -> dict:
-    return {"n": D.n, "arcs": [list(arc) for arc in sorted(D.arcs)]}
-
-
 def _cex_entry(theorem: str, obj, params: dict, detail: str) -> dict:
     entry = {"theorem": theorem, "params": dict(params), "detail": detail}
     if isinstance(obj, OrientedGraph):
-        entry["digraph"] = _digraph_entry(obj)
+        entry["digraph"] = {"n": obj.n,
+                            "arcs": [list(arc) for arc in sorted(obj.arcs)]}
     else:
-        entry["graph"] = _graph_entry(obj)
+        entry["graph"] = graph_to_json_obj(obj)
     return entry
-
-
-def instance_satisfies(theorem: str, obj, params: dict) -> bool:
-    """Does this single instance satisfy the named implication?"""
-    theorem = theorem.upper()
-    if theorem == "L2":
-        D: OrientedGraph = obj
-        assoc = associated_colored_graph(D)
-        dir_tris = directed_triangles(D)
-        if (assoc.graph.m != D.a or assoc.graph.c != assoc.omega_sum
-                or dir_tris != list_rainbow_triangles(assoc.graph)):
-            return False
-        k = D.a + assoc.omega_sum - comb(D.n + 1, 2) + 1
-        return k < 1 or len(dir_tris) >= k
-    G: EdgeColoredGraph = obj
-    st = stats(G)
-    n = G.n
-    if theorem == "T1":
-        return st.m + st.c < comb(n + 1, 2) or count_rainbow_triangles(G) >= 1
-    if theorem == "T2":
-        k = params["k"]
-        return (st.m + st.c < comb(n + 1, 2) + k - 1
-                or count_rainbow_triangles(G) >= k)
-    if theorem == "T4":
-        k = params["k"]
-        return (st.profile.color_degree_sum < comb(n + 1, 2) + k - 1
-                or count_rainbow_triangles(G) >= k)
-    if theorem == "L1":
-        t_count = count_rainbow_triangles(G)
-        if st.m + st.c < comb(n + 1, 2) + t_count - 1:
-            return True
-        return st.m + st.c == comb(n + 1, 2) + t_count - 1 and is_complete(G)
-    if theorem == "T3":
-        k = params["k"]
-        if (n < 3 * k or st.m + st.c < comb(n + 1, 2) + k - 1
-                or count_rainbow_triangles(G) != k):
-            return True
-        return is_in_gk(G, k) is not None
-    if theorem in ("T5", "P1"):
-        k = params["k"]
-        ell = params.get("ell", 1)
-        if n < k:
-            return True
-        t = turan_number(n, k - 2)
-        if st.m + st.c < comb(n, 2) + t + 2 * ell:
-            return True
-        return len(enumerate_rainbow_cliques(G, k, limit=ell)) >= ell
-    if theorem == "L5":
-        k = params["k"]
-        if n < k:
-            return True
-        t = turan_number(n, k - 2)
-        if st.m + st.c != comb(n, 2) + t + 1:
-            return True
-        if enumerate_rainbow_cliques(G, k, limit=1):
-            return True
-        return is_complete(G)
-    if theorem == "T6":
-        k = params["k"]
-        if n < k or not is_complete(G):
-            return True
-        t = turan_number(n, k - 2)
-        if st.m + st.c != comb(n, 2) + t + 1:
-            return True
-        if enumerate_rainbow_cliques(G, k, limit=1):
-            return True
-        return is_in_hk(G, k) is not None
-    if theorem == "L4":
-        k = params["k"]
-        q = k - 2
-        if not is_complete(G) or G.c != turan_number(n, q) + 1:
-            return True
-        if enumerate_rainbow_cliques(G, k, limit=1):
-            return True
-        return find_rainbow_spanning_turan(G, q) is not None
-    if theorem == "L3":
-        k = params["k"]
-        q = k - 2
-        if (not is_complete(G) or n // q < 2
-                or G.c != turan_number(n, q) + 1
-                or enumerate_rainbow_cliques(G, k, limit=1)):
-            return True
-        parts = find_rainbow_spanning_turan(G, q)
-        if parts is None:
-            return True
-        return _intra_monochromatic_fresh(G, parts)
-    raise GraphError(f"unknown check {theorem!r}")
-
-
-def _intra_monochromatic_fresh(G, parts) -> bool:
-    part_of = {}
-    for idx, part in enumerate(parts):
-        for v in part:
-            part_of[v] = idx
-    intra = set()
-    cross = set()
-    for (u, v), color in G.edges.items():
-        (intra if part_of[u] == part_of[v] else cross).add(color)
-    return len(intra) == 1 and not intra & cross
 
 
 def minimize_counterexample(G: EdgeColoredGraph, still_fails) -> EdgeColoredGraph:
@@ -483,39 +378,34 @@ def minimize_counterexample(G: EdgeColoredGraph, still_fails) -> EdgeColoredGrap
     return G
 
 
-_MINIMIZABLE = {"T1", "T2", "T4", "T5", "P1", "L1", "L5"}
-
-
 def _minimized_entry(entry: dict) -> dict:
-    theorem = entry["theorem"]
-    if theorem not in _MINIMIZABLE or "graph" not in entry:
+    check = CHECKS[entry["theorem"]]
+    if not check.minimize:
         return entry
-    G = EdgeColoredGraph(entry["graph"]["n"],
-                         [tuple(e) for e in entry["graph"]["edges"]])
-    params = entry.get("params", {})
+    G = graph_from_json_obj(entry["graph"])
+    params = entry["params"]
 
     def still_fails(H):
-        return not instance_satisfies(theorem, H, params)
+        return bool(check.statement(H, params, {}))
 
     if still_fails(G):
-        entry = dict(entry)
-        entry["graph"] = _graph_entry(minimize_counterexample(G, still_fails))
+        entry = dict(entry, graph=graph_to_json_obj(
+            minimize_counterexample(G, still_fails)))
     return entry
 
 
 def recheck_counterexample(entry: dict) -> bool:
     """True when the stored instance still violates its implication."""
     if "digraph" in entry:
-        D = OrientedGraph(entry["digraph"]["n"],
-                          [tuple(a) for a in entry["digraph"]["arcs"]])
-        return not instance_satisfies(entry["theorem"], D, entry.get("params", {}))
-    G = EdgeColoredGraph(entry["graph"]["n"],
-                         [tuple(e) for e in entry["graph"]["edges"]])
-    return not instance_satisfies(entry["theorem"], G, entry.get("params", {}))
+        obj = OrientedGraph(entry["digraph"]["n"],
+                            [tuple(a) for a in entry["digraph"]["arcs"]])
+    else:
+        obj = graph_from_json_obj(entry["graph"])
+    return not instance_satisfies(entry["theorem"], obj, entry.get("params", {}))
 
 
 # --------------------------------------------------------------------------
-# Exhaustive sweeps (restricted-growth enumeration, optional worker pool).
+# Exhaustive sweeps: slot-array scans, their tasks, and the budgets.
 # --------------------------------------------------------------------------
 
 
@@ -524,13 +414,6 @@ def _prefixes_for(slots: int, jobs: int) -> list[tuple[int, ...]]:
         return [()]
     depth = 5
     return [tuple(a) for a in _rgs_iter(depth)]
-
-
-def _map_tasks(task_fn, tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [task_fn(t) for t in tasks]
-    with Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(task_fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
 
 
 def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=()):
@@ -562,7 +445,7 @@ def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=()):
                 yield a, total, counts[val]
 
 
-def _t1_scan(n: int, prefix: tuple[int, ...]) -> dict:
+def _t1_scan(grid: dict, n: int, prefix: tuple[int, ...]) -> dict:
     thresh = comb(n + 1, 2)
     pairs = _edge_slots(n)
     tris = _triangle_slot_table(n)
@@ -574,35 +457,34 @@ def _t1_scan(n: int, prefix: tuple[int, ...]) -> dict:
             out["premise"] += 1
             if not t_count:
                 out["cex"].append(_cex_entry(
-                    "T1", _graph_from_rgs(n, pairs, a), {"n": n},
+                    "T1", _graph_from_colors(n, pairs, a), {"n": n},
                     "m+c above threshold without a rainbow triangle"))
         elif not t_count:
             out["witness_count"] += 1
             if len(out["witnesses"]) < 3:
-                out["witnesses"].append(_graph_entry(_graph_from_rgs(n, pairs, a)))
+                out["witnesses"].append(
+                    graph_to_json_obj(_graph_from_colors(n, pairs, a)))
     return out
 
 
-def _t1_task(args):
-    return _t1_scan(*args)
-
-
-def _t3_scan(n: int, k: int, prefix: tuple[int, ...]) -> dict:
+def _t3_scan(grid: dict, n: int, prefix: tuple[int, ...]) -> dict:
+    k = grid["k"]
     pairs = _edge_slots(n)
     tris = _triangle_slot_table(n)
     c_target = n + k - 1
     in_range = n >= 3 * k
-    out = {"instances": 0, "premise": 0, "cex": [], "observations": [],
-           "accepted": 0}
+    notes = {"accepted": 0}
+    out = {"instances": 0, "premise": 0, "cex": [], "notes": notes}
+    observations = []
     for a in _rgs_iter(comb(n, 2), exact=c_target, prefix=prefix):
         out["instances"] += 1
         t_count = _count_rainbow_slots(a, tris)
         expected = t_count == k
-        G = _graph_from_rgs(n, pairs, a)
+        G = _graph_from_colors(n, pairs, a)
         cert = is_in_gk(G, k)
         accepted = cert is not None
         if accepted:
-            out["accepted"] += 1
+            notes["accepted"] += 1
             if not validate_gk_certificate(G, k, cert):
                 out["cex"].append(_cex_entry(
                     "T3", G, {"k": k}, "certificate failed revalidation"))
@@ -613,12 +495,11 @@ def _t3_scan(n: int, k: int, prefix: tuple[int, ...]) -> dict:
             detail = ("premises hold but no certificate" if expected
                       else "certificate without the premises")
             entry = _cex_entry("T3", G, {"k": k}, detail)
-            (out["cex"] if in_range else out["observations"]).append(entry)
+            (out["cex"] if in_range else observations).append(entry)
+    if not in_range:
+        notes["out_of_range_mismatches"] = len(observations)
+        notes["out_of_range_examples"] = observations[:3]
     return out
-
-
-def _t3_task(args):
-    return _t3_scan(*args)
 
 
 def _subset_tables(n: int, mask: int):
@@ -633,7 +514,8 @@ def _subset_tables(n: int, mask: int):
     return pairs, tris
 
 
-def _t2_scan(n: int, k_max: int, masks) -> dict:
+def _t2_scan(grid: dict, n: int, masks) -> dict:
+    k_max = grid["k_max"]
     thresh = comb(n + 1, 2)
     out = {"instances": 0, "premise": 0, "cex": [],
            "witness_count": 0, "witnesses": []}
@@ -647,22 +529,19 @@ def _t2_scan(n: int, k_max: int, masks) -> dict:
                 out["premise"] += 1
                 if t_count < need:
                     out["cex"].append(_cex_entry(
-                        "T2", _graph_from_rgs(n, pairs, a),
+                        "T2", _graph_from_colors(n, pairs, a),
                         {"n": n, "k": t_count + 1},
                         f"m+c forces {need} rainbow triangles, found {t_count}"))
             if total == boundary and t_count == k_max - 1:
                 out["witness_count"] += 1
                 if len(out["witnesses"]) < 3:
                     out["witnesses"].append(
-                        _graph_entry(_graph_from_rgs(n, pairs, a)))
+                        graph_to_json_obj(_graph_from_colors(n, pairs, a)))
     return out
 
 
-def _t2_task(args):
-    return _t2_scan(*args)
-
-
-def _t4_scan(n: int, k_max: int, masks) -> dict:
+def _t4_scan(grid: dict, n: int, masks) -> dict:
+    k_max = grid["k_max"]
     thresh = comb(n + 1, 2)
     out = {"instances": 0, "premise": 0, "cex": []}
     for mask in masks:
@@ -706,18 +585,14 @@ def _t4_scan(n: int, k_max: int, masks) -> dict:
                 t_count = counts[val]
                 if t_count < need:
                     out["cex"].append(_cex_entry(
-                        "T4", _graph_from_rgs(n, pairs, a),
+                        "T4", _graph_from_colors(n, pairs, a),
                         {"n": n, "k": t_count + 1},
                         f"color-degree sum forces {need} rainbow triangles, "
                         f"found {t_count}"))
     return out
 
 
-def _t4_task(args):
-    return _t4_scan(*args)
-
-
-def _l1_scan(n: int, masks) -> dict:
+def _l1_scan(grid: dict, n: int, masks) -> dict:
     thresh = comb(n + 1, 2)
     full_m = comb(n, 2)
     out = {"instances": 0, "premise": 0, "cex": []}
@@ -731,14 +606,10 @@ def _l1_scan(n: int, masks) -> dict:
             out["premise"] += 1
             if t_count != slack or m != full_m:
                 out["cex"].append(_cex_entry(
-                    "L1", _graph_from_rgs(n, pairs, a), {"n": n},
+                    "L1", _graph_from_colors(n, pairs, a), {"n": n},
                     "threshold met with exactly this many rainbow triangles "
                     "but without equality+completeness"))
     return out
-
-
-def _l1_task(args):
-    return _l1_scan(*args)
 
 
 def _mask_chunks(n: int, chunk: int = 64):
@@ -746,14 +617,73 @@ def _mask_chunks(n: int, chunk: int = 64):
     return [range(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
+def _check_sweep_budget(n_max: int, subsets: bool) -> None:
+    """Raise BudgetError when the sweep over n = 1..n_max would visit
+    ENUMERATION_BUDGET instances: Bell(C(n,2)) colorings of each K_n, or,
+    summing Bell(|E'|) over the edge subsets E', Bell(C(n,2)+1) colored
+    subgraphs.  The sum stops at the budget, so a huge n_max costs nothing.
+    """
+    estimate = 0
+    for n in range(1, n_max + 1):
+        estimate += bell_number(comb(n, 2) + subsets)
+        if estimate >= ENUMERATION_BUDGET:
+            kind = "edge-subset" if subsets else "exhaustive"
+            raise BudgetError(
+                f"{kind} sweep up to n={n_max} would visit at least "
+                f"{estimate} instances (budget {ENUMERATION_BUDGET})",
+                estimate)
+
+
+def _check_exact_budget(n: int, colors) -> None:
+    """Raise BudgetError past n = 7, or when the colorings of K_n with c
+    colors, summed over ``colors``, reach ENUMERATION_BUDGET.  The cap is
+    tested first: past it the count at n = 8 stands in, a lower bound that
+    needs no large Stirling row."""
+    estimate = sum(stirling2(comb(min(n, 8), 2), c) for c in colors)
+    if n > 7 or estimate >= ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"exact-color enumeration at n={n} (capped at n=7) would visit "
+            f"{'at least ' if n > 7 else ''}{estimate} colorings "
+            f"(budget {ENUMERATION_BUDGET})", estimate)
+
+
+def _complete_colorings(grid: dict, jobs: int) -> list[tuple]:
+    """Scan tasks over every coloring of K_n, n <= n_max, split by RGS
+    prefix for the workers."""
+    _check_sweep_budget(grid["n_max"], subsets=False)
+    return [(grid, n, prefix) for n in range(1, grid["n_max"] + 1)
+            for prefix in _prefixes_for(comb(n, 2), jobs)]
+
+
+def _subgraph_colorings(grid: dict, jobs: int) -> list[tuple]:
+    """Scan tasks over every coloring of every edge subset of K_n,
+    n <= n_max, in chunks of subset masks."""
+    _check_sweep_budget(grid["n_max"], subsets=True)
+    return [(grid, n, masks) for n in range(1, grid["n_max"] + 1)
+            for masks in _mask_chunks(n)]
+
+
+def _exact_colorings(grid: dict, jobs: int) -> list[tuple]:
+    """Scan tasks over the colorings of K_n with exactly n+k-1 colors,
+    split by RGS prefix for the workers."""
+    n = grid["n"]
+    _check_exact_budget(n, [n + grid["k"] - 1])
+    return [(grid, n, prefix) for prefix in _prefixes_for(comb(n, 2), jobs)]
+
+
 def _merge_scan(report: VerificationReport, part: dict) -> None:
-    report.instances += part.get("instances", 0)
-    report.premise_instances += part.get("premise", 0)
-    report.counterexamples.extend(_minimized_entry(e) for e in part.get("cex", ()))
+    """Add one scan task's counts to the report.  Witnesses and list-valued
+    notes keep their first three entries; integer notes add up."""
+    report.instances += part["instances"]
+    report.premise_instances += part["premise"]
+    report.counterexamples.extend(_minimized_entry(e) for e in part["cex"])
     report.witness_count += part.get("witness_count", 0)
-    for w in part.get("witnesses", ()):
-        if len(report.witnesses) < 3:
-            report.witnesses.append(w)
+    report.witnesses = (report.witnesses + part.get("witnesses", []))[:3]
+    for key, val in part.get("notes", {}).items():
+        if isinstance(val, list):
+            report.notes[key] = (report.notes.get(key, []) + val)[:3]
+        else:
+            report.notes[key] = report.notes.get(key, 0) + val
 
 
 # --------------------------------------------------------------------------
@@ -810,27 +740,24 @@ def _random_balanced_parts(n: int, q: int, rng: Random) -> list[list[int]]:
     return parts
 
 
+def _random_labels(n: int, q: int, rng: Random):
+    """Random balanced q parts, a distinct random color per cross pair (in
+    pair order) and one more: returns (parts, cross colors, fresh color)."""
+    parts = _random_balanced_parts(n, q, rng)
+    part_of = {v: idx for idx, part in enumerate(parts) for v in part}
+    labels = iter(rng.sample(range(4 * comb(n, 2) + 8), turan_number(n, q) + 1))
+    cross = {(u, v): next(labels) for u in range(n) for v in range(u + 1, n)
+             if part_of[u] != part_of[v]}
+    return parts, cross, next(labels)
+
+
 def _random_case1(n: int, k: int, rng: Random):
     """Random relabeling of the one-extra-color completion: returns
     (graph, parts, mono_color)."""
-    q = k - 2
-    parts = _random_balanced_parts(n, q, rng)
-    part_of = {}
-    for idx, part in enumerate(parts):
-        for v in part:
-            part_of[v] = idx
-    t = turan_number(n, q)
-    labels = rng.sample(range(4 * comb(n, 2) + 8), t + 1)
-    edges = []
-    idx = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] != part_of[v]:
-                edges.append((u, v, labels[idx]))
-                idx += 1
-            else:
-                edges.append((u, v, labels[t]))
-    return EdgeColoredGraph(n, edges), parts, labels[t]
+    parts, cross, fresh = _random_labels(n, k - 2, rng)
+    edges = [(u, v, cross.get((u, v), fresh))
+             for u in range(n) for v in range(u + 1, n)]
+    return EdgeColoredGraph(n, edges), parts, fresh
 
 
 def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
@@ -841,25 +768,9 @@ def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
     q = k - 2
     if n // q != 1 or n <= q:
         return None
-    parts = _random_balanced_parts(n, q, rng)
+    parts, cross_color, fresh = _random_labels(n, q, rng)
     pair_parts = [p for p in parts if len(p) == 2]
     singles = [p[0] for p in parts if len(p) == 1]
-    if not pair_parts:
-        return None
-    part_of = {}
-    for idx, part in enumerate(parts):
-        for v in part:
-            part_of[v] = idx
-    t = turan_number(n, q)
-    labels = rng.sample(range(4 * comb(n, 2) + 8), t + 1)
-    cross_color = {}
-    idx = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] != part_of[v]:
-                cross_color[(u, v)] = labels[idx]
-                idx += 1
-    fresh = labels[t]
     for _ in range(attempts):
         fresh_idx = rng.randrange(len(pair_parts))
         reuse_pairs = [p for i2, p in enumerate(pair_parts) if i2 != fresh_idx]
@@ -882,12 +793,16 @@ def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
         edges = [(u, v, col) for (u, v), col in cross_color.items()]
         edges.extend((p[0], p[1], col) for p, col in intra_assign.items())
         G = EdgeColoredGraph(n, edges)
-        if G.c != t + 1:
-            continue
-        if enumerate_rainbow_cliques(G, k, limit=1):
-            continue
-        return G
+        if (G.c == len(cross_color) + 1
+                and not enumerate_rainbow_cliques(G, k, limit=1)):
+            return G
     return None
+
+
+def _recolored(G: EdgeColoredGraph, e: tuple[int, int], color: int) -> EdgeColoredGraph:
+    return EdgeColoredGraph(
+        G.n, [(a, b, color if (a, b) == e else col)
+              for (a, b), col in G.edges.items()])
 
 
 def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
@@ -902,14 +817,9 @@ def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
         new = rng.choice(palette + [fresh])
         if new == old:
             continue
-        edges = [(a, b, new if (a, b) == (u, v) else col)
-                 for (a, b), col in G.edges.items()]
-        H = EdgeColoredGraph(G.n, edges)
-        if H.c != G.c:
-            continue
-        if enumerate_rainbow_cliques(H, k, limit=1):
-            continue
-        return H
+        H = _recolored(G, (u, v), new)
+        if H.c == G.c and not enumerate_rainbow_cliques(H, k, limit=1):
+            return H
     return None
 
 
@@ -940,107 +850,20 @@ def sample_clique_free_extremal(n: int, k: int, rng: Random):
     return G, tag
 
 
-# --------------------------------------------------------------------------
-# Check runners.
-# --------------------------------------------------------------------------
+# Per-check instance sources.  Each yields (instance, params) in the order
+# of its seeded draws and may record notes for the report.
 
 
-def _check_sweep_budget(n_max: int, subsets: bool) -> None:
-    """Raise BudgetError when the sweep over n = 1..n_max would visit
-    ENUMERATION_BUDGET instances: Bell(C(n,2)) colorings of each K_n, or,
-    summing Bell(|E'|) over the edge subsets E', Bell(C(n,2)+1) colored
-    subgraphs.  The sum stops at the budget, so a huge n_max costs nothing.
-    """
-    estimate = 0
-    for n in range(1, n_max + 1):
-        estimate += bell_number(comb(n, 2) + subsets)
-        if estimate >= ENUMERATION_BUDGET:
-            kind = "edge-subset" if subsets else "exhaustive"
-            raise BudgetError(
-                f"{kind} sweep up to n={n_max} would visit at least "
-                f"{estimate} instances (budget {ENUMERATION_BUDGET})",
-                estimate)
-
-
-def _check_exact_sweep_budget(n: int, c: int) -> None:
-    estimate = stirling2(comb(n, 2), c)
-    if n > 7 or estimate >= ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"exact-color sweep at n={n}, c={c} would visit {estimate} "
-            f"colorings (budget {ENUMERATION_BUDGET})", estimate)
-
-
-def _run_t1(grid, jobs):
-    report = VerificationReport("T1", dict(grid))
-    _check_sweep_budget(grid["n_max"], subsets=False)
-    for n in range(1, grid["n_max"] + 1):
-        tasks = [(n, prefix) for prefix in _prefixes_for(comb(n, 2), jobs)]
-        for part in _map_tasks(_t1_task, tasks, jobs):
-            _merge_scan(report, part)
-    return report
-
-
-def _run_t2(grid, jobs):
-    report = VerificationReport("T2", dict(grid))
-    _check_sweep_budget(grid["n_max"], subsets=True)
-    k_max = grid["k_max"]
-    for n in range(1, grid["n_max"] + 1):
-        tasks = [(n, k_max, chunk) for chunk in _mask_chunks(n)]
-        for part in _map_tasks(_t2_task, tasks, jobs):
-            _merge_scan(report, part)
-    return report
-
-
-def _run_t3(grid, jobs):
-    report = VerificationReport("T3", dict(grid))
-    n, k = grid["n"], grid["k"]
-    _check_exact_sweep_budget(n, n + k - 1)
-    accepted = 0
-    observations = []
-    tasks = [(n, k, prefix) for prefix in _prefixes_for(comb(n, 2), jobs)]
-    for part in _map_tasks(_t3_task, tasks, jobs):
-        _merge_scan(report, part)
-        accepted += part["accepted"]
-        observations.extend(part["observations"])
-    report.notes["accepted"] = accepted
-    if n < 3 * k:
-        report.notes["out_of_range_mismatches"] = len(observations)
-        report.notes["out_of_range_examples"] = observations[:3]
-    return report
-
-
-def _run_t4(grid, jobs):
-    report = VerificationReport("T4", dict(grid))
-    _check_sweep_budget(grid["n_max"], subsets=True)
-    k_max = grid["k_max"]
-    for n in range(1, grid["n_max"] + 1):
-        tasks = [(n, k_max, chunk) for chunk in _mask_chunks(n)]
-        for part in _map_tasks(_t4_task, tasks, jobs):
-            _merge_scan(report, part)
-    return report
-
-
-def _run_l1(grid, jobs):
-    report = VerificationReport("L1", dict(grid))
-    _check_sweep_budget(grid["n_max"], subsets=True)
-    for n in range(1, grid["n_max"] + 1):
-        tasks = [(n, chunk) for chunk in _mask_chunks(n)]
-        for part in _map_tasks(_l1_task, tasks, jobs):
-            _merge_scan(report, part)
-    return report
-
-
-def _run_t5(grid, jobs):
-    report = VerificationReport("T5", dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
-    samples = grid["samples"]
+def _t5_samples(grid: dict, rng: Random, notes: dict):
+    """K_n minus at most two edges, with m+c at most two above the T5
+    threshold, for each k and n."""
     for k in grid["k_values"]:
         for n in range(k, grid["n_max"] + 1):
             t = turan_number(n, k - 2)
             full = comb(n, 2)
             if t + 2 > full:
                 continue
-            for _ in range(samples):
+            for _ in range(grid["samples"]):
                 missing = rng.randint(0, 2)
                 m = full - missing
                 c_min = full + t + 2 - m
@@ -1051,147 +874,12 @@ def _run_t5(grid, jobs):
                 for _ in range(missing):
                     pairs.pop(rng.randrange(len(pairs)))
                 colors = _random_exact_colors(len(pairs), c, rng)
-                G = EdgeColoredGraph(
-                    n, [(u, v, colors[i]) for i, (u, v) in enumerate(pairs)])
-                report.instances += 1
-                report.premise_instances += 1
-                if not enumerate_rainbow_cliques(G, k, limit=1):
-                    report.counterexamples.append(_minimized_entry(_cex_entry(
-                        "T5", G, {"k": k},
-                        "m+c above clique threshold without a rainbow clique")))
-    return report
+                yield _graph_from_colors(n, pairs, colors), {"k": k}
 
 
-def _run_t6(grid, jobs):
-    report = VerificationReport("T6", dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
-    mix: dict[str, int] = {}
-    cases: dict[str, int] = {}
-    for n, k in grid["pairs"]:
-        t = turan_number(n, k - 2)
-        for _ in range(grid["samples"]):
-            G, tag = sample_clique_free_extremal(n, k, rng)
-            if (not is_complete(G) or G.c != t + 1
-                    or enumerate_rainbow_cliques(G, k, limit=1)):
-                raise AssertionError("sampler emitted a non-premise instance")
-            report.instances += 1
-            report.premise_instances += 1
-            mix[tag] = mix.get(tag, 0) + 1
-            cert = is_in_hk(G, k)
-            if cert is None or not validate_hk_certificate(G, k, cert):
-                report.counterexamples.append(_cex_entry(
-                    "T6", G, {"k": k},
-                    "extremal premises hold but no certificate"))
-            else:
-                cases[cert.case] = cases.get(cert.case, 0) + 1
-    report.notes["sample_mix"] = mix
-    report.notes["certificate_cases"] = cases
-    return report
-
-
-def _run_l3(grid, jobs):
-    report = VerificationReport("L3", dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
-    for n, k in grid["pairs"]:
-        q = k - 2
-        if n // q < 2:
-            raise GraphError(f"L3 needs n//(k-2) >= 2, got (n,k)=({n},{k})")
-        for _ in range(grid["samples"]):
-            G, _tag = sample_clique_free_extremal(n, k, rng)
-            report.instances += 1
-            report.premise_instances += 1
-            if not instance_satisfies("L3", G, {"k": k}):
-                report.counterexamples.append(_cex_entry(
-                    "L3", G, {"k": k},
-                    "intra-part edges not one fresh color"))
-    return report
-
-
-def _run_l4(grid, jobs):
-    report = VerificationReport("L4", dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
-    for n, k in grid["pairs"]:
-        for _ in range(grid["samples"]):
-            G, _tag = sample_clique_free_extremal(n, k, rng)
-            report.instances += 1
-            report.premise_instances += 1
-            if find_rainbow_spanning_turan(G, k - 2) is None:
-                report.counterexamples.append(_cex_entry(
-                    "L4", G, {"k": k},
-                    "no rainbow spanning balanced partition found"))
-    return report
-
-
-def _recolored(G: EdgeColoredGraph, e: tuple[int, int], color: int) -> EdgeColoredGraph:
-    return EdgeColoredGraph(
-        G.n, [(a, b, color if (a, b) == e else col)
-              for (a, b), col in G.edges.items()])
-
-
-def _run_l5(grid, jobs):
-    report = VerificationReport("L5", dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
-    for n, k in grid["pairs"]:
-        t = turan_number(n, k - 2)
-        full = comb(n, 2)
-        for _ in range(grid["samples"]):
-            # Structured probe: break completeness while keeping the
-            # extremal statistic; a rainbow k-clique must then appear.
-            G, _parts, mono = _random_case1(n, k, rng)
-            intra = sorted(e for e, col in G.edges.items() if col == mono)
-            if len(intra) >= 3:
-                e1, e2 = rng.sample(intra, 2)
-                H = _recolored(delete_edge(G, *e1), e2, max(G.colors) + 1)
-                st = stats(H)
-                assert st.m + st.c == full + t + 1 and not is_complete(H)
-                report.instances += 1
-                report.premise_instances += 1
-                if not enumerate_rainbow_cliques(H, k, limit=1):
-                    report.counterexamples.append(_cex_entry(
-                        "L5", H, {"k": k},
-                        "incomplete graph at the extremal statistic without "
-                        "a rainbow clique"))
-            # Random probe: one missing edge, c = t+2.
-            pairs = list(_edge_slots(n))
-            pairs.pop(rng.randrange(len(pairs)))
-            colors = _random_exact_colors(len(pairs), t + 2, rng)
-            H = EdgeColoredGraph(
-                n, [(u, v, colors[i]) for i, (u, v) in enumerate(pairs)])
-            report.instances += 1
-            report.premise_instances += 1
-            if not enumerate_rainbow_cliques(H, k, limit=1):
-                report.counterexamples.append(_cex_entry(
-                    "L5", H, {"k": k},
-                    "incomplete graph at the extremal statistic without "
-                    "a rainbow clique"))
-    return report
-
-
-def _run_l2(grid, jobs):
-    report = VerificationReport("L2", dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
-    for _ in range(grid["count"]):
-        n = rng.randint(3, grid["n_max"])
-        D = random_oriented_graph(n, rng, tournament=rng.random() < 0.3)
-        assoc = associated_colored_graph(D)
-        dir_tris = directed_triangles(D)
-        report.instances += 1
-        identity_ok = (assoc.graph.m == D.a
-                       and assoc.graph.c == assoc.omega_sum
-                       and dir_tris == list_rainbow_triangles(assoc.graph))
-        k = D.a + assoc.omega_sum - comb(n + 1, 2) + 1
-        if k >= 1:
-            report.premise_instances += 1
-        if not identity_ok or (k >= 1 and len(dir_tris) < k):
-            report.counterexamples.append(_cex_entry(
-                "L2", D, {},
-                "associated-coloring identity or directed-triangle bound failed"))
-    return report
-
-
-def _run_p1(grid, jobs):
-    report = VerificationReport("P1", dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
+def _p1_samples(grid: dict, rng: Random, notes: dict):
+    """Complete colorings with c at most three above the P1 threshold, for
+    each k and l; (k, l) with no feasible n is noted as unsatisfiable."""
     skipped = []
     for k in grid["k_values"]:
         for ell in grid["ell_values"]:
@@ -1202,68 +890,356 @@ def _run_p1(grid, jobs):
                 continue
             for _ in range(grid["samples"]):
                 n = rng.choice(feasible)
-                t = turan_number(n, k - 2)
                 m = comb(n, 2)
-                c = min(m, t + 2 * ell + rng.randint(0, 3))
+                c = min(m, turan_number(n, k - 2) + 2 * ell + rng.randint(0, 3))
                 colors = _random_exact_colors(m, c, rng)
-                G = EdgeColoredGraph(
-                    n, [(u, v, colors[i])
-                        for i, (u, v) in enumerate(_edge_slots(n))])
-                report.instances += 1
-                report.premise_instances += 1
-                if len(enumerate_rainbow_cliques(G, k, limit=ell)) < ell:
-                    report.counterexamples.append(_minimized_entry(_cex_entry(
-                        "P1", G, {"k": k, "ell": ell},
-                        f"m+c forces {ell} rainbow {k}-cliques")))
+                yield (_graph_from_colors(n, _edge_slots(n), colors),
+                       {"k": k, "ell": ell})
     if skipped:
-        report.notes["unsatisfiable_premises"] = skipped
+        notes["unsatisfiable_premises"] = skipped
+
+
+def _clique_free_samples(grid: dict, rng: Random, notes: dict):
+    """``sample_clique_free_extremal`` draws for each (n, k)."""
+    for n, k in grid["pairs"]:
+        for _ in range(grid["samples"]):
+            yield sample_clique_free_extremal(n, k, rng)[0], {"k": k}
+
+
+def _t6_samples(grid: dict, rng: Random, notes: dict):
+    """As ``_clique_free_samples``, tallying the sampler's tags; the T6
+    statement tallies the certificate cases."""
+    mix = notes.setdefault("sample_mix", {})
+    notes.setdefault("certificate_cases", {})
+    for n, k in grid["pairs"]:
+        for _ in range(grid["samples"]):
+            G, tag = sample_clique_free_extremal(n, k, rng)
+            mix[tag] = mix.get(tag, 0) + 1
+            yield G, {"k": k}
+
+
+def _l3_samples(grid: dict, rng: Random, notes: dict):
+    for n, k in grid["pairs"]:
+        if n // (k - 2) < 2:
+            raise GraphError(f"L3 needs n//(k-2) >= 2, got (n,k)=({n},{k})")
+    yield from _clique_free_samples(grid, rng, notes)
+
+
+def _l5_samples(grid: dict, rng: Random, notes: dict):
+    """Two incomplete probes at the extremal statistic per sample."""
+    for n, k in grid["pairs"]:
+        t = turan_number(n, k - 2)
+        for _ in range(grid["samples"]):
+            # Structured probe: delete one intra-part edge of the one-extra-
+            # color completion and give another a fresh color.
+            G, _parts, mono = _random_case1(n, k, rng)
+            intra = sorted(e for e, col in G.edges.items() if col == mono)
+            if len(intra) >= 3:
+                e1, e2 = rng.sample(intra, 2)
+                yield (_recolored(delete_edge(G, *e1), e2, max(G.colors) + 1),
+                       {"k": k})
+            # Random probe: one missing edge, c = t+2.
+            pairs = list(_edge_slots(n))
+            pairs.pop(rng.randrange(len(pairs)))
+            colors = _random_exact_colors(len(pairs), t + 2, rng)
+            yield _graph_from_colors(n, pairs, colors), {"k": k}
+
+
+def _l2_samples(grid: dict, rng: Random, notes: dict):
+    """Random oriented graphs, tournaments three times in ten."""
+    for _ in range(grid["count"]):
+        n = rng.randint(3, grid["n_max"])
+        yield random_oriented_graph(n, rng, tournament=rng.random() < 0.3), {}
+
+
+# --------------------------------------------------------------------------
+# Statements: one judge per check.
+# --------------------------------------------------------------------------
+
+
+# Each takes (instance, params, notes) and returns a failure detail, None
+# when the instance holds, or OUTSIDE.  ``notes`` is the report's notes
+# during a run and a scratch dict otherwise.
+
+
+def _t2(G, params, notes):
+    """T2, and T1 with its k = 1."""
+    return _forces_triangles(G, G.m + G.c, params.get("k", 1), "m+c")
+
+
+def _t3(G, params, notes):
+    """Both directions inside n >= 3k, and every certificate revalidates."""
+    k = params["k"]
+    cert = is_in_gk(G, k)
+    if cert is not None and not validate_gk_certificate(G, k, cert):
+        return "certificate failed revalidation"
+    if G.n < 3 * k:
+        return OUTSIDE
+    premise = (G.m + G.c >= comb(G.n + 1, 2) + k - 1
+               and count_rainbow_triangles(G) == k)
+    if premise and cert is None:
+        return "premises hold but no certificate"
+    if cert is not None and not premise:
+        return "certificate without the premises"
+    return None if premise else OUTSIDE
+
+
+def _t4(G, params, notes):
+    return _forces_triangles(G, stats(G).profile.color_degree_sum,
+                             params["k"], "color-degree sum")
+
+
+def _forces_triangles(G, value: int, k: int, what: str):
+    """``value`` >= C(n+1,2)+k-1 gives k rainbow triangles."""
+    if value < comb(G.n + 1, 2) + k - 1:
+        return OUTSIDE
+    t_count = count_rainbow_triangles(G)
+    if t_count >= k:
+        return None
+    return f"{what} forces {k} rainbow triangles, found {t_count}"
+
+
+def _l1(G, params, notes):
+    total = G.m + G.c
+    thresh = comb(G.n + 1, 2) + count_rainbow_triangles(G) - 1
+    if total < thresh:
+        return OUTSIDE
+    if total == thresh and is_complete(G):
+        return None
+    return ("threshold met with exactly this many rainbow triangles "
+            "but without equality+completeness")
+
+
+def _p1(G, params, notes):
+    """P1, and T5 with its l = 1: m+c >= C(n,2)+t(n,k-2)+2l gives l
+    rainbow k-cliques."""
+    k, ell, n = params["k"], params.get("ell", 1), G.n
+    if n < k or G.m + G.c < comb(n, 2) + turan_number(n, k - 2) + 2 * ell:
+        return OUTSIDE
+    if len(enumerate_rainbow_cliques(G, k, limit=ell)) >= ell:
+        return None
+    return f"m+c forces {ell} rainbow {k}-cliques"
+
+
+def _t5(G, params, notes):
+    """P1's statement, under T5's failure detail."""
+    return (_p1(G, params, notes)
+            and "m+c above clique threshold without a rainbow clique")
+
+
+def _l5(G, params, notes):
+    """At m+c = C(n,2)+t(n,k-2)+1 an incomplete coloring has a rainbow
+    k-clique: the contrapositive of "no rainbow k-clique forces K_n"."""
+    k, n = params["k"], G.n
+    if (n < k or G.m + G.c != comb(n, 2) + turan_number(n, k - 2) + 1
+            or is_complete(G)):
+        return OUTSIDE
+    if enumerate_rainbow_cliques(G, k, limit=1):
+        return None
+    return ("incomplete graph at the extremal statistic without "
+            "a rainbow clique")
+
+
+def _extremal(G, k: int) -> bool:
+    """The cheap part of the clique-extremal premise: complete with
+    c = t(n,k-2)+1.  The rest is having no rainbow k-clique."""
+    return is_complete(G) and G.c == turan_number(G.n, k - 2) + 1
+
+
+def _t6(G, params, notes):
+    k = params["k"]
+    if G.n < k or not _extremal(G, k):
+        return OUTSIDE
+    cert = is_in_hk(G, k)
+    if cert is not None and validate_hk_certificate(G, k, cert):
+        cases = notes.setdefault("certificate_cases", {})
+        cases[cert.case] = cases.get(cert.case, 0) + 1
+        return None
+    if enumerate_rainbow_cliques(G, k, limit=1):
+        return OUTSIDE
+    return "extremal premises hold but no certificate"
+
+
+def _l4(G, params, notes):
+    k = params["k"]
+    if not _extremal(G, k):
+        return OUTSIDE
+    if find_rainbow_spanning_turan(G, k - 2) is not None:
+        return None
+    if enumerate_rainbow_cliques(G, k, limit=1):
+        return OUTSIDE
+    return "no rainbow spanning balanced partition found"
+
+
+def _l3(G, params, notes):
+    """The intra-part edges of the rainbow spanning partition carry one
+    color, used by no cross edge.  Without a partition L4 fails instead."""
+    k = params["k"]
+    q = k - 2
+    if G.n // q < 2 or not _extremal(G, k):
+        return OUTSIDE
+    parts = find_rainbow_spanning_turan(G, q)
+    if parts is not None and _intra_monochromatic_fresh(G, parts):
+        return None
+    if parts is None or enumerate_rainbow_cliques(G, k, limit=1):
+        return OUTSIDE
+    return "intra-part edges not one fresh color"
+
+
+def _intra_monochromatic_fresh(G, parts) -> bool:
+    part_of = {}
+    for idx, part in enumerate(parts):
+        for v in part:
+            part_of[v] = idx
+    intra = set()
+    cross = set()
+    for (u, v), color in G.edges.items():
+        (intra if part_of[u] == part_of[v] else cross).add(color)
+    return len(intra) == 1 and not intra & cross
+
+
+def _l2(D, params, notes):
+    """The associated coloring has m = a(D), c = the out-component sum, and
+    D's directed triangles as its rainbow triangles; and
+    a(D) + that sum >= C(n+1,2)+k-1 gives k directed triangles."""
+    assoc = associated_colored_graph(D)
+    dir_tris = directed_triangles(D)
+    detail = "associated-coloring identity or directed-triangle bound failed"
+    if (assoc.graph.m != D.a or assoc.graph.c != assoc.omega_sum
+            or dir_tris != list_rainbow_triangles(assoc.graph)):
+        return detail
+    k = D.a + assoc.omega_sum - comb(D.n + 1, 2) + 1
+    if k < 1:
+        return OUTSIDE
+    return None if len(dir_tris) >= k else detail
+
+
+# --------------------------------------------------------------------------
+# The check table and its runners.
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check.  ``grid`` is the default grid and the schema of
+    overrides.  A sweep lists its ``scan`` tasks with ``tasks(grid, jobs)``;
+    a sampled check draws from ``samples(grid, rng, notes)``.  Counter-
+    examples of a ``minimize`` check are shrunk while the statement still
+    fails.  Samples outside the premise stop the run unless ``vacuous``."""
+
+    grid: dict
+    statement: Callable
+    tasks: Callable | None = None
+    scan: Callable | None = None
+    samples: Callable | None = None
+    minimize: bool = False
+    vacuous: bool = False
+
+
+CHECKS = {
+    "T1": Check({"n_max": 5}, _t2, _complete_colorings, _t1_scan,
+                minimize=True),
+    "T2": Check({"n_max": 5, "k_max": 3}, _t2, _subgraph_colorings, _t2_scan,
+                minimize=True),
+    "T3": Check({"n": 5, "k": 1}, _t3, _exact_colorings, _t3_scan),
+    "T4": Check({"n_max": 5, "k_max": 2}, _t4, _subgraph_colorings, _t4_scan,
+                minimize=True),
+    "T5": Check({"k_values": (4, 5, 6), "n_max": 9, "samples": 200,
+                 "seed": DEFAULT_SEED}, _t5, samples=_t5_samples,
+                minimize=True),
+    "T6": Check({"pairs": ((8, 6), (9, 7)), "samples": 5000,
+                 "seed": DEFAULT_SEED}, _t6, samples=_t6_samples),
+    "L1": Check({"n_max": 5}, _l1, _subgraph_colorings, _l1_scan,
+                minimize=True),
+    "L2": Check({"count": 10000, "n_max": 12, "seed": DEFAULT_SEED}, _l2,
+                samples=_l2_samples, vacuous=True),
+    "L3": Check({"pairs": ((8, 6), (9, 6), (10, 6)), "samples": 300,
+                 "seed": DEFAULT_SEED}, _l3, samples=_l3_samples),
+    "L4": Check({"pairs": ((7, 6), (8, 6), (9, 6), (10, 6), (9, 7), (10, 7)),
+                 "samples": 300, "seed": DEFAULT_SEED}, _l4,
+                samples=_clique_free_samples),
+    "L5": Check({"pairs": ((8, 6), (9, 7)), "samples": 300,
+                 "seed": DEFAULT_SEED}, _l5, samples=_l5_samples,
+                minimize=True),
+    "P1": Check({"k_values": (4, 5, 6), "n_max": 10, "ell_values": (1, 2),
+                 "samples": 1000, "seed": DEFAULT_SEED}, _p1,
+                samples=_p1_samples, minimize=True),
+}
+
+THEOREMS = tuple(CHECKS)
+
+
+def _run_sweep(name: str, check: Check, grid: dict,
+               jobs: int) -> VerificationReport:
+    report = VerificationReport(name, dict(grid))
+    tasks = check.tasks(grid, jobs)
+    if jobs <= 1 or len(tasks) <= 1:
+        parts = list(starmap(check.scan, tasks))
+    else:
+        with Pool(processes=min(jobs, len(tasks))) as pool:
+            parts = pool.starmap(check.scan, tasks,
+                                 chunksize=max(1, len(tasks) // (4 * jobs)))
+    for part in parts:
+        _merge_scan(report, part)
     return report
 
 
-_DEFAULT_GRIDS = {
-    "T1": {"n_max": 5},
-    "T2": {"n_max": 5, "k_max": 3},
-    "T3": {"n": 5, "k": 1},
-    "T4": {"n_max": 5, "k_max": 2},
-    "T5": {"k_values": (4, 5, 6), "n_max": 9, "samples": 200,
-           "seed": DEFAULT_SEED},
-    "T6": {"pairs": ((8, 6), (9, 7)), "samples": 5000, "seed": DEFAULT_SEED},
-    "L1": {"n_max": 5},
-    "L2": {"count": 10000, "n_max": 12, "seed": DEFAULT_SEED},
-    "L3": {"pairs": ((8, 6), (9, 6), (10, 6)), "samples": 300,
-           "seed": DEFAULT_SEED},
-    "L4": {"pairs": ((7, 6), (8, 6), (9, 6), (10, 6), (9, 7), (10, 7)),
-           "samples": 300, "seed": DEFAULT_SEED},
-    "L5": {"pairs": ((8, 6), (9, 7)), "samples": 300, "seed": DEFAULT_SEED},
-    "P1": {"k_values": (4, 5, 6), "n_max": 10, "ell_values": (1, 2),
-           "samples": 1000, "seed": DEFAULT_SEED},
-}
+def _run_sampled(name: str, check: Check, grid: dict) -> VerificationReport:
+    report = VerificationReport(name, dict(grid), seed=grid["seed"])
+    rng = Random(grid["seed"])
+    for obj, params in check.samples(grid, rng, report.notes):
+        report.instances += 1
+        verdict = check.statement(obj, params, report.notes)
+        if verdict is OUTSIDE:
+            if check.vacuous:
+                continue
+            raise AssertionError(f"{name} sampler emitted a non-premise instance")
+        report.premise_instances += 1
+        if verdict:
+            report.counterexamples.append(
+                _minimized_entry(_cex_entry(name, obj, params, verdict)))
+    return report
 
-_RUNNERS = {
-    "T1": _run_t1, "T2": _run_t2, "T3": _run_t3, "T4": _run_t4,
-    "T5": _run_t5, "T6": _run_t6, "L1": _run_l1, "L2": _run_l2,
-    "L3": _run_l3, "L4": _run_l4, "L5": _run_l5, "P1": _run_p1,
-}
+
+def _lookup(theorem: str) -> Check:
+    check = CHECKS.get(theorem.upper())
+    if check is None:
+        raise GraphError(
+            f"unknown check {theorem!r}; available: {', '.join(THEOREMS)}")
+    return check
+
+
+def _shape(default) -> str:
+    if not isinstance(default, tuple):
+        return "an integer"
+    return f"a list of integer{' pairs' if isinstance(default[0], tuple) else 's'}"
+
+
+def _fits(default, val, pair=False) -> bool:
+    """Does ``val`` have the shape of ``default``: an integer (not a bool),
+    or a list or tuple whose items fit the default's first item, and a
+    pair's length?"""
+    if not isinstance(default, tuple):
+        return isinstance(val, int) and not isinstance(val, bool)
+    return (isinstance(val, (list, tuple))
+            and (not pair or len(val) == len(default))
+            and all(_fits(default[0], x, True) for x in val))
 
 
 def check_grid(theorem: str, grid: dict) -> None:
     """Raise GraphError unless ``grid`` can override the named check's
     default grid: every key is a default key or ``seed``, and every value
-    whose default is an integer is an integer (not a bool)."""
+    has the shape of its default (see ``_fits``)."""
     key = theorem.upper()
-    if key not in _DEFAULT_GRIDS:
-        raise GraphError(
-            f"unknown check {theorem!r}; available: {', '.join(THEOREMS)}")
-    defaults = {"seed": DEFAULT_SEED, **_DEFAULT_GRIDS[key]}
+    defaults = {"seed": DEFAULT_SEED, **_lookup(key).grid}
     for name, val in grid.items():
         if name not in defaults:
             raise GraphError(
                 f"unknown {key} grid key {name!r}; "
                 f"expected one of {', '.join(sorted(defaults))}")
-        if isinstance(defaults[name], int) and (
-                not isinstance(val, int) or isinstance(val, bool)):
-            raise GraphError(
-                f"{key} grid key {name!r} must be an integer, got {val!r}")
+        if not _fits(defaults[name], val):
+            raise GraphError(f"{key} grid key {name!r} must be "
+                             f"{_shape(defaults[name])}, got {val!r}")
 
 
 def verify_theorem(theorem: str, grid: dict | None = None,
@@ -1271,12 +1247,21 @@ def verify_theorem(theorem: str, grid: dict | None = None,
     """Run one named check over its (possibly overridden) parameter grid."""
     key = theorem.upper()
     check_grid(key, grid or {})
-    merged = dict(_DEFAULT_GRIDS[key])
-    merged.update(grid or {})
+    check = CHECKS[key]
+    merged = {**check.grid, **(grid or {})}
     start = time.perf_counter()
-    report = _RUNNERS[key](merged, jobs)
+    if check.scan is not None:
+        report = _run_sweep(key, check, merged, jobs)
+    else:
+        report = _run_sampled(key, check, merged)
     report.seconds = time.perf_counter() - start
     return report
+
+
+def instance_satisfies(theorem: str, obj, params: dict) -> bool:
+    """Does this single instance satisfy the named implication?  An
+    instance outside the premise does."""
+    return not _lookup(theorem).statement(obj, params, {})
 
 
 # --------------------------------------------------------------------------

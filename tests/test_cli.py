@@ -223,3 +223,17 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+
+class TestVerifyRejections:
+    def test_malformed_tuple_grid_exit_1(self, capsys):
+        for check, grid in (("T6", '{"pairs": 5}'),
+                            ("L3", '{"pairs": [[8, 6, 1]]}')):
+            assert run(["verify", check, "--grid", grid]) == 1
+            err = capsys.readouterr().err
+            assert "pairs" in err and "Traceback" not in err
+
+    def test_exact_sweep_cap_exit_2(self, capsys):
+        assert run(["verify", "T3", "--grid", '{"n": 60, "k": 1}']) == 2
+        err = capsys.readouterr().err
+        assert "budget" in err and "Traceback" not in err

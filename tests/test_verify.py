@@ -1,6 +1,8 @@
+import json
 import random
 from itertools import combinations, islice
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,10 @@ from rainbowgraphs.graphs import (
     is_complete,
     stats,
 )
+from rainbowgraphs import verify
 from rainbowgraphs.rainbow import count_rainbow_triangles, enumerate_rainbow_cliques
 from rainbowgraphs.verify import (
+    THEOREMS,
     BudgetError,
     _rgs_blocks,
     _rgs_iter,
@@ -406,3 +410,120 @@ class TestMinimizer:
         assert instance_satisfies("L1", G, {})
         mono = build(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
         assert instance_satisfies("T1", mono, {})  # premise fails, vacuous
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+
+
+class TestGoldenReports:
+    """Reports of all 12 checks on small seeded grids, recorded before the
+    check table replaced the per-check runners.  Every field but the wall
+    clock must repeat, including the T6 sample mix and certificate cases."""
+
+    def test_reports_repeat(self):
+        cases = json.loads(GOLDEN.read_text())
+        assert sorted({case["check"] for case in cases}) == sorted(THEOREMS)
+        for case in cases:
+            got = verify_theorem(case["check"], case["grid"]).to_dict()
+            got.pop("seconds")
+            assert json.loads(json.dumps(got)) == case["report"], case["grid"]
+
+    def test_sweep_reports_repeat_with_jobs(self):
+        for case in json.loads(GOLDEN.read_text()):
+            if case["check"] in ("T1", "T2", "T3", "T4", "L1"):
+                got = verify_theorem(case["check"], case["grid"], jobs=2).to_dict()
+                got.pop("seconds")
+                assert json.loads(json.dumps(got)) == case["report"], case["grid"]
+
+
+def _no_cliques(G, k, limit=None):
+    return []
+
+
+# Each case breaks kernels that both a check's runner and its statement
+# use, so the run reports counterexamples and each must re-fail.
+_FAULTS = {
+    "T3-validator": ("T3", {"n": 4, "k": 1}, {
+        "validate_gk_certificate": lambda G, k, cert: False}),
+    "T3-converse": ("T3", {"n": 4, "k": 1}, {
+        "is_in_gk": lambda G, k: object(),
+        "validate_gk_certificate": lambda G, k, cert: True}),
+    "T6-validator": ("T6", {"pairs": [[8, 6]], "samples": 3}, {
+        "validate_hk_certificate": lambda G, k, cert: False}),
+    "L4-partition": ("L4", {"pairs": [[8, 6]], "samples": 3}, {
+        "find_rainbow_spanning_turan": lambda G, parts: None}),
+    "T5-cliques": ("T5", {"k_values": [4], "n_max": 6, "samples": 3}, {
+        "enumerate_rainbow_cliques": _no_cliques}),
+    "P1-cliques": ("P1", {"k_values": [4], "n_max": 6, "ell_values": [1, 2],
+                          "samples": 3}, {
+        "enumerate_rainbow_cliques": _no_cliques}),
+    "L5-cliques": ("L5", {"pairs": [[8, 6]], "samples": 3}, {
+        "enumerate_rainbow_cliques": _no_cliques}),
+    "L2-triangles": ("L2", {"count": 20, "n_max": 6}, {
+        "directed_triangles": lambda D: []}),
+}
+_TRIANGLE_FREE = {"_last_slot_counts": lambda a, used, rest, through:
+                  [0] * (used + 1),
+                  "count_rainbow_triangles": lambda G: 0}
+for _check, _grid in (("T1", {"n_max": 3}), ("T2", {"n_max": 3, "k_max": 2}),
+                      ("T4", {"n_max": 3, "k_max": 2}), ("L1", {"n_max": 3})):
+    _FAULTS[f"{_check}-triangles"] = (_check, _grid, _TRIANGLE_FREE)
+
+
+class TestRecheckUnderFaults:
+    @pytest.mark.parametrize("case", sorted(_FAULTS))
+    def test_every_counterexample_refails(self, monkeypatch, case):
+        check, grid, faults = _FAULTS[case]
+        for name, fake in faults.items():
+            monkeypatch.setattr(verify, name, fake)
+        report = verify_theorem(check, grid)
+        assert report.counterexamples
+        for entry in report.counterexamples:
+            assert recheck_counterexample(entry), entry
+
+
+class TestGridShapes:
+    def test_malformed_tuple_keys_rejected(self):
+        for check, grid, match in (
+                ("T6", {"pairs": 5}, "list of integer pairs"),
+                ("L3", {"pairs": [[8, 6, 1]]}, "list of integer pairs"),
+                ("L4", {"pairs": [[8, "6"]]}, "list of integer pairs"),
+                ("L5", {"pairs": [8, 6]}, "list of integer pairs"),
+                ("T6", {"pairs": [[8, True]]}, "list of integer pairs"),
+                ("T5", {"k_values": 4}, "list of integers"),
+                ("P1", {"ell_values": [1, True]}, "list of integers"),
+                ("P1", {"k_values": [[4]]}, "list of integers"),
+                ("T5", {"k_values": "45"}, "list of integers")):
+            with pytest.raises(GraphError, match=match):
+                check_grid(check, grid)
+
+    def test_lists_and_tuples_accepted(self):
+        check_grid("T6", {"pairs": [[8, 6]], "samples": 10})
+        check_grid("T6", {"pairs": ((8, 6), [9, 7])})
+        check_grid("P1", {"k_values": (4,), "ell_values": [1, 2]})
+        check_grid("L4", {"pairs": []})
+
+
+class TestCapsBeforeEstimates:
+    def test_large_n_rejected_before_any_large_row(self, monkeypatch):
+        rows = []
+        real = verify._stirling_row
+
+        def recording(q):
+            rows.append(q)
+            return real(q)
+
+        monkeypatch.setattr(verify, "_stirling_row", recording)
+        for call in (lambda: enumerate_colorings(60),
+                     lambda: enumerate_colorings(60, exact_colors=3),
+                     lambda: enumerate_colorings(60, max_colors=3),
+                     lambda: verify_theorem("T3", {"n": 60, "k": 1})):
+            with pytest.raises(BudgetError):
+                call()
+        assert max(rows) <= comb(8, 2)
+
+    def test_rows_do_not_recurse(self):
+        # Both rows lie deeper than the default recursion limit.
+        assert stirling2(1100, 2) == 2 ** 1099 - 1
+        assert stirling2(1100, 1099) == comb(1100, 2)
+        assert bell_number(1100) == bell_triangle(1100)[1100]

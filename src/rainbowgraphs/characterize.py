@@ -257,22 +257,25 @@ def find_rainbow_spanning_turan(
     feasible part; empty parts of equal target size are interchangeable
     and only the first is tried.  Prunes as soon as two cross edges would
     collide on a color, and returns the first assignment found, so the
-    output is deterministic.
+    output is deterministic.  The search keeps its own stack, one frame per
+    placed vertex, so its depth is not bounded by the interpreter's.
     """
     if not is_complete(G):
         raise GraphError("rainbow spanning multipartite search needs a complete graph")
     sizes = TuranPartition.balanced(G.n, parts).sizes
     n = G.n
     edges = G.edges
+    # colors_to[v][u] is the color of uv for u < v.
+    colors_to = [[edges[(u, v)] for u in range(v)] for v in range(n)]
     assignment: list[int | None] = [None] * n
     fill = [0] * parts
     used: set[int] = set()
-
-    def place(v: int) -> bool:
-        if v == n:
-            return True
-        tried_empty_sizes = set()
-        for p in range(parts):
+    # Per placed vertex: its part, the colors it added, and the sizes of
+    # the empty parts tried for it.
+    frames: list[tuple[int, list[int], set[int]]] = []
+    v, start, tried_empty_sizes = 0, 0, set()
+    while v < n:
+        for p in range(start, parts):
             if fill[p] == sizes[p]:
                 continue
             if fill[p] == 0:
@@ -280,28 +283,27 @@ def find_rainbow_spanning_turan(
                     continue
                 tried_empty_sizes.add(sizes[p])
             new_colors = []
-            feasible = True
-            for u in range(v):
-                if assignment[u] != p:
-                    cuv = edges[(u, v)]
+            for part_u, cuv in zip(assignment, colors_to[v]):
+                if part_u != p:
                     if cuv in used or cuv in new_colors:
-                        feasible = False
                         break
                     new_colors.append(cuv)
-            if not feasible:
-                continue
-            assignment[v] = p
-            fill[p] += 1
-            used.update(new_colors)
-            if place(v + 1):
-                return True
+            else:
+                frames.append((p, new_colors, tried_empty_sizes))
+                assignment[v] = p
+                fill[p] += 1
+                used.update(new_colors)
+                v, start, tried_empty_sizes = v + 1, 0, set()
+                break
+        else:
+            if not frames:
+                return None
+            v -= 1
+            p, new_colors, tried_empty_sizes = frames.pop()
             assignment[v] = None
             fill[p] -= 1
             used.difference_update(new_colors)
-        return False
-
-    if not place(0):
-        return None
+            start = p + 1
     return tuple(
         tuple(v for v in range(n) if assignment[v] == p) for p in range(parts))
 

@@ -43,6 +43,36 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _check_vertex_count(n) -> None:
+    if not isinstance(n, int) or not 0 <= n <= MAX_ANALYSIS_N:
+        raise GraphError(
+            f"vertex count {n!r} outside supported range 0..{MAX_ANALYSIS_N}")
+
+
+# From this average degree on, neighbourhood masks are built from byte
+# rows: ORing one bit into a growing mask per edge reallocates an n-bit int
+# each time, while a byte store costs the same at every n.  Below it, which
+# includes every graph with n <= 16, the rows' O(n^2) set-up costs more
+# than the ORs save.
+_BYTE_ROWS_MIN_DEGREE = 16
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _adjacency(n: int, edges: dict[tuple[int, int], int]) -> list[int]:
+    """Per-vertex neighbourhood bitmasks of the pairs ``edges``."""
+    if 2 * len(edges) < _BYTE_ROWS_MIN_DEGREE * n:
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return adj
+    rows = [bytearray(n) for _ in range(n)]
+    for u, v in edges:
+        rows[u][v] = rows[v][u] = 1
+    # Row byte i is bit i; int() reads the most significant digit first.
+    return [int(row[::-1].translate(_BITS), 2) for row in rows]
+
+
 class EdgeColoredGraph:
     """Simple undirected graph with a color on every edge.
 
@@ -53,28 +83,38 @@ class EdgeColoredGraph:
     __slots__ = ("n", "edges", "adj", "colors")
 
     def __init__(self, n: int, colored_edges: Iterable[tuple[int, int, int]] = ()):
-        if not isinstance(n, int) or not 0 <= n <= MAX_ANALYSIS_N:
-            raise GraphError(
-                f"vertex count {n!r} outside supported range 0..{MAX_ANALYSIS_N}")
+        _check_vertex_count(n)
         edges: dict[tuple[int, int], int] = {}
-        adj = [0] * n
         for u, v, color in colored_edges:
-            if u == v:
+            if 0 <= u < v < n:
+                key = (u, v)
+            elif 0 <= v < u < n:
+                key = (v, u)
+            elif u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            else:
                 raise GraphError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             if not isinstance(color, int) or color < 0:
                 raise GraphError(
                     f"color {color!r} on edge ({u},{v}) is not a non-negative integer")
-            key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise GraphError(f"duplicate edge pair {key}")
             edges[key] = color
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        self._set(n, edges)
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: dict[tuple[int, int], int]) -> EdgeColoredGraph:
+        """The graph of an ``edges`` dict whose pairs u < v lie in 0..n-1
+        and whose colors are non-negative integers; only n is checked."""
+        _check_vertex_count(n)
+        G = cls.__new__(cls)
+        G._set(n, edges)
+        return G
+
+    def _set(self, n: int, edges: dict[tuple[int, int], int]) -> None:
         self.n = n
         self.edges = edges
-        self.adj = adj
+        self.adj = _adjacency(n, edges)
         self.colors = frozenset(edges.values())
 
     @property
@@ -98,7 +138,7 @@ class EdgeColoredGraph:
             raise GraphError(f"edge ({u},{v}) not present") from None
 
     def sorted_edges(self) -> list[tuple[int, int, int]]:
-        return [(u, v, self.edges[(u, v)]) for (u, v) in sorted(self.edges)]
+        return [(u, v, c) for (u, v), c in sorted(self.edges.items())]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EdgeColoredGraph)
@@ -224,9 +264,7 @@ class OrientedGraph:
     __slots__ = ("n", "arcs", "out_adj", "in_adj")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if not isinstance(n, int) or not 0 <= n <= MAX_ANALYSIS_N:
-            raise GraphError(
-                f"vertex count {n!r} outside supported range 0..{MAX_ANALYSIS_N}")
+        _check_vertex_count(n)
         arc_set: set[tuple[int, int]] = set()
         out_adj = [0] * n
         in_adj = [0] * n
@@ -286,59 +324,60 @@ class OrientedGraph:
 
 def format_edgelist(G: EdgeColoredGraph) -> str:
     lines = [f"{G.n} {G.m}"]
-    lines.extend(f"{u} {v} {c}" for u, v, c in G.sorted_edges())
-    return "\n".join(lines) + "\n"
+    lines.extend(f"{u} {v} {c}" for (u, v), c in sorted(G.edges.items()))
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def parse_edgelist(text: str) -> EdgeColoredGraph:
+    """One pass from lines to the validated ``edges`` dict, which becomes
+    the graph without a second check of its pairs."""
     header: tuple[int, int] | None = None
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if header is None:
             if len(tokens) != 2:
                 raise FormatError("header must be 'n m'", lineno)
             try:
-                n, m = int(tokens[0]), int(tokens[1])
+                n, m = map(int, tokens)
             except ValueError:
                 raise FormatError("header must contain two integers", lineno) from None
             if n < 0 or m < 0:
                 raise FormatError("header values must be non-negative", lineno)
             header = (n, m)
             continue
-        n, m = header
-        if len(triples) == m:
+        count = len(edges)
+        if count == m:
             raise FormatError(f"more than the declared m={m} edge lines", lineno)
-        if len(tokens) != 3:
-            raise FormatError("edge line must be 'u v color'", lineno)
         try:
-            u, v, color = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            a, b, c = tokens
+        except ValueError:
+            raise FormatError("edge line must be 'u v color'", lineno) from None
+        try:
+            u, v, color = int(a), int(b), int(c)
         except ValueError:
             raise FormatError("edge line must contain three integers", lineno) from None
-        if not 0 <= u < n or not 0 <= v < n:
-            raise FormatError(f"vertex outside range 0..{n - 1}", lineno)
-        if u >= v:
+        if not 0 <= u < v < n:
+            if not 0 <= u < n or not 0 <= v < n:
+                raise FormatError(f"vertex outside range 0..{n - 1}", lineno)
             raise FormatError("edges must satisfy u < v", lineno)
-        if (u, v) in seen:
+        edges[u, v] = color
+        if len(edges) == count:
             raise FormatError(f"duplicate edge pair ({u},{v})", lineno)
         if color < 0:
             raise FormatError("color must be non-negative", lineno)
-        seen.add((u, v))
-        triples.append((u, v, color))
     if header is None:
         raise FormatError("empty input, expected 'n m' header")
-    n, m = header
-    if len(triples) != m:
-        raise FormatError(f"declared m={m} edges but found {len(triples)}")
-    return EdgeColoredGraph(n, triples)
+    if len(edges) != m:
+        raise FormatError(f"declared m={m} edges but found {len(edges)}")
+    return EdgeColoredGraph._from_checked(n, edges)
 
 
 def graph_to_json_obj(G: EdgeColoredGraph) -> dict:
-    return {"n": G.n, "edges": [[u, v, c] for u, v, c in G.sorted_edges()]}
+    return {"n": G.n, "edges": [[u, v, c] for (u, v), c in sorted(G.edges.items())]}
 
 
 def graph_from_json_obj(obj) -> EdgeColoredGraph:
@@ -350,17 +389,18 @@ def graph_from_json_obj(obj) -> EdgeColoredGraph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise FormatError("'edges' must be a list")
-    triples: list[tuple[int, int, int]] = []
+    # Every entry's shape is checked before the constructor sees any, so
+    # the constructor reads the entries themselves, not a copy.
     for entry in edges:
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(x, int) for x in entry)):
+        if not isinstance(entry, list) or len(entry) != 3:
             raise FormatError(f"edge entry {entry!r} must be [u, v, color]")
         u, v, color = entry
+        if not (isinstance(u, int) and isinstance(v, int) and isinstance(color, int)):
+            raise FormatError(f"edge entry {entry!r} must be [u, v, color]")
         if u >= v:
             raise FormatError(f"edge [{u},{v}] must satisfy u < v")
-        triples.append((u, v, color))
     try:
-        return EdgeColoredGraph(n, triples)
+        return EdgeColoredGraph(n, edges)
     except GraphError as exc:
         raise FormatError(str(exc)) from None
 
@@ -389,8 +429,8 @@ def format_dot(G: EdgeColoredGraph) -> str:
     """DOT export with the fixed palette cycle and color-id edge labels."""
     lines = ["graph G {"]
     lines.extend(f"  {v};" for v in range(G.n))
-    for u, v, c in G.sorted_edges():
+    for (u, v), c in sorted(G.edges.items()):
         hex_color = DOT_PALETTE[c % len(DOT_PALETTE)]
         lines.append(f'  {u} -- {v} [color="{hex_color}", label="{c}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -60,12 +60,13 @@ def enumerate_rainbow_cliques(
     only with vertices whose connecting edges exist and whose colors avoid
     the used-color set, with a remaining-candidate-count prune.  Results
     come out in lexicographic order; with ``limit`` the search stops after
-    that many cliques, so existence checks stay cheap.
+    that many cliques, so existence checks stay cheap.  A graph with fewer
+    than C(k,2) colors has none, and is not searched.
     """
     _check_enumeration_size(G)
     if k < 3 or k > G.n:
         raise GraphError(f"clique size {k} outside supported range 3..n={G.n}")
-    if limit is not None and limit <= 0:
+    if (limit is not None and limit <= 0) or G.c < comb(k, 2):
         return []
     edges = G.edges
     adj = G.adj

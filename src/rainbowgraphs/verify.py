@@ -928,6 +928,10 @@ def _l3_samples(grid: dict, rng: Random, notes: dict):
 def _l5_samples(grid: dict, rng: Random, notes: dict):
     """Two incomplete probes at the extremal statistic per sample."""
     for n, k in grid["pairs"]:
+        if comb(n, 2) - turan_number(n, k - 2) < 3:
+            raise GraphError(
+                f"L5 needs C(n,2) - t(n,k-2) >= 3, got (n,k)=({n},{k})")
+    for n, k in grid["pairs"]:
         t = turan_number(n, k - 2)
         for _ in range(grid["samples"]):
             # Structured probe: delete one intra-part edge of the one-extra-
@@ -1125,7 +1129,10 @@ class Check:
     overrides.  A sweep lists its ``scan`` tasks with ``tasks(grid, jobs)``;
     a sampled check draws from ``samples(grid, rng, notes)``.  Counter-
     examples of a ``minimize`` check are shrunk while the statement still
-    fails.  Samples outside the premise stop the run unless ``vacuous``."""
+    fails.  Samples outside the premise stop the run unless ``vacuous``.
+    Every integer of a grid value but the seed is at least 0, or at least
+    its key's entry in ``floors``; a pair (n, k) needs n >= k >= the
+    floor."""
 
     grid: dict
     statement: Callable
@@ -1134,6 +1141,7 @@ class Check:
     samples: Callable | None = None
     minimize: bool = False
     vacuous: bool = False
+    floors: dict = field(default_factory=dict)
 
 
 CHECKS = {
@@ -1146,24 +1154,27 @@ CHECKS = {
                 minimize=True),
     "T5": Check({"k_values": (4, 5, 6), "n_max": 9, "samples": 200,
                  "seed": DEFAULT_SEED}, _t5, samples=_t5_samples,
-                minimize=True),
+                minimize=True, floors={"k_values": 4}),
     "T6": Check({"pairs": ((8, 6), (9, 7)), "samples": 5000,
-                 "seed": DEFAULT_SEED}, _t6, samples=_t6_samples),
+                 "seed": DEFAULT_SEED}, _t6, samples=_t6_samples,
+                floors={"pairs": 4}),
     "L1": Check({"n_max": 5}, _l1, _subgraph_colorings, _l1_scan,
                 minimize=True),
     "L2": Check({"count": 10000, "n_max": 12, "seed": DEFAULT_SEED}, _l2,
-                samples=_l2_samples, vacuous=True),
+                samples=_l2_samples, vacuous=True, floors={"n_max": 3}),
     "L3": Check({"pairs": ((8, 6), (9, 6), (10, 6)), "samples": 300,
-                 "seed": DEFAULT_SEED}, _l3, samples=_l3_samples),
+                 "seed": DEFAULT_SEED}, _l3, samples=_l3_samples,
+                floors={"pairs": 4}),
     "L4": Check({"pairs": ((7, 6), (8, 6), (9, 6), (10, 6), (9, 7), (10, 7)),
                  "samples": 300, "seed": DEFAULT_SEED}, _l4,
-                samples=_clique_free_samples),
+                samples=_clique_free_samples, floors={"pairs": 4}),
     "L5": Check({"pairs": ((8, 6), (9, 7)), "samples": 300,
                  "seed": DEFAULT_SEED}, _l5, samples=_l5_samples,
-                minimize=True),
+                minimize=True, floors={"pairs": 4}),
     "P1": Check({"k_values": (4, 5, 6), "n_max": 10, "ell_values": (1, 2),
                  "samples": 1000, "seed": DEFAULT_SEED}, _p1,
-                samples=_p1_samples, minimize=True),
+                samples=_p1_samples, minimize=True,
+                floors={"k_values": 4, "ell_values": 1}),
 }
 
 THEOREMS = tuple(CHECKS)
@@ -1209,10 +1220,13 @@ def _lookup(theorem: str) -> Check:
     return check
 
 
-def _shape(default) -> str:
+def _shape(default, floor: int | None) -> str:
+    at_least = "" if floor is None else f" >= {floor}"
     if not isinstance(default, tuple):
-        return "an integer"
-    return f"a list of integer{' pairs' if isinstance(default[0], tuple) else 's'}"
+        return f"an integer{at_least}"
+    if isinstance(default[0], tuple):
+        return f"a list of integer pairs (n, k) with n >= k{at_least}"
+    return f"a list of integers{at_least}"
 
 
 def _fits(default, val, pair=False) -> bool:
@@ -1226,20 +1240,36 @@ def _fits(default, val, pair=False) -> bool:
             and all(_fits(default[0], x, True) for x in val))
 
 
+def _in_range(default, val, floor: int | None) -> bool:
+    """Is every integer of ``val``, which fits ``default``, at least
+    ``floor`` (if any), with n >= k in each pair (n, k)?"""
+    if floor is None:
+        return True
+    if not isinstance(default, tuple):
+        return val >= floor
+    if isinstance(default[0], tuple):
+        return all(n >= k >= floor for n, k in val)
+    return all(x >= floor for x in val)
+
+
 def check_grid(theorem: str, grid: dict) -> None:
     """Raise GraphError unless ``grid`` can override the named check's
-    default grid: every key is a default key or ``seed``, and every value
-    has the shape of its default (see ``_fits``)."""
+    default grid: every key is a default key or ``seed``, every value has
+    the shape of its default (see ``_fits``), and every value but the seed
+    is in its key's range (see ``Check``)."""
     key = theorem.upper()
-    defaults = {"seed": DEFAULT_SEED, **_lookup(key).grid}
+    check = _lookup(key)
+    defaults = {"seed": DEFAULT_SEED, **check.grid}
     for name, val in grid.items():
         if name not in defaults:
             raise GraphError(
                 f"unknown {key} grid key {name!r}; "
                 f"expected one of {', '.join(sorted(defaults))}")
-        if not _fits(defaults[name], val):
+        default = defaults[name]
+        floor = None if name == "seed" else check.floors.get(name, 0)
+        if not (_fits(default, val) and _in_range(default, val, floor)):
             raise GraphError(f"{key} grid key {name!r} must be "
-                             f"{_shape(defaults[name])}, got {val!r}")
+                             f"{_shape(default, floor)}, got {val!r}")
 
 
 def verify_theorem(theorem: str, grid: dict | None = None,

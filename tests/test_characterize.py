@@ -171,6 +171,23 @@ class TestRainbowSpanningTuran:
         G = build_hnk(9, 6).graph
         assert find_rainbow_spanning_turan(G, 4) == find_rainbow_spanning_turan(G, 4)
 
+    def test_first_partition_matches_oracle(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            c = rng.randint(1, comb(n, 2) + 1)
+            G = build(n, [(u, v, rng.randrange(c)) for u, v in combinations(range(n), 2)])
+            for parts in range(1, min(n, 4) + 1):
+                assert (find_rainbow_spanning_turan(G, parts)
+                        == brute_first_rainbow_turan(G, parts))
+
+    def test_rainbow_k1100_without_recursion(self):
+        # One search step per vertex, deeper than the default recursion limit.
+        n = 1100
+        G = build(n, [(u, v, i) for i, (u, v) in enumerate(combinations(range(n), 2))])
+        assert find_rainbow_spanning_turan(G, 2) == (tuple(range(550)),
+                                                     tuple(range(550, n)))
+
 
 def test_gk_exhaustive_equivalence_small():
     # Over all exact-4-color colorings of K_4: acceptance at k=1 holds
@@ -263,6 +280,31 @@ def brute_has_rainbow_turan(G, q):
         if len(set(cross)) == len(cross):
             return True
     return False
+
+
+def brute_first_rainbow_turan(G, q):
+    """The lexicographically first assignment of vertices to parts with the
+    balanced sizes and pairwise distinct cross colors, among those that
+    open an empty part only when no lower empty part has its size."""
+    from itertools import product
+    sizes = TuranPartition.balanced(G.n, q).sizes
+    for assignment in product(range(q), repeat=G.n):
+        fill = [0] * q
+        canonical = True
+        for p in assignment:
+            if fill[p] == 0 and any(fill[r] == 0 and sizes[r] == sizes[p]
+                                    for r in range(p)):
+                canonical = False
+                break
+            fill[p] += 1
+        if not canonical or tuple(fill) != sizes:
+            continue
+        cross = [G.color_of(u, v) for u, v in combinations(range(G.n), 2)
+                 if assignment[u] != assignment[v]]
+        if len(set(cross)) == len(cross):
+            return tuple(tuple(v for v in range(G.n) if assignment[v] == p)
+                         for p in range(q))
+    return None
 
 
 def brute_is_case1(G, k):

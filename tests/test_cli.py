@@ -233,6 +233,14 @@ class TestVerifyRejections:
             err = capsys.readouterr().err
             assert "pairs" in err and "Traceback" not in err
 
+    def test_out_of_range_grid_exit_1(self, capsys):
+        for check, grid in (("L3", '{"pairs": [[8, 2]]}'),
+                            ("T3", '{"n": -1}'),
+                            ("L2", '{"n_max": 1}')):
+            assert run(["verify", check, "--grid", grid]) == 1
+            err = capsys.readouterr().err
+            assert ">=" in err and "Traceback" not in err
+
     def test_exact_sweep_cap_exit_2(self, capsys):
         assert run(["verify", "T3", "--grid", '{"n": 60, "k": 1}']) == 2
         err = capsys.readouterr().err

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +234,29 @@ def test_is_complete():
     assert is_complete(mono_k3())
     assert not is_complete(build(3, [(0, 1, 0)]))
     assert is_complete(build(1, []))
+
+
+GOLDEN_ERRORS = Path(__file__).parent / "data" / "golden_graph_errors.json"
+
+
+def _outcome(call, inp):
+    try:
+        if call == "edgelist":
+            G = parse_edgelist(inp)
+        elif call == "json":
+            G = parse_json(inp)
+        else:
+            G = EdgeColoredGraph(*inp)
+    except (FormatError, GraphError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {"edgelist": format_edgelist(G), "json": format_json(G)}
+
+
+def test_golden_error_table():
+    """Exception type and message (with its line number), or the
+    re-formatted graph, for malformed and borderline edge-list text, JSON
+    and constructor input, recorded before the one-pass parser.  Inputs
+    with several faults pin which fault is reported first."""
+    for case in json.loads(GOLDEN_ERRORS.read_text()):
+        expected = {k: v for k, v in case.items() if k not in ("call", "input")}
+        assert _outcome(case["call"], case["input"]) == expected, case

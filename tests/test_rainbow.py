@@ -91,6 +91,27 @@ class TestCliqueEnumeration:
         assert got == sorted(got)
         assert len(got) == 35
 
+    def test_too_few_colors_have_none(self):
+        # A rainbow k-clique needs C(k,2) distinct colors.
+        rng = random.Random(41)
+        G = build(64, [(u, v, rng.randrange(3)) for u, v in combinations(range(64), 2)])
+        assert G.c == 3
+        for k in (4, 5, 6):
+            assert enumerate_rainbow_cliques(G, k) == []
+            assert enumerate_rainbow_cliques(G, k, limit=1) == []
+
+    def test_matches_oracle_on_few_color_graphs(self):
+        # Color counts on both sides of C(k,2), complete and not.
+        rng = random.Random(43)
+        pairs = {n: list(combinations(range(n), 2)) for n in range(4, 8)}
+        for _ in range(200):
+            n = rng.randint(4, 7)
+            chosen = rng.sample(pairs[n], rng.randint(len(pairs[n]) - 2, len(pairs[n])))
+            c = rng.randint(1, min(len(chosen), 11))
+            G = build(n, [(u, v, rng.randrange(c)) for u, v in chosen])
+            for k in range(3, n + 1):
+                assert enumerate_rainbow_cliques(G, k) == brute_rainbow_cliques(G, k)
+
     def test_preconditions(self):
         G = rainbow_complete(5)
         with pytest.raises(GraphError):

@@ -504,6 +504,39 @@ class TestGridShapes:
         check_grid("L4", {"pairs": []})
 
 
+class TestGridRanges:
+    def test_defaults_in_range_and_one_below_rejected(self):
+        for name, check in verify.CHECKS.items():
+            check_grid(name, check.grid)
+            for key, default in check.grid.items():
+                if key == "seed":
+                    continue
+                low = check.floors.get(key, 0) - 1
+                if not isinstance(default, tuple):
+                    bad = low
+                elif isinstance(default[0], tuple):
+                    bad = [[max(low, 0), low]]
+                else:
+                    bad = [default[0], low]
+                with pytest.raises(GraphError, match=f">= {low + 1}"):
+                    check_grid(name, {key: bad})
+
+    def test_pairs_need_n_at_least_k(self):
+        for name in ("T6", "L3", "L4", "L5"):
+            with pytest.raises(GraphError, match="n >= k >= 4"):
+                check_grid(name, {"pairs": [[8, 6], [5, 6]]})
+            check_grid(name, {"pairs": [[6, 6]]})
+
+    def test_seed_has_no_floor(self):
+        check_grid("T6", {"seed": -5})
+        check_grid("T1", {"seed": -5})
+
+    def test_l5_pairs_without_room_for_t_plus_2_colors(self):
+        # C(8,2) - t(8,6) = 2: no incomplete coloring has t+2 colors.
+        with pytest.raises(GraphError, match="L5 needs"):
+            verify_theorem("L5", {"pairs": [[8, 8]], "samples": 1})
+
+
 class TestCapsBeforeEstimates:
     def test_large_n_rejected_before_any_large_row(self, monkeypatch):
         rows = []

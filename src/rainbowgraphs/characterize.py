@@ -255,26 +255,52 @@ def find_rainbow_spanning_turan(
 
     Backtracking over vertices in index order, assigning each to the first
     feasible part; empty parts of equal target size are interchangeable
-    and only the first is tried.  Prunes as soon as two cross edges would
-    collide on a color, and returns the first assignment found, so the
-    output is deterministic.  The search keeps its own stack, one frame per
-    placed vertex, so its depth is not bounded by the interpreter's.
+    and only the first is tried.  Returns the first assignment found, so
+    the output is deterministic.  Placing v in part p is a test on vertex
+    bitmasks: the placed vertices outside p must miss ``conflict[v]``, the
+    earlier u whose color to v a cross edge already has, and hold at most
+    one of each group of earlier u sharing a color to v.  A placement adds
+    conflicts only where another edge repeats one of its new cross
+    colors, and backtracking removes them.  No bit per color is made, so
+    any number of colors is fine.  The search keeps its own stack, one
+    frame per placed vertex, so its depth is not bounded by the
+    interpreter's.
     """
     if not is_complete(G):
         raise GraphError("rainbow spanning multipartite search needs a complete graph")
     sizes = TuranPartition.balanced(G.n, parts).sizes
     n = G.n
     edges = G.edges
-    # colors_to[v][u] is the color of uv for u < v.
-    colors_to = [[edges[(u, v)] for u in range(v)] for v in range(n)]
-    assignment: list[int | None] = [None] * n
+    first: dict[int, tuple[int, int]] = {}
+    repeated: dict[int, list[tuple[int, int]]] = {}
+    for pair, color in edges.items():
+        if color in first:
+            repeated.setdefault(color, [first[color]]).append(pair)
+        else:
+            first[color] = pair
+    # spread[v]: the earlier u whose color to v another edge repeats;
+    # dup_groups[v]: those among them sharing one color to v, two or more.
+    spread = [0] * n
+    dup_groups: list[list[int]] = [[] for _ in range(n)]
+    for color, pairs in repeated.items():
+        group: dict[int, int] = {}
+        for a, b in pairs:
+            group[b] = group.get(b, 0) | 1 << a
+        for b, mask in group.items():
+            spread[b] |= mask
+            if mask & (mask - 1):
+                dup_groups[b].append(mask)
+        # Latest endpoint first, so propagation stops at the placed ones.
+        repeated[color] = sorted(((b, 1 << a) for a, b in pairs), reverse=True)
+    conflict = [0] * n
+    part_mask = [0] * parts
     fill = [0] * parts
-    used: set[int] = set()
-    # Per placed vertex: its part, the colors it added, and the sizes of
-    # the empty parts tried for it.
-    frames: list[tuple[int, list[int], set[int]]] = []
+    # Per placed vertex: its part, the conflict bits it set, and the sizes
+    # of the empty parts tried for it.
+    frames: list[tuple[int, list[tuple[int, int]], set[int]]] = []
     v, start, tried_empty_sizes = 0, 0, set()
     while v < n:
+        placed = (1 << v) - 1
         for p in range(start, parts):
             if fill[p] == sizes[p]:
                 continue
@@ -282,30 +308,40 @@ def find_rainbow_spanning_turan(
                 if sizes[p] in tried_empty_sizes:
                     continue
                 tried_empty_sizes.add(sizes[p])
-            new_colors = []
-            for part_u, cuv in zip(assignment, colors_to[v]):
-                if part_u != p:
-                    if cuv in used or cuv in new_colors:
-                        break
-                    new_colors.append(cuv)
+            cross = placed ^ part_mask[p]
+            if conflict[v] & cross:
+                continue
+            for group in dup_groups[v]:
+                clash = group & cross
+                if clash & (clash - 1):
+                    break
             else:
-                frames.append((p, new_colors, tried_empty_sizes))
-                assignment[v] = p
+                changes = []
+                rest = cross & spread[v]
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    for b, a_bit in repeated[edges[(bit.bit_length() - 1, v)]]:
+                        if b <= v:
+                            break
+                        conflict[b] |= a_bit
+                        changes.append((b, a_bit))
+                frames.append((p, changes, tried_empty_sizes))
+                part_mask[p] |= 1 << v
                 fill[p] += 1
-                used.update(new_colors)
                 v, start, tried_empty_sizes = v + 1, 0, set()
                 break
         else:
             if not frames:
                 return None
             v -= 1
-            p, new_colors, tried_empty_sizes = frames.pop()
-            assignment[v] = None
+            p, changes, tried_empty_sizes = frames.pop()
+            for b, a_bit in changes:
+                conflict[b] ^= a_bit
+            part_mask[p] ^= 1 << v
             fill[p] -= 1
-            used.difference_update(new_colors)
             start = p + 1
-    return tuple(
-        tuple(v for v in range(n) if assignment[v] == p) for p in range(parts))
+    return tuple(tuple(_bits(mask)) for mask in part_mask)
 
 
 def _case_one(G: EdgeColoredGraph, k: int, q: int, t: int) -> Optional[HkCertificate]:

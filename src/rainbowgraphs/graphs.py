@@ -44,7 +44,7 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 def _check_vertex_count(n) -> None:
-    if not isinstance(n, int) or not 0 <= n <= MAX_ANALYSIS_N:
+    if type(n) is not int or not 0 <= n <= MAX_ANALYSIS_N:
         raise GraphError(
             f"vertex count {n!r} outside supported range 0..{MAX_ANALYSIS_N}")
 
@@ -94,7 +94,7 @@ class EdgeColoredGraph:
                 raise GraphError(f"self-loop at vertex {u}")
             else:
                 raise GraphError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            if not isinstance(color, int) or color < 0:
+            if type(color) is not int or color < 0:  # bools are not colors
                 raise GraphError(
                     f"color {color!r} on edge ({u},{v}) is not a non-negative integer")
             if key in edges:
@@ -384,7 +384,7 @@ def graph_from_json_obj(obj) -> EdgeColoredGraph:
     if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
         raise FormatError("JSON graph must be an object with keys 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise FormatError("'n' must be an integer")
     edges = obj["edges"]
     if not isinstance(edges, list):
@@ -395,7 +395,7 @@ def graph_from_json_obj(obj) -> EdgeColoredGraph:
         if not isinstance(entry, list) or len(entry) != 3:
             raise FormatError(f"edge entry {entry!r} must be [u, v, color]")
         u, v, color = entry
-        if not (isinstance(u, int) and isinstance(v, int) and isinstance(color, int)):
+        if not (type(u) is int and type(v) is int and type(color) is int):
             raise FormatError(f"edge entry {entry!r} must be [u, v, color]")
         if u >= v:
             raise FormatError(f"edge [{u},{v}] must satisfy u < v")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .graphs import MAX_ENUMERATION_N, EdgeColoredGraph, GraphError, edge_key
+from .graphs import MAX_ENUMERATION_N, EdgeColoredGraph, GraphError
 
 
 def _check_enumeration_size(G: EdgeColoredGraph) -> None:
@@ -56,45 +56,58 @@ def enumerate_rainbow_cliques(
 ) -> list[tuple[int, ...]]:
     """Rainbow k-cliques (all C(k,2) edges present, colors pairwise distinct).
 
-    Backtracking in ascending vertex order: a partial clique is extended
-    only with vertices whose connecting edges exist and whose colors avoid
-    the used-color set, with a remaining-candidate-count prune.  Results
-    come out in lexicographic order; with ``limit`` the search stops after
-    that many cliques, so existence checks stay cheap.  A graph with fewer
-    than C(k,2) colors has none, and is not searched.
+    Backtracking in ascending vertex order over bit sets of colors: each
+    color gets a bit by its index in ``G.colors``, and a table of edge
+    color bits is built once per call.  Each candidate z carries the bits
+    of its colors to the partial clique.  When w joins, a later z stays
+    only if zw is an edge whose color is unused, differs from z's colors
+    to the clique, and z's colors miss w's.  So every candidate extends
+    the clique to a rainbow clique, and the candidate count bounds the
+    search early.  Results come out in lexicographic order; with ``limit``
+    the search stops after that many cliques, so existence checks stay
+    cheap.  A graph with fewer than C(k,2) colors has none, and is not
+    searched.
     """
     _check_enumeration_size(G)
     if k < 3 or k > G.n:
         raise GraphError(f"clique size {k} outside supported range 3..n={G.n}")
     if (limit is not None and limit <= 0) or G.c < comb(k, 2):
         return []
-    edges = G.edges
-    adj = G.adj
+    n = G.n
+    bit_of = {color: 1 << i for i, color in enumerate(G.colors)}
+    # color_bit[u][v] for u < v is the bit of uv's color, 0 when uv is not
+    # an edge; the search reads only these, as candidates follow w.
+    color_bit = [[0] * n for _ in range(n)]
+    for (u, v), color in G.edges.items():
+        color_bit[u][v] = bit_of[color]
     results: list[tuple[int, ...]] = []
     clique: list[int] = []
 
-    def extend(cand_mask: int, used: frozenset[int]) -> bool:
-        if len(clique) == k:
-            results.append(tuple(clique))
-            return limit is not None and len(results) >= limit
-        if len(clique) + cand_mask.bit_count() < k:
+    def extend(cands: list[tuple[int, int]], used: int) -> bool:
+        # cands holds (z, bits of z's colors to the clique), z ascending.
+        if len(clique) == k - 1:
+            for z, _ in cands:
+                results.append((*clique, z))
+                if limit is not None and len(results) >= limit:
+                    return True
             return False
-        rest = cand_mask
-        while rest:
-            bit = rest & -rest
-            w = bit.bit_length() - 1
-            rest ^= bit
-            new_colors = [edges[edge_key(x, w)] for x in clique]
-            if len(set(new_colors)) != len(new_colors) or not used.isdisjoint(new_colors):
-                continue
-            clique.append(w)
-            next_mask = rest & adj[w]
-            if extend(next_mask, used.union(new_colors)):
-                return True
-            clique.pop()
+        need = k - 1 - len(clique)  # vertices still needed after w
+        for i, (w, w_bits) in enumerate(cands):
+            if len(cands) - i <= need:
+                break
+            row = color_bit[w]
+            used_w = used | w_bits
+            nxt = [(z, z_bits | bit) for z, z_bits in cands[i + 1:]
+                   if (bit := row[z])
+                   and not (bit & used_w or bit & z_bits or z_bits & w_bits)]
+            if len(nxt) >= need:
+                clique.append(w)
+                if extend(nxt, used_w):
+                    return True
+                clique.pop()
         return False
 
-    extend((1 << G.n) - 1, frozenset())
+    extend([(v, 0) for v in range(n)], 0)
     return results
 
 

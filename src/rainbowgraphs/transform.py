@@ -17,10 +17,9 @@ and pairwise edge-disjoint rainbow triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .graphs import EdgeColoredGraph, FormatError, GraphError, OrientedGraph, edge_key
-from .rainbow import list_rainbow_triangles
+from .rainbow import guaranteed_triangles_mc, list_rainbow_triangles
 
 
 @dataclass(frozen=True)
@@ -51,36 +50,25 @@ class OrientationReport:
 
 
 def _weak_components(D: OrientedGraph, mask: int) -> list[int]:
-    """Weak components (bitmasks) of the subdigraph induced on ``mask``,
-    by union-find over the underlying undirected edges."""
-    verts = []
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        verts.append(bit.bit_length() - 1)
-        rest ^= bit
-    parent = {v: v for v in verts}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in verts:
-        nbrs = (D.out_adj[v] | D.in_adj[v]) & mask
-        while nbrs:
-            bit = nbrs & -nbrs
-            w = bit.bit_length() - 1
-            nbrs ^= bit
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[rv] = rw
-    comps: dict[int, int] = {}
-    for v in verts:
-        root = find(v)
-        comps[root] = comps.get(root, 0) | (1 << v)
-    return sorted(comps.values(), key=lambda m: m & -m)
+    """Weak components (bitmasks) of the subdigraph induced on ``mask``, in
+    the order of their lowest vertices: each grows from the lowest vertex
+    not yet reached by ORing the neighbourhoods of its newest vertices."""
+    out_adj, in_adj = D.out_adj, D.in_adj
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length() - 1
+                reach |= out_adj[v] | in_adj[v]
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
+    return comps
 
 
 def out_component_number(D: OrientedGraph, v: int) -> int:
@@ -120,9 +108,9 @@ def associated_colored_graph(D: OrientedGraph) -> AssociatedColoring:
 
 def guaranteed_directed_triangles(n: int, a: int, omega_sum: int) -> int:
     """Directed triangles forced in any oriented graph on n vertices with a
-    arcs and out-component-number sum omega_sum: the largest k with
-    a + omega_sum >= C(n+1,2) + k - 1, clamped at 0."""
-    return max(0, a + omega_sum - comb(n + 1, 2) + 1)
+    arcs and out-component-number sum omega_sum: the rainbow-triangle bound
+    of the associated coloring, which has m = a and c = omega_sum."""
+    return guaranteed_triangles_mc(n, a, omega_sum)
 
 
 def find_monochromatic_p3(G: EdgeColoredGraph) -> list[tuple[int, int, int]]:

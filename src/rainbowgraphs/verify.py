@@ -800,9 +800,11 @@ def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
 
 
 def _recolored(G: EdgeColoredGraph, e: tuple[int, int], color: int) -> EdgeColoredGraph:
-    return EdgeColoredGraph(
-        G.n, [(a, b, color if (a, b) == e else col)
-              for (a, b), col in G.edges.items()])
+    """G with its edge ``e`` given the non-negative ``color``; the other
+    pairs and colors come from a validated graph, so none is checked."""
+    edges = dict(G.edges)
+    edges[e] = color
+    return EdgeColoredGraph._from_checked(G.n, edges)
 
 
 def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,

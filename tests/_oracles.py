@@ -109,3 +109,25 @@ def random_colored_graph(rng, n_max=16, n_min=1):
     c_max = max(1, rng.randint(1, max(1, len(chosen))))
     triples = [(u, v, rng.randrange(c_max)) for (u, v) in chosen]
     return n, triples
+
+
+def weak_components(D, mask):
+    """Weak components of the subdigraph induced on the vertices in
+    ``mask``, as bitmasks ordered by lowest vertex, by union-find over the
+    arcs with both ends inside."""
+    verts = [v for v in range(D.n) if mask >> v & 1]
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in D.arcs:
+        if u in parent and v in parent:
+            parent[find(u)] = find(v)
+    comps = {}
+    for v in verts:
+        root = find(v)
+        comps[root] = comps.get(root, 0) | (1 << v)
+    return sorted(comps.values(), key=lambda m: m & -m)

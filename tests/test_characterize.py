@@ -181,6 +181,26 @@ class TestRainbowSpanningTuran:
                 assert (find_rainbow_spanning_turan(G, parts)
                         == brute_first_rainbow_turan(G, parts))
 
+    def test_first_partition_matches_oracle_on_extremal_samples(self):
+        # Case-I and case-II samples put their parts at random labels, so
+        # first-fit placement goes wrong and the search must backtrack;
+        # recolored copies also cover graphs with no partition at all.
+        from rainbowgraphs.verify import _random_case1, _random_case2, _recolored
+        rng = random.Random(61)
+        found = absent = 0
+        for n, k in ((6, 5), (7, 5), (8, 5), (6, 6), (7, 6), (8, 6)) * 4:
+            G = _random_case2(n, k, rng) if rng.random() < 0.5 else None
+            if G is None:
+                G = _random_case1(n, k, rng)[0]
+            for _ in range(rng.randint(0, 2)):
+                e = rng.choice(sorted(G.edges))
+                G = _recolored(G, e, rng.choice(sorted(G.colors) + [max(G.colors) + 1]))
+            want = brute_first_rainbow_turan(G, k - 2)
+            assert find_rainbow_spanning_turan(G, k - 2) == want
+            found += want is not None
+            absent += want is None
+        assert found and absent
+
     def test_rainbow_k1100_without_recursion(self):
         # One search step per vertex, deeper than the default recursion limit.
         n = 1100

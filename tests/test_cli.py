@@ -171,6 +171,15 @@ class TestConvert:
                   for line in dot.splitlines() if "--" in line}
         assert len(colors) == 3
 
+    def test_bool_color_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "b.json"
+        src.write_text('{"n": 3, "edges": [[0, 1, true]]}')
+        assert run(["convert", str(src), "--to", "edgelist"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be [u, v, color]" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestVerifyCommand:
     def test_t1_ok_exit_0(self, tmp_path, capsys):

@@ -112,6 +112,25 @@ class TestCliqueEnumeration:
             for k in range(3, n + 1):
                 assert enumerate_rainbow_cliques(G, k) == brute_rainbow_cliques(G, k)
 
+    def test_matches_oracle_with_limits_and_huge_color_ids(self):
+        # Every k and limit on graphs with missing edges, 1 to C(n,2)
+        # colors and color ids far beyond any bit width.
+        rng = random.Random(47)
+        for _ in range(250):
+            n = rng.randint(3, 9)
+            pairs = list(combinations(range(n), 2))
+            chosen = rng.sample(pairs, rng.randint(len(pairs) * 3 // 4, len(pairs)))
+            # Exactly c colors: the first c edges of the shuffled sample
+            # take distinct ids, the others reuse them.
+            palette = rng.sample(range(10 ** 9), rng.randint(1, max(1, len(chosen))))
+            colors = palette + [rng.choice(palette) for _ in chosen[len(palette):]]
+            G = build(n, [(u, v, col) for (u, v), col in zip(chosen, colors)])
+            for k in range(3, n + 1):
+                want = brute_rainbow_cliques(G, k)
+                assert enumerate_rainbow_cliques(G, k) == want
+                for limit in (1, 2):
+                    assert enumerate_rainbow_cliques(G, k, limit=limit) == want[:limit]
+
     def test_preconditions(self):
         G = rainbow_complete(5)
         with pytest.raises(GraphError):

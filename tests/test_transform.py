@@ -14,10 +14,11 @@ from rainbowgraphs.transform import (
     orient_by_p3_rule,
     out_component_number,
     parse_digraph,
+    _weak_components,
 )
 from rainbowgraphs.verify import random_oriented_graph
 
-from _oracles import brute_directed_triangles, random_colored_graph
+from _oracles import brute_directed_triangles, random_colored_graph, weak_components
 
 
 class TestOrientedGraph:
@@ -79,6 +80,22 @@ class TestAssociatedColoring:
             assert assoc.omega == tuple(out_component_number(D, v)
                                         for v in range(n))
             assert list_rainbow_triangles(assoc.graph) == brute_directed_triangles(D)
+
+
+class TestWeakComponents:
+    def test_matches_union_find_past_one_word(self):
+        # Masks of out-neighbourhoods, of whole vertex sets and random
+        # subsets, on oriented graphs up to 80 vertices.
+        rng = random.Random(59)
+        for _ in range(120):
+            n = rng.randint(1, 80)
+            D = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                                  for u, v in combinations(range(n), 2)
+                                  if rng.random() < rng.choice((0.02, 0.05, 0.2))])
+            masks = [(1 << n) - 1, rng.getrandbits(n)]
+            masks.extend(D.out_adj[v] for v in rng.sample(range(n), min(n, 5)))
+            for mask in masks:
+                assert _weak_components(D, mask) == weak_components(D, mask)
 
 
 class TestGuaranteedDirected:

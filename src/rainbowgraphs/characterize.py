@@ -15,15 +15,14 @@ count, a rainbow spanning balanced subgraph, and no rainbow k-clique
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Optional
 
 from .constructions import TuranPartition, turan_number
 from .graphs import EdgeColoredGraph, GraphError, is_complete
 from .rainbow import enumerate_rainbow_cliques
-
-_MISSING = object()
-
 
 def _bits(mask: int) -> list[int]:
     out = []
@@ -113,34 +112,66 @@ def _rainbow_triangles_within(G: EdgeColoredGraph, verts: list[int]) -> int:
     return count
 
 
-def _components_without_color(
-    G: EdgeColoredGraph, verts: list[int], color: int,
-) -> list[int]:
-    """Connected components (as bitmasks) after dropping the color's edges.
+# Up to this n, a coloring is first rejected unless it has exactly k
+# rainbow triangles, counted over a cached table of vertex triples: at
+# n = 5 that takes half the time of building the color masks and failing
+# the decomposition, at n = 6 as long, and from n = 8 on longer.
+_TRIPLE_TABLE_MAX_N = 6
 
-    Only edges inside ``verts`` are considered; the input graph must be
-    complete there.
+
+@lru_cache(maxsize=None)
+def _triple_edges(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(((u, v), (u, w), (v, w)) for u, v, w in combinations(range(n), 3))
+
+
+def _color_masks(G: EdgeColoredGraph) -> list[dict[int, int]]:
+    """Per vertex, a map from each color at it to its neighbours in that
+    color."""
+    masks: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for (u, v), color in G.edges.items():
+        at = masks[u]
+        at[color] = at.get(color, 0) | 1 << v
+        at = masks[v]
+        at[color] = at.get(color, 0) | 1 << u
+    return masks
+
+
+def _components_without(masks: list[dict[int, int]], mask: int, color: int) -> list[int]:
+    """Components (bitmasks, by lowest vertex) of the complete graph on
+    ``mask`` minus its edges of ``color``.  A component grows by every
+    vertex that misses, in ``color``, some vertex already in it: the
+    vertices left out are those joined in ``color`` to all of it."""
+    comps = []
+    while mask:
+        comp, frontier, common = 0, mask & -mask, mask
+        while frontier:
+            comp |= frontier
+            while frontier and common:
+                bit = frontier & -frontier
+                frontier ^= bit
+                common &= masks[bit.bit_length() - 1].get(color, 0)
+            frontier = mask & ~comp & ~common
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
+def _split(masks: list[dict[int, int]], mask: int) -> Optional[tuple[int, int, int]]:
+    """(join color, low side, high side) of a node, or None.
+
+    A split's cross edges all carry its color.  Two splits of one node
+    with different colors would give some edge both colors, so at most
+    one color disconnects a node, and it is one at the node's lowest
+    vertex.  In a member the join color occurs inside neither side (else
+    the color counts do not add up), so a color that leaves three or more
+    components, two of which would share a side, splits no member.
     """
-    parent = {v: v for v in verts}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = G.edges
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if edges[(u, v)] != color:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-    comps: dict[int, int] = {}
-    for v in verts:
-        root = find(v)
-        comps[root] = comps.get(root, 0) | (1 << v)
-    return sorted(comps.values(), key=lambda mask: mask & -mask)
+    for color, nbrs in masks[(mask & -mask).bit_length() - 1].items():
+        if nbrs & mask:
+            comps = _components_without(masks, mask, color)
+            if len(comps) > 1:
+                return (color, *comps) if len(comps) == 2 else None
+    return None
 
 
 def is_in_gk(G: EdgeColoredGraph, k: int) -> Optional[GkCertificate]:
@@ -149,75 +180,92 @@ def is_in_gk(G: EdgeColoredGraph, k: int) -> Optional[GkCertificate]:
     The graph must be complete with c = n + k - 1 and exactly k rainbow
     triangles, and the recursive split structure must hold at every level
     (the color-count condition is re-checked per node rather than assumed
-    to follow from the splits).  Candidate splits are derived from the
-    connected components of the graph minus one color class: a valid
-    join's cross edges all carry that color, while the color may still
-    appear inside the sides.  Memoized on vertex subsets.
+    to follow from the splits).  Splits come from the components of a
+    node minus one color class, found by a flood fill over
+    per-(vertex, color) neighbour masks.  A node has at most one split
+    (see ``_split``), so the decomposition is unique: it is cut top-down
+    with an explicit stack, then checked bottom-up.  A split node with
+    member sides meets its color count c = s + j - 1 exactly when the two
+    sides' color sets and the join color are pairwise disjoint, since a
+    triangle across a split has two edges of the join color and is not
+    rainbow.
     """
     if k < 0 or G.n == 0:
         return None
     if not is_complete(G):
         return None
-    if G.c != G.n + k - 1:
+    n = G.n
+    if G.c != n + k - 1:
         return None
-    memo: dict[int, Optional[GkCertificate]] = {}
-    cert = _gk_node(G, (1 << G.n) - 1, memo)
-    if cert is None or cert.k != k:
-        return None
-    return cert
-
-
-def _gk_node(G: EdgeColoredGraph, mask: int, memo: dict) -> Optional[GkCertificate]:
-    cached = memo.get(mask, _MISSING)
-    if cached is not _MISSING:
-        return cached
-    verts = _bits(mask)
-    ns = len(verts)
-    colors = sorted(_colors_within(G, verts))
-    j = _rainbow_triangles_within(G, verts)
-    result: Optional[GkCertificate] = None
-    if len(colors) == ns + j - 1:
-        if ns == 1:
-            result = GkCertificate(tuple(verts), 0, "vertex")
-        elif ns == 3 and j == 1:
-            result = GkCertificate(tuple(verts), 1, "triangle")
-        else:
-            result = _gk_split(G, mask, verts, j, colors, memo)
-    memo[mask] = result
-    return result
-
-
-def _gk_split(G, mask, verts, j, colors, memo) -> Optional[GkCertificate]:
-    for color in colors:
-        comps = _components_without_color(G, verts, color)
-        if len(comps) < 2:
+    edges = G.edges
+    if n <= _TRIPLE_TABLE_MAX_N:
+        j = 0
+        for a, b, c in _triple_edges(n):
+            x, y, z = edges[a], edges[b], edges[c]
+            if x != y and x != z and y != z:
+                j += 1
+        if j != k:
+            return None
+    masks = _color_masks(G)
+    full = (1 << n) - 1
+    # Top down, in preorder: each node with its split, or None for a leaf.
+    nodes: list[tuple[int, Optional[tuple[int, int, int]]]] = []
+    stack = [full]
+    while stack:
+        mask = stack.pop()
+        size = mask.bit_count()
+        leaf = size == 1
+        if size == 3:
+            a, b, c = _bits(mask)
+            leaf = len({edges[(a, b)], edges[(a, c)], edges[(b, c)]}) == 3
+        if leaf:
+            nodes.append((mask, None))
             continue
-        first, rest = comps[0], comps[1:]
-        # Every grouping of components into two sides is a candidate
-        # partition; the side containing the first component is canonical.
-        for pick in range((1 << len(rest)) - 1):
-            side = first
-            for idx, comp in enumerate(rest):
-                if pick >> idx & 1:
-                    side |= comp
-            low = _gk_node(G, side, memo)
-            if low is None:
-                continue
-            high = _gk_node(G, mask ^ side, memo)
-            if high is None:
-                continue
-            return GkCertificate(tuple(verts), j, "split", color, low, high)
-    return None
+        split = _split(masks, mask)
+        if split is None:
+            return None
+        nodes.append((mask, split))
+        stack.extend(split[:0:-1])
+    # Bottom up: children come before their parent in reverse preorder.
+    done: dict[int, tuple[GkCertificate, set[int]]] = {}
+    for mask, split in reversed(nodes):
+        verts = tuple(_bits(mask))
+        if split is None:
+            if len(verts) == 1:
+                done[mask] = (GkCertificate(verts, 0, "vertex"), set())
+            else:
+                a, b, c = verts
+                done[mask] = (GkCertificate(verts, 1, "triangle"),
+                              {edges[(a, b)], edges[(a, c)], edges[(b, c)]})
+            continue
+        color, low, high = split
+        low_cert, low_colors = done.pop(low)
+        high_cert, high_colors = done.pop(high)
+        if len(low_colors) < len(high_colors):
+            low_colors, high_colors = high_colors, low_colors
+        total = len(low_colors) + len(high_colors) + 1
+        low_colors |= high_colors
+        low_colors.add(color)
+        if len(low_colors) != total:  # the sides or the join share a color
+            return None
+        done[mask] = (GkCertificate(verts, low_cert.k + high_cert.k, "split",
+                                    color, low_cert, high_cert), low_colors)
+    # The root's color count is c = n + k - 1, so its k is the one asked.
+    return done[full][0]
 
 
 def validate_gk_certificate(G: EdgeColoredGraph, k: int, cert: GkCertificate) -> bool:
-    """Independent revalidation of a certificate against the graph."""
+    """Independent revalidation of a certificate against the graph: each
+    node's colors and rainbow triangles are recounted over its pairs and
+    triples.  The tree is walked with an explicit stack."""
     if cert.k != k or list(cert.vertices) != list(range(G.n)):
         return False
     if not is_complete(G):
         return False
 
-    def walk(node: GkCertificate) -> bool:
+    stack = [cert]
+    while stack:
+        node = stack.pop()
         verts = sorted(node.vertices)
         if verts != list(node.vertices) or len(set(verts)) != len(verts):
             return False
@@ -227,9 +275,13 @@ def validate_gk_certificate(G: EdgeColoredGraph, k: int, cert: GkCertificate) ->
         if len(_colors_within(G, verts)) != len(verts) + j - 1:
             return False
         if node.kind == "vertex":
-            return len(verts) == 1 and j == 0
+            if len(verts) != 1 or j != 0:
+                return False
+            continue
         if node.kind == "triangle":
-            return len(verts) == 3 and j == 1
+            if len(verts) != 3 or j != 1:
+                return False
+            continue
         if node.kind != "split" or node.low is None or node.high is None:
             return False
         left = set(node.low.vertices)
@@ -242,9 +294,9 @@ def validate_gk_certificate(G: EdgeColoredGraph, k: int, cert: GkCertificate) ->
             for v in right:
                 if G.edges.get((u, v) if u < v else (v, u)) != node.join_color:
                     return False
-        return walk(node.low) and walk(node.high)
-
-    return walk(cert)
+        stack.append(node.high)
+        stack.append(node.low)
+    return True
 
 
 def find_rainbow_spanning_turan(
@@ -357,39 +409,21 @@ def _case_one(G: EdgeColoredGraph, k: int, q: int, t: int) -> Optional[HkCertifi
     x = repeated[0]
     if counts[x] != comb(G.n, 2) - t:
         return None
-    classes = _components_of_color(G, x)
-    # Same-part must be an equivalence: each class must be an x-clique.
-    for cls in classes:
-        for i, u in enumerate(cls):
-            for v in cls[i + 1:]:
-                if G.edges[(u, v)] != x:
-                    return None
-    sizes = tuple(sorted((len(cls) for cls in classes), reverse=True))
+    # Same-part must be an equivalence with x-cliques as its classes, which
+    # holds exactly when the distinct closed x-neighbourhoods are pairwise
+    # disjoint, that is when their sizes sum to n, as balanced sizes do.
+    closed = [1 << v for v in range(G.n)]
+    for (u, v), color in G.edges.items():
+        if color == x:
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+    classes = set(closed)
+    sizes = tuple(sorted((cls.bit_count() for cls in classes), reverse=True))
     if sizes != TuranPartition.balanced(G.n, q).sizes:
         return None
-    ordered = tuple(tuple(cls) for cls in
-                    sorted(classes, key=lambda cls: (-len(cls), cls[0])))
+    ordered = tuple(sorted((tuple(_bits(cls)) for cls in classes),
+                           key=lambda cls: (-len(cls), cls[0])))
     return HkCertificate("I", k, ordered, x, G.c)
-
-
-def _components_of_color(G: EdgeColoredGraph, color: int) -> list[list[int]]:
-    parent = list(range(G.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (u, v), col in G.edges.items():
-        if col == color:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(G.n):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(g) for g in groups.values()]
 
 
 def is_in_hk(G: EdgeColoredGraph, k: int) -> Optional[HkCertificate]:

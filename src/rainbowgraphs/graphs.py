@@ -86,6 +86,8 @@ class EdgeColoredGraph:
         _check_vertex_count(n)
         edges: dict[tuple[int, int], int] = {}
         for u, v, color in colored_edges:
+            if type(u) is not int or type(v) is not int:  # bools are not vertices
+                raise GraphError(f"edge ({u!r},{v!r}) has a vertex that is not an integer")
             if 0 <= u < v < n:
                 key = (u, v)
             elif 0 <= v < u < n:

@@ -86,7 +86,7 @@ def associated_colored_graph(D: OrientedGraph) -> AssociatedColoring:
     """
     color = 0
     arc_colors: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int, int]] = []
+    edges: dict[tuple[int, int], int] = {}
     omega = []
     for v in range(D.n):
         comps = _weak_components(D, D.out_adj[v])
@@ -98,9 +98,11 @@ def associated_colored_graph(D: OrientedGraph) -> AssociatedColoring:
                 x = bit.bit_length() - 1
                 rest ^= bit
                 arc_colors[(v, x)] = color
-                edges.append((min(v, x), max(v, x), color))
+                edges[(v, x) if v < x else (x, v)] = color
             color += 1
-    G = EdgeColoredGraph(D.n, edges)
+    # The pairs are arcs of D and the colors a counter, so the graph needs
+    # no check beyond the counts below.
+    G = EdgeColoredGraph._from_checked(D.n, edges)
     assert G.m == D.a and G.c == sum(omega)
     return AssociatedColoring(graph=G, digraph=D, arc_colors=arc_colors,
                               omega=tuple(omega))

@@ -252,8 +252,10 @@ def _last_slot_counts(a, used: int, rest, through) -> list[int]:
 
 
 def _graph_from_colors(n, pairs, colors) -> EdgeColoredGraph:
-    return EdgeColoredGraph(
-        n, [(u, v, colors[i]) for i, (u, v) in enumerate(pairs)])
+    """The graph giving ``pairs[i]`` the color ``colors[i]``.  The pairs
+    come from ``_edge_slots`` and the colors are RGS or sampler values, so
+    both are valid by construction and are not checked again."""
+    return EdgeColoredGraph._from_checked(n, dict(zip(pairs, colors)))
 
 
 def enumerate_colorings(n: int, exact_colors: int | None = None,
@@ -813,14 +815,20 @@ def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
     all_edges = sorted(G.edges)
     palette = sorted(G.colors)
     fresh = palette[-1] + 1
+    choices = palette + [fresh]
+    count: dict[int, int] = {}
+    for color in G.edges.values():
+        count[color] = count.get(color, 0) + 1
     for _ in range(attempts):
         u, v = rng.choice(all_edges)
         old = G.edges[(u, v)]
-        new = rng.choice(palette + [fresh])
-        if new == old:
+        new = rng.choice(choices)
+        # c stays only if the recoloring drops a color exactly when it
+        # brings in the fresh one.
+        if new == old or (count[old] == 1) != (new == fresh):
             continue
         H = _recolored(G, (u, v), new)
-        if H.c == G.c and not enumerate_rainbow_cliques(H, k, limit=1):
+        if not enumerate_rainbow_cliques(H, k, limit=1):
             return H
     return None
 

@@ -131,3 +131,88 @@ def weak_components(D, mask):
         root = find(v)
         comps[root] = comps.get(root, 0) | (1 << v)
     return sorted(comps.values(), key=lambda m: m & -m)
+
+
+def gk_referee(G, k):
+    """The ``gk`` recognizer as first written: recursive, memoized on
+    vertex subsets, counting each node's colors and rainbow triangles
+    over its pairs and triples, and finding the components of a node
+    minus one color by union-find.  ``is_in_gk`` must return the same
+    certificate, or None where this does."""
+    from rainbowgraphs.characterize import GkCertificate
+    from rainbowgraphs.graphs import is_complete
+
+    if k < 0 or G.n == 0 or not is_complete(G) or G.c != G.n + k - 1:
+        return None
+    edges = G.edges
+
+    def colors_within(verts):
+        return {edges[(u, v)] for u, v in combinations(verts, 2)}
+
+    def rainbow_within(verts):
+        count = 0
+        for u, v, w in combinations(verts, 3):
+            if len({edges[(u, v)], edges[(u, w)], edges[(v, w)]}) == 3:
+                count += 1
+        return count
+
+    def components_without(verts, color):
+        parent = {v: v for v in verts}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in combinations(verts, 2):
+            if edges[(u, v)] != color:
+                parent[find(u)] = find(v)
+        comps = {}
+        for v in verts:
+            root = find(v)
+            comps[root] = comps.get(root, 0) | (1 << v)
+        return sorted(comps.values(), key=lambda m: m & -m)
+
+    memo = {}
+
+    def node(mask):
+        if mask in memo:
+            return memo[mask]
+        verts = [v for v in range(G.n) if mask >> v & 1]
+        colors = sorted(colors_within(verts))
+        j = rainbow_within(verts)
+        result = None
+        if len(colors) == len(verts) + j - 1:
+            if len(verts) == 1:
+                result = GkCertificate(tuple(verts), 0, "vertex")
+            elif len(verts) == 3 and j == 1:
+                result = GkCertificate(tuple(verts), 1, "triangle")
+            else:
+                result = split(mask, verts, j, colors)
+        memo[mask] = result
+        return result
+
+    def split(mask, verts, j, colors):
+        for color in colors:
+            comps = components_without(verts, color)
+            if len(comps) < 2:
+                continue
+            first, rest = comps[0], comps[1:]
+            for pick in range((1 << len(rest)) - 1):
+                side = first
+                for idx, comp in enumerate(rest):
+                    if pick >> idx & 1:
+                        side |= comp
+                low = node(side)
+                if low is None:
+                    continue
+                high = node(mask ^ side)
+                if high is None:
+                    continue
+                return GkCertificate(tuple(verts), j, "split", color, low, high)
+        return None
+
+    cert = node((1 << G.n) - 1)
+    if cert is None or cert.k != k:
+        return None
+    return cert

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import sys
 from itertools import combinations
 from math import comb
 
@@ -20,6 +22,8 @@ from rainbowgraphs.constructions import (
 )
 from rainbowgraphs.graphs import GraphError, build
 from rainbowgraphs.rainbow import count_rainbow_triangles
+
+from _oracles import gk_referee
 
 
 def recolor(G, e, color):
@@ -90,6 +94,103 @@ class TestIsInGk:
         cert = is_in_gk(build_gk(6, 1).graph, 1)
         other = build_gk(6, 2).graph
         assert not validate_gk_certificate(other, 1, cert)
+
+
+def _same_gk_answer(G, k):
+    got, want = is_in_gk(G, k), gk_referee(G, k)
+    assert (got is None) == (want is None), (sorted(G.edges.items()), k)
+    if got is not None:
+        assert got.to_dict() == want.to_dict(), (sorted(G.edges.items()), k)
+    return got is not None
+
+
+def _gk_graphs():
+    for n, k in ((1, 0), (2, 0), (3, 1), (5, 0), (6, 2), (9, 3), (12, 1),
+                 (13, 4), (20, 2), (24, 8), (31, 5), (40, 3), (40, 13)):
+        yield build_gk(n, k).graph, k
+
+
+class TestGkReferee:
+    """``is_in_gk`` against the recognizer it replaced: the same
+    certificate, or None where the referee gives None."""
+
+    def test_every_exact_coloring_of_k4_and_k5(self):
+        from rainbowgraphs.verify import enumerate_colorings
+        accepted = {}
+        for n in (4, 5):
+            for k in range(4):
+                accepted[n, k] = sum(
+                    _same_gk_answer(G, k)
+                    for G in enumerate_colorings(n, exact_colors=n + k - 1))
+        assert accepted == {(4, 0): 15, (4, 1): 4, (4, 2): 0, (4, 3): 0,
+                            (5, 0): 105, (5, 1): 30, (5, 2): 0, (5, 3): 0}
+
+    def test_constructions(self):
+        for G, k in _gk_graphs():
+            assert _same_gk_answer(G, k), (G.n, k)
+
+    def test_one_edge_recolorings(self):
+        # Only k = c - n + 1 passes the color count, so each recoloring is
+        # asked about that k and its neighbours.
+        rng = random.Random(67)
+        members = 0
+        for G, _ in _gk_graphs():
+            if G.n < 2:
+                continue
+            for _ in range(6):
+                e = rng.choice(sorted(G.edges))
+                H = recolor(G, e, rng.choice(sorted(G.colors) + [max(G.colors) + 1]))
+                k = H.c - H.n + 1
+                for kk in (k - 1, k, k + 1):
+                    members += _same_gk_answer(H, kk)
+        assert members
+
+
+def _depth(cert):
+    depth, level = 0, [cert]
+    while level:
+        depth += 1
+        level = [part for node in level if node.kind == "split"
+                 for part in (node.low, node.high)]
+    return depth
+
+
+def _with_last_join_recolored(cert):
+    """The certificate with the join color changed at the end of its chain
+    of split children, rebuilt without recursion, and that split's level."""
+    path = [cert]
+    while path[-1].low.kind == "split" or path[-1].high.kind == "split":
+        node = path[-1]
+        path.append(node.low if node.low.kind == "split" else node.high)
+    level = len(path)
+    node = dataclasses.replace(path.pop(), join_color=-1)
+    while path:
+        parent = path.pop()
+        side = "low" if parent.low.kind == "split" else "high"
+        node = dataclasses.replace(parent, **{side: node})
+    return node, level
+
+
+def test_gk_without_recursion():
+    """build_gk(120, 8) has a certificate 104 levels deep; recognizing and
+    validating it must not need a frame per level.  Certificates are
+    compared outside the lowered limit, since their ``__eq__`` recurses."""
+    G = build_gk(120, 8).graph
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        cert = is_in_gk(G, 8)
+        ok = cert is not None and validate_gk_certificate(G, 8, cert)
+        broken, level = _with_last_join_recolored(cert)
+        rejected = not validate_gk_certificate(G, 8, broken)
+    finally:
+        sys.setrecursionlimit(old)
+    assert ok and rejected
+    assert _depth(cert) == 104 and level == 103
+    assert cert == is_in_gk(G, 8)
 
 
 class TestIsInHk:

@@ -382,6 +382,42 @@ class TestSampler:
         tags = {sample_clique_free_extremal(9, 7, rng)[1] for _ in range(80)}
         assert any(tag.startswith("case2") for tag in tags)
 
+    def test_mutation_builds_only_keepers_of_c(self, monkeypatch):
+        # The same draws as building every recoloring and testing its c,
+        # which is how the mutation was first written.
+        def built_then_tested(G, k, rng, attempts=30):
+            palette = sorted(G.colors)
+            for _ in range(attempts):
+                u, v = rng.choice(sorted(G.edges))
+                old, new = G.edges[(u, v)], rng.choice(palette + [palette[-1] + 1])
+                if new == old:
+                    continue
+                H = build(G.n, [(a, b, new if (a, b) == (u, v) else col)
+                                for (a, b), col in G.edges.items()])
+                if H.c == G.c and not enumerate_rainbow_cliques(H, k, limit=1):
+                    return H
+            return None
+
+        built = []
+        recolored = verify._recolored
+
+        def counting(G, e, color):
+            H = recolored(G, e, color)
+            built.append((G.c, H.c))
+            return H
+
+        monkeypatch.setattr(verify, "_recolored", counting)
+        rng, ref_rng = random.Random(5), random.Random(5)
+        kept = 0
+        for n, k in ((8, 6), (9, 7), (7, 5)) * 20:
+            G = verify._random_case1(n, k, rng)[0]
+            assert G == verify._random_case1(n, k, ref_rng)[0]
+            H = verify._mutate_preserving(G, k, rng)
+            assert H == built_then_tested(G, k, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            kept += H is not None
+        assert kept and built and all(gc == hc for gc, hc in built)
+
 
 class TestMinimizer:
     def test_shrinks_to_a_triangle(self):

@@ -283,6 +283,11 @@ def _check_args(args) -> str | None:
             return f"check {args.family} requires --k"
         if args.family == "turan-partition" and args.parts is None:
             return "check turan-partition requires --parts"
+    if args.command == "verify":
+        try:
+            verify.check_jobs(args.jobs)
+        except GraphError as exc:
+            return f"--jobs: {exc}"
     if args.command == "verify" and args.grid:
         try:
             obj = json.loads(args.grid)

@@ -27,13 +27,16 @@ Sweeps enumerate colorings of K_n, of its edge subsets, or with exactly c
 colors, as restricted-growth strings over the edge slots: every coloring
 once up to renaming of colors (vertex symmetry is deliberately not
 quotiented; it affects speed only).  The strings come in lexicographic
-order, in blocks that share everything but the last slot, and one worker
-pool scans the tasks of every n.  The T1, T2, T4 and L1 scans read slot
-arrays, never graphs: per block they compute the color count, the color
-degrees off the last edge and the rainbow triangles avoiding the last
-slot, and skip a block in which no value reaches the premise or the
-witness boundary.  Every counterexample a scan stores re-fails under the
-statement.
+order, in blocks that share everything but the last slot.  ``_plan`` cuts
+a sweep into tasks of about equal weight, counted exactly in strings: it
+groups light edge subsets and splits heavy ones by RGS prefix.  At most
+min(jobs, cpu count) workers scan the tasks, and the results merge in
+serial order, so no report depends on ``jobs``.  The T1, T2, T4 and L1
+scans read slot arrays, never graphs: per block they compute the color
+count, the color degrees off the last edge and the rainbow triangles
+avoiding the last slot, and skip a block in which no value reaches the
+premise or the witness boundary.  Every counterexample a scan stores
+re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
 where the statement allows, and serialized so it re-fails on revalidation.
@@ -41,10 +44,11 @@ where the statement allows, and serialized so it re-fails on revalidation.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import starmap
+from itertools import combinations, starmap
 from math import comb
 from multiprocessing import Pool
 from random import Random
@@ -208,17 +212,6 @@ def _rgs_iter(slots, exact=None, prefix=()):
 @lru_cache(maxsize=None)
 def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
-@lru_cache(maxsize=None)
-def _triangle_slot_table(n: int) -> tuple[tuple[int, int, int], ...]:
-    index = {pair: i for i, pair in enumerate(_edge_slots(n))}
-    out = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            for w in range(v + 1, n):
-                out.append((index[(u, v)], index[(u, w)], index[(v, w)]))
-    return tuple(out)
 
 
 def _count_rainbow_slots(a, tris) -> int:
@@ -411,11 +404,48 @@ def recheck_counterexample(entry: dict) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _prefixes_for(slots: int, jobs: int) -> list[tuple[int, ...]]:
-    if jobs <= 1 or slots < 6:
-        return [()]
-    depth = 5
-    return [tuple(a) for a in _rgs_iter(depth)]
+@lru_cache(maxsize=None)
+def _completions(slots: int, prefix: tuple[int, ...], exact=None) -> int:
+    """Restricted-growth strings over ``slots`` positions extending the
+    valid ``prefix`` (with exactly ``exact`` values, if given): the j free
+    positions with values new to the prefix partition into blocks, and
+    each of the others takes one of the prefix's ``used`` values."""
+    used = max(prefix, default=-1) + 1
+    free = slots - len(prefix)
+    return sum(comb(free, j) * used ** (free - j)
+               * (bell_number(j) if exact is None else stirling2(j, exact - used))
+               for j in range(free + 1))
+
+
+_TASKS_PER_WORKER = 8
+
+
+def _plan(units, workers: int) -> list[list[tuple]]:
+    """Cut the sweep units ``(n, mask, exact)`` into scan tasks, lists of
+    pieces ``(n, mask, prefix)``, all in serial order.  A piece weighs the
+    strings it covers.  A piece heavier than the target, total weight /
+    (_TASKS_PER_WORKER * workers), is split by its next position until
+    only the last is free; lighter pieces are grouped up to the target."""
+    total = sum(_completions(bin(mask).count("1"), (), exact)
+                for _n, mask, exact in units)
+    target = max(1, -(-total // (_TASKS_PER_WORKER * workers)))
+    tasks, load = [], 0
+    for n, mask, exact in units:
+        m = bin(mask).count("1")
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            weight = _completions(m, prefix, exact)
+            if weight > target and len(prefix) < m - 1:
+                stack.extend(prefix + (val,) for val in
+                             range(max(prefix, default=-1) + 1, -1, -1))
+                continue
+            if not tasks or (load and load + weight > target):
+                tasks.append([])
+                load = 0
+            tasks[-1].append((n, mask, prefix))
+            load += weight
+    return tasks
 
 
 def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=()):
@@ -447,57 +477,56 @@ def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=()):
                 yield a, total, counts[val]
 
 
-def _t1_scan(grid: dict, n: int, prefix: tuple[int, ...]) -> dict:
-    thresh = comb(n + 1, 2)
-    pairs = _edge_slots(n)
-    tris = _triangle_slot_table(n)
+def _t1_scan(grid: dict, pieces) -> dict:
     out = {"instances": 0, "premise": 0, "cex": [],
            "witness_count": 0, "witnesses": []}
-    for a, total, t_count in _rgs_totals(len(pairs), tris, thresh - 1, out,
-                                         prefix):
-        if total >= thresh:
-            out["premise"] += 1
-            if not t_count:
-                out["cex"].append(_cex_entry(
-                    "T1", _graph_from_colors(n, pairs, a), {"n": n},
-                    "m+c above threshold without a rainbow triangle"))
-        elif not t_count:
-            out["witness_count"] += 1
-            if len(out["witnesses"]) < 3:
-                out["witnesses"].append(
-                    graph_to_json_obj(_graph_from_colors(n, pairs, a)))
+    for n, mask, prefix in pieces:
+        thresh = comb(n + 1, 2)
+        pairs, tris = _subset_tables(n, mask)
+        for a, total, t_count in _rgs_totals(len(pairs), tris, thresh - 1,
+                                             out, prefix):
+            if total >= thresh:
+                out["premise"] += 1
+                if not t_count:
+                    out["cex"].append(_cex_entry(
+                        "T1", _graph_from_colors(n, pairs, a), {"n": n},
+                        "m+c above threshold without a rainbow triangle"))
+            elif not t_count:
+                out["witness_count"] += 1
+                if len(out["witnesses"]) < 3:
+                    out["witnesses"].append(
+                        graph_to_json_obj(_graph_from_colors(n, pairs, a)))
     return out
 
 
-def _t3_scan(grid: dict, n: int, prefix: tuple[int, ...]) -> dict:
-    k = grid["k"]
-    pairs = _edge_slots(n)
-    tris = _triangle_slot_table(n)
-    c_target = n + k - 1
+def _t3_scan(grid: dict, pieces) -> dict:
+    n, k = grid["n"], grid["k"]
     in_range = n >= 3 * k
     notes = {"accepted": 0}
     out = {"instances": 0, "premise": 0, "cex": [], "notes": notes}
     observations = []
-    for a in _rgs_iter(comb(n, 2), exact=c_target, prefix=prefix):
-        out["instances"] += 1
-        t_count = _count_rainbow_slots(a, tris)
-        expected = t_count == k
-        G = _graph_from_colors(n, pairs, a)
-        cert = is_in_gk(G, k)
-        accepted = cert is not None
-        if accepted:
-            notes["accepted"] += 1
-            if not validate_gk_certificate(G, k, cert):
-                out["cex"].append(_cex_entry(
-                    "T3", G, {"k": k}, "certificate failed revalidation"))
-                continue
-        if expected:
-            out["premise"] += 1
-        if accepted != expected:
-            detail = ("premises hold but no certificate" if expected
-                      else "certificate without the premises")
-            entry = _cex_entry("T3", G, {"k": k}, detail)
-            (out["cex"] if in_range else observations).append(entry)
+    for _n, mask, prefix in pieces:
+        pairs, tris = _subset_tables(n, mask)
+        for a in _rgs_iter(len(pairs), exact=n + k - 1, prefix=prefix):
+            out["instances"] += 1
+            t_count = _count_rainbow_slots(a, tris)
+            expected = t_count == k
+            G = _graph_from_colors(n, pairs, a)
+            cert = is_in_gk(G, k)
+            accepted = cert is not None
+            if accepted:
+                notes["accepted"] += 1
+                if not validate_gk_certificate(G, k, cert):
+                    out["cex"].append(_cex_entry(
+                        "T3", G, {"k": k}, "certificate failed revalidation"))
+                    continue
+            if expected:
+                out["premise"] += 1
+            if accepted != expected:
+                detail = ("premises hold but no certificate" if expected
+                          else "certificate without the premises")
+                entry = _cex_entry("T3", G, {"k": k}, detail)
+                (out["cex"] if in_range else observations).append(entry)
     if not in_range:
         notes["out_of_range_mismatches"] = len(observations)
         notes["out_of_range_examples"] = observations[:3]
@@ -505,27 +534,27 @@ def _t3_scan(grid: dict, n: int, prefix: tuple[int, ...]) -> dict:
 
 
 def _subset_tables(n: int, mask: int):
-    slots = _edge_slots(n)
-    chosen = [i for i in range(len(slots)) if mask >> i & 1]
-    local = {g: l for l, g in enumerate(chosen)}
-    pairs = [slots[i] for i in chosen]
-    tris = []
-    for gi, gj, gl in _triangle_slot_table(n):
-        if gi in local and gj in local and gl in local:
-            tris.append((local[gi], local[gj], local[gl]))
+    """The edge slots of K_n in ``mask``, and the triangles they hold as
+    index triples into them."""
+    pairs = [pair for i, pair in enumerate(_edge_slots(n)) if mask >> i & 1]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    tris = [(index[u, v], index[u, w], index[v, w])
+            for u, v, w in combinations(range(n), 3)
+            if (u, v) in index and (u, w) in index and (v, w) in index]
     return pairs, tris
 
 
-def _t2_scan(grid: dict, n: int, masks) -> dict:
+def _t2_scan(grid: dict, pieces) -> dict:
     k_max = grid["k_max"]
-    thresh = comb(n + 1, 2)
     out = {"instances": 0, "premise": 0, "cex": [],
            "witness_count": 0, "witnesses": []}
-    boundary = thresh + k_max - 2
-    for mask in masks:
+    for n, mask, prefix in pieces:
+        thresh = comb(n + 1, 2)
+        boundary = thresh + k_max - 2
         pairs, tris = _subset_tables(n, mask)
         for a, total, t_count in _rgs_totals(len(pairs), tris,
-                                             min(thresh, boundary), out):
+                                             min(thresh, boundary), out,
+                                             prefix):
             need = min(k_max, total - thresh + 1)
             if need >= 1:
                 out["premise"] += 1
@@ -542,11 +571,11 @@ def _t2_scan(grid: dict, n: int, masks) -> dict:
     return out
 
 
-def _t4_scan(grid: dict, n: int, masks) -> dict:
+def _t4_scan(grid: dict, pieces) -> dict:
     k_max = grid["k_max"]
-    thresh = comb(n + 1, 2)
     out = {"instances": 0, "premise": 0, "cex": []}
-    for mask in masks:
+    for n, mask, prefix in pieces:
+        thresh = comb(n + 1, 2)
         pairs, tris = _subset_tables(n, mask)
         m = len(pairs)
         if m == 0:
@@ -567,7 +596,7 @@ def _t4_scan(grid: dict, n: int, masks) -> dict:
         single = sum(1 for lst in others if len(lst) == 1)
         multi = [lst for lst in others if len(lst) > 1]
         rest, through = _split_at_last(tris, last)
-        for a, used, values in _rgs_blocks(m):
+        for a, used, values in _rgs_blocks(m, prefix=prefix):
             out["instances"] += len(values)
             x_cols = {a[i] for i in x_slots}
             y_cols = {a[i] for i in y_slots}
@@ -594,29 +623,24 @@ def _t4_scan(grid: dict, n: int, masks) -> dict:
     return out
 
 
-def _l1_scan(grid: dict, n: int, masks) -> dict:
-    thresh = comb(n + 1, 2)
-    full_m = comb(n, 2)
+def _l1_scan(grid: dict, pieces) -> dict:
     out = {"instances": 0, "premise": 0, "cex": []}
-    for mask in masks:
+    for n, mask, prefix in pieces:
+        thresh = comb(n + 1, 2)
         pairs, tris = _subset_tables(n, mask)
         m = len(pairs)
-        for a, total, t_count in _rgs_totals(m, tris, thresh - 1, out):
+        for a, total, t_count in _rgs_totals(m, tris, thresh - 1, out,
+                                             prefix):
             slack = total - thresh + 1
             if t_count > slack:
                 continue
             out["premise"] += 1
-            if t_count != slack or m != full_m:
+            if t_count != slack or m != comb(n, 2):
                 out["cex"].append(_cex_entry(
                     "L1", _graph_from_colors(n, pairs, a), {"n": n},
                     "threshold met with exactly this many rainbow triangles "
                     "but without equality+completeness"))
     return out
-
-
-def _mask_chunks(n: int, chunk: int = 64):
-    total = 1 << comb(n, 2)
-    return [range(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
 def _check_sweep_budget(n_max: int, subsets: bool) -> None:
@@ -649,28 +673,27 @@ def _check_exact_budget(n: int, colors) -> None:
             f"(budget {ENUMERATION_BUDGET})", estimate)
 
 
-def _complete_colorings(grid: dict, jobs: int) -> list[tuple]:
-    """Scan tasks over every coloring of K_n, n <= n_max, split by RGS
-    prefix for the workers."""
+def _complete_colorings(grid: dict) -> list[tuple]:
+    """The sweep units (n, edge mask, exact colors or None) of every
+    coloring of K_n, n <= n_max, in serial order."""
     _check_sweep_budget(grid["n_max"], subsets=False)
-    return [(grid, n, prefix) for n in range(1, grid["n_max"] + 1)
-            for prefix in _prefixes_for(comb(n, 2), jobs)]
+    return [(n, (1 << comb(n, 2)) - 1, None)
+            for n in range(1, grid["n_max"] + 1)]
 
 
-def _subgraph_colorings(grid: dict, jobs: int) -> list[tuple]:
-    """Scan tasks over every coloring of every edge subset of K_n,
-    n <= n_max, in chunks of subset masks."""
+def _subgraph_colorings(grid: dict) -> list[tuple]:
+    """The units of every coloring of every edge subset of K_n, n <= n_max."""
     _check_sweep_budget(grid["n_max"], subsets=True)
-    return [(grid, n, masks) for n in range(1, grid["n_max"] + 1)
-            for masks in _mask_chunks(n)]
+    return [(n, mask, None) for n in range(1, grid["n_max"] + 1)
+            for mask in range(1 << comb(n, 2))]
 
 
-def _exact_colorings(grid: dict, jobs: int) -> list[tuple]:
-    """Scan tasks over the colorings of K_n with exactly n+k-1 colors,
-    split by RGS prefix for the workers."""
+def _exact_colorings(grid: dict) -> list[tuple]:
+    """The unit of the colorings of K_n with exactly n+k-1 colors."""
     n = grid["n"]
-    _check_exact_budget(n, [n + grid["k"] - 1])
-    return [(grid, n, prefix) for prefix in _prefixes_for(comb(n, 2), jobs)]
+    c = n + grid["k"] - 1
+    _check_exact_budget(n, [c])
+    return [(n, (1 << comb(n, 2)) - 1, c)]
 
 
 def _merge_scan(report: VerificationReport, part: dict) -> None:
@@ -1136,8 +1159,9 @@ def _l2(D, params, notes):
 @dataclass(frozen=True)
 class Check:
     """One named check.  ``grid`` is the default grid and the schema of
-    overrides.  A sweep lists its ``scan`` tasks with ``tasks(grid, jobs)``;
-    a sampled check draws from ``samples(grid, rng, notes)``.  Counter-
+    overrides.  A sweep lists its units with ``tasks(grid)`` and runs
+    ``scan(grid, pieces)`` on each task ``_plan`` cuts from them; a
+    sampled check draws from ``samples(grid, rng, notes)``.  Counter-
     examples of a ``minimize`` check are shrunk while the statement still
     fails.  Samples outside the premise stop the run unless ``vacuous``.
     Every integer of a grid value but the seed is at least 0, or at least
@@ -1193,13 +1217,14 @@ THEOREMS = tuple(CHECKS)
 def _run_sweep(name: str, check: Check, grid: dict,
                jobs: int) -> VerificationReport:
     report = VerificationReport(name, dict(grid))
-    tasks = check.tasks(grid, jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        parts = list(starmap(check.scan, tasks))
+    workers = min(jobs, os.cpu_count() or 1)
+    calls = [(grid, pieces) for pieces in _plan(check.tasks(grid), workers)]
+    workers = min(workers, len(calls))
+    if workers <= 1:
+        parts = list(starmap(check.scan, calls))
     else:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            parts = pool.starmap(check.scan, tasks,
-                                 chunksize=max(1, len(tasks) // (4 * jobs)))
+        with Pool(processes=workers) as pool:
+            parts = pool.starmap(check.scan, calls, chunksize=1)
     for part in parts:
         _merge_scan(report, part)
     return report
@@ -1282,10 +1307,18 @@ def check_grid(theorem: str, grid: dict) -> None:
                              f"{_shape(default, floor)}, got {val!r}")
 
 
+def check_jobs(jobs) -> None:
+    """Raise GraphError unless ``jobs`` is an integer (not a bool) >= 1."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise GraphError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
 def verify_theorem(theorem: str, grid: dict | None = None,
                    jobs: int = 1) -> VerificationReport:
-    """Run one named check over its (possibly overridden) parameter grid."""
+    """Run one named check over its (possibly overridden) parameter grid.
+    A sweep starts at most min(jobs, os.cpu_count()) worker processes."""
     key = theorem.upper()
+    check_jobs(jobs)
     check_grid(key, grid or {})
     check = CHECKS[key]
     merged = {**check.grid, **(grid or {})}

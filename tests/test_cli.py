@@ -250,6 +250,12 @@ class TestVerifyRejections:
             err = capsys.readouterr().err
             assert ">=" in err and "Traceback" not in err
 
+    def test_jobs_below_one_exit_1(self, capsys):
+        for jobs in ("0", "-3"):
+            assert run(["verify", "T1", "--jobs", jobs]) == 1
+            err = capsys.readouterr().err
+            assert "--jobs" in err and "Traceback" not in err
+
     def test_exact_sweep_cap_exit_2(self, capsys):
         assert run(["verify", "T3", "--grid", '{"n": 60, "k": 1}']) == 2
         err = capsys.readouterr().err

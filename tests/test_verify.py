@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 from itertools import combinations, islice
 from math import comb
@@ -282,18 +283,28 @@ class TestVerifySmall:
         with pytest.raises(GraphError, match="unknown check"):
             verify_theorem("T9")
 
-    def test_jobs_match_serial(self):
+    def test_jobs_match_serial(self, monkeypatch):
+        _at_most_two_processes(monkeypatch)
         cases = [("T1", {"n_max": 4}), ("T2", {"n_max": 4, "k_max": 2}),
                  ("T3", {"n": 4, "k": 1}), ("T4", {"n_max": 4, "k_max": 2}),
                  ("L1", {"n_max": 4})]
         for theorem, grid in cases:
             serial = verify_theorem(theorem, grid, jobs=1)
-            parallel = verify_theorem(theorem, grid, jobs=2)
-            assert (serial.instances, serial.premise_instances,
-                    serial.witness_count, serial.counterexamples) == \
-                (parallel.instances, parallel.premise_instances,
-                 parallel.witness_count, parallel.counterexamples), theorem
-            assert parallel.ok
+            for jobs in (2, 3):
+                parallel = verify_theorem(theorem, grid, jobs=jobs)
+                assert (serial.instances, serial.premise_instances,
+                        serial.witness_count, serial.counterexamples) == \
+                    (parallel.instances, parallel.premise_instances,
+                     parallel.witness_count, parallel.counterexamples), \
+                    (theorem, jobs)
+                assert parallel.ok
+
+    def test_default_t2_jobs_match_serial(self):
+        serial = verify_theorem("T2").to_dict()
+        parallel = verify_theorem("T2", jobs=2).to_dict()
+        serial.pop("seconds")
+        parallel.pop("seconds")
+        assert parallel == serial
 
     def test_seed_determinism(self):
         a = verify_theorem("L2", {"count": 200, "n_max": 8, "seed": 5})
@@ -516,6 +527,148 @@ class TestRecheckUnderFaults:
         assert report.counterexamples
         for entry in report.counterexamples:
             assert recheck_counterexample(entry), entry
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the faults reach pool workers through fork")
+    @pytest.mark.parametrize("case", sorted(
+        case for case, (check, _grid, _faults) in _FAULTS.items()
+        if verify.CHECKS[check].scan is not None))
+    def test_pool_merges_in_serial_order(self, monkeypatch, case):
+        check, grid, faults = _FAULTS[case]
+        for name, fake in faults.items():
+            monkeypatch.setattr(verify, name, fake)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        serial = verify_theorem(check, grid).counterexamples
+        assert serial
+        assert verify_theorem(check, grid, jobs=2).counterexamples == serial
+
+
+def _at_most_two_processes(monkeypatch):
+    """Let ``jobs`` alone size the plan, and start at most two workers."""
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(verify, "Pool", lambda processes: multiprocessing.Pool(
+        min(processes, 2)))
+
+
+class _SerialPool:
+    """Stands in for ``multiprocessing.Pool``: records its size and runs
+    the calls in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, calls, chunksize=None):
+        return [func(*args) for args in calls]
+
+
+class TestJobs:
+    def test_jobs_must_be_a_positive_integer(self):
+        for bad in (0, -3, True, False, 1.5, "2", None):
+            for check, grid in (("T1", {"n_max": 2}), ("L2", {"count": 1})):
+                with pytest.raises(GraphError, match="jobs must be an integer"):
+                    verify_theorem(check, grid, jobs=bad)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        plans = []
+        real_plan = verify._plan
+        monkeypatch.setattr(verify, "_plan", lambda units, workers: (
+            plans.append(workers) or real_plan(units, workers)))
+        monkeypatch.setattr(verify, "Pool", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        serial = verify_theorem("T1", jobs=1).to_dict()
+        for cpus, pools in ((3, [3]), (None, []), (1, [])):
+            monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+            _SerialPool.sizes.clear()
+            got = verify_theorem("T1", jobs=1000).to_dict()
+            assert _SerialPool.sizes == pools, cpus
+            assert plans[-1] == (cpus or 1)
+            assert {**got, "seconds": 0} == {**serial, "seconds": 0}
+
+    def test_pool_never_larger_than_the_task_list(self, monkeypatch):
+        monkeypatch.setattr(verify, "Pool", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+        verify_theorem("T1", {"n_max": 3}, jobs=64)
+        tasks = verify._plan(verify._complete_colorings({"n_max": 3}), 64)
+        assert _SerialPool.sizes == [len(tasks)] and len(tasks) < 64
+        _SerialPool.sizes.clear()
+        verify_theorem("T1", {"n_max": 1}, jobs=64)
+        assert _SerialPool.sizes == []
+
+
+def _plan_cases():
+    for check in ("T1", "T2", "T4", "L1"):
+        for n_max in range(1, 6):
+            yield check, {**verify.CHECKS[check].grid, "n_max": n_max}
+    for n in (4, 5):
+        yield "T3", {"n": n, "k": 1}
+
+
+class TestPlanner:
+    """``_plan`` alone, without a pool: its tasks cover every instance of
+    the sweep once, in serial order, in pieces of about equal weight."""
+
+    @staticmethod
+    def _instances(check, grid):
+        if check == "T3":
+            n = grid["n"]
+            return stirling_table(comb(n, 2))[comb(n, 2)][n + grid["k"] - 1]
+        bells = bell_triangle(comb(grid["n_max"], 2) + 1)
+        subsets = check != "T1"
+        return sum(bells[comb(n, 2) + subsets]
+                   for n in range(1, grid["n_max"] + 1))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_tasks_cover_the_sweep_in_order(self, workers):
+        for check, grid in _plan_cases():
+            units = verify.CHECKS[check].tasks(grid)
+            exact = {(n, mask): c for n, mask, c in units}
+            tasks = verify._plan(units, workers)
+            pieces = [piece for task in tasks for piece in task]
+
+            def weight(piece):
+                n, mask, prefix = piece
+                return verify._completions(bin(mask).count("1"), prefix,
+                                           exact[n, mask])
+
+            total = sum(map(weight, pieces))
+            assert total == self._instances(check, grid), (check, grid)
+            # Strictly increasing and prefix-free within a unit: the
+            # pieces follow the serial enumeration without overlap.
+            for (n, mask, p), (n2, mask2, q) in zip(pieces, pieces[1:]):
+                assert (n, mask, p) < (n2, mask2, q)
+                assert (n, mask) != (n2, mask2) or q[:len(p)] != p
+            assert all(len(p) <= max(bin(mask).count("1") - 1, 0)
+                       for _n, mask, p in pieces)
+            target = max(1, -(-total // (verify._TASKS_PER_WORKER * workers)))
+            for task in tasks:
+                if sum(map(weight, task)) > target:
+                    heavy = [piece for piece in task if weight(piece)]
+                    assert len(heavy) == 1, (check, grid, task)
+                    n, mask, prefix = heavy[0]
+                    assert len(prefix) >= bin(mask).count("1") - 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_weights_count_the_strings_of_each_piece(self, workers):
+        for check, grid in _plan_cases():
+            if grid.get("n_max", grid.get("n")) > 4:
+                continue
+            units = verify.CHECKS[check].tasks(grid)
+            exact = {(n, mask): c for n, mask, c in units}
+            for task in verify._plan(units, workers):
+                for n, mask, prefix in task:
+                    m, c = bin(mask).count("1"), exact[n, mask]
+                    strings = [tuple(a) for a in _rgs_iter(m, c, prefix)]
+                    assert len(strings) == verify._completions(m, prefix, c)
+                    assert all(a[:len(prefix)] == prefix for a in strings)
 
 
 class TestGridShapes:

@@ -77,10 +77,11 @@ class EdgeColoredGraph:
     """Simple undirected graph with a color on every edge.
 
     ``edges`` maps each pair (u, v) with u < v to its color id.  ``adj`` is
-    a per-vertex neighborhood bitmask.
+    a per-vertex neighborhood bitmask, built on first read: many graphs,
+    such as the sweeps' instances, are judged without it.
     """
 
-    __slots__ = ("n", "edges", "adj", "colors")
+    __slots__ = ("n", "edges", "_adj", "colors")
 
     def __init__(self, n: int, colored_edges: Iterable[tuple[int, int, int]] = ()):
         _check_vertex_count(n)
@@ -116,8 +117,14 @@ class EdgeColoredGraph:
     def _set(self, n: int, edges: dict[tuple[int, int], int]) -> None:
         self.n = n
         self.edges = edges
-        self.adj = _adjacency(n, edges)
+        self._adj = None
         self.colors = frozenset(edges.values())
+
+    @property
+    def adj(self) -> list[int]:
+        if self._adj is None:
+            self._adj = _adjacency(self.n, self.edges)
+        return self._adj
 
     @property
     def m(self) -> int:

@@ -32,11 +32,16 @@ a sweep into tasks of about equal weight, counted exactly in strings: it
 groups light edge subsets and splits heavy ones by RGS prefix.  At most
 min(jobs, cpu count) workers scan the tasks, and the results merge in
 serial order, so no report depends on ``jobs``.  The T1, T2, T4 and L1
-scans read slot arrays, never graphs: per block they compute the color
+scans read slot arrays, never graphs.  Their premises are floors on m + c
+or on the color-degree sum, so each edge subset is generated only from
+the fewest colors that can reach the premise or the witness boundary
+(``_rgs_blocks``'s ``floor``); the strings below it are counted exactly by
+``_completions``, never generated.  Per block the scans compute the color
 count, the color degrees off the last edge and the rainbow triangles
-avoiding the last slot, and skip a block in which no value reaches the
-premise or the witness boundary.  Every counterexample a scan stores
-re-fails under the statement.
+avoiding the last slot (``_last_slot_counts``, which T3 reads too).  T4
+also bounds the color-degree sum of each group of blocks sharing all but
+the last two slots, and skips a group or block that cannot reach it.
+Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
 where the statement allows, and serialized so it re-fails on revalidation.
@@ -120,31 +125,33 @@ def bell_number(q: int) -> int:
     return sum(_stirling_row(q))
 
 
-def _rgs_blocks(slots, exact=None, prefix=()):
-    """Yield the restricted-growth strings over ``slots`` >= 1 positions in
-    blocks that share everything but the last position.
+def _rgs_blocks(slots, exact=None, prefix=(), floor=0):
+    """Yield the restricted-growth strings over ``slots`` >= 1 positions
+    that use at least ``floor`` values, in blocks that share everything but
+    the last position.
 
     Each block is ``(a, used, last_values)``: ``a[:slots-1]`` is a valid
     prefix using ``used`` values, and the block's strings are ``a`` with
     ``a[slots-1]`` set to each value of the range ``last_values`` in turn
-    (``range(used+1)``; under ``exact``, ``range(used, used+1)`` or
-    ``range(used)``).  The last position of ``a`` is left to the caller,
-    and ``a`` is a shared buffer: consume it before advancing.  Blocks come
-    in lexicographic order, so the strings do too.  With ``exact`` only
-    strings using exactly that many values appear, pruned during
-    generation.  ``prefix`` pins the first positions, which partitions the
-    space for parallel scans.
+    (``range(used+1)``; ``range(used, used+1)`` when only a new value
+    reaches the floor; under ``exact``, also ``range(used)``).  The last
+    position of ``a`` is left to the caller, and ``a`` is a shared buffer:
+    consume it before advancing.  Blocks come in lexicographic order, so
+    the strings do too.  ``exact`` keeps only strings using exactly that
+    many values: it is both the floor and the cap.  Both are pruned during
+    generation, never filtered.  ``prefix`` pins the first positions, which
+    partitions the space for parallel scans.
 
     The prefixes are stepped iteratively, as in the successor loop of
     Knuth's Algorithm H (TAOCP 7.2.1.5): raise the rightmost position
     that can still grow, then refill the positions after it with their
     smallest feasible values.
     """
-    if slots == 0 or (exact is not None and not 1 <= exact <= slots):
+    cap = slots if exact is None else exact    # most values a string uses
+    need = floor if exact is None else exact   # fewest values a string uses
+    if slots == 0 or not max(need, 1) <= cap <= slots:
         return
     last = slots - 1
-    cap = slots if exact is None else exact    # most values a string uses
-    need = 0 if exact is None else exact       # fewest values a string uses
     if len(prefix) > slots:
         raise GraphError(f"invalid restricted-growth prefix {prefix!r}")
     fixed, pinned = prefix[:last], prefix[last:]
@@ -192,18 +199,18 @@ def _rgs_blocks(slots, exact=None, prefix=()):
             return
 
 
-def _rgs_iter(slots, exact=None, prefix=()):
+def _rgs_iter(slots, exact=None, prefix=(), floor=0):
     """Yield restricted-growth strings over ``slots`` positions.
 
     The yielded list is a shared buffer: consume it before advancing.
     Arguments are as for :func:`_rgs_blocks`, which this flattens.
     """
     if slots == 0:
-        if not prefix and exact in (None, 0):
+        if not prefix and (exact == 0 if exact is not None else floor <= 0):
             yield []
         return
     last = slots - 1
-    for a, _used, values in _rgs_blocks(slots, exact, prefix):
+    for a, _used, values in _rgs_blocks(slots, exact, prefix, floor):
         for val in values:
             a[last] = val
             yield a
@@ -212,15 +219,6 @@ def _rgs_iter(slots, exact=None, prefix=()):
 @lru_cache(maxsize=None)
 def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
-def _count_rainbow_slots(a, tris) -> int:
-    count = 0
-    for i, j, l in tris:
-        x, y, z = a[i], a[j], a[l]
-        if x != y and x != z and y != z:
-            count += 1
-    return count
 
 
 def _split_at_last(tris, last: int):
@@ -236,8 +234,13 @@ def _last_slot_counts(a, used: int, rest, through) -> list[int]:
     the last slot: the ``rest`` triangles count for every value, and one
     through the last slot counts unless the value repeats one of its
     other two (distinct) colors."""
+    fixed = 0
+    for i, j, l in rest:
+        x, y, z = a[i], a[j], a[l]
+        if x != y and x != z and y != z:
+            fixed += 1
     closing = [(a[i], a[j]) for i, j in through if a[i] != a[j]]
-    counts = [_count_rainbow_slots(a, rest) + len(closing)] * (used + 1)
+    counts = [fixed + len(closing)] * (used + 1)
     for x, y in closing:
         counts[x] -= 1
         counts[y] -= 1
@@ -448,33 +451,30 @@ def _plan(units, workers: int) -> list[list[tuple]]:
     return tasks
 
 
-def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=()):
-    """Yield ``(a, m + c, t)`` for every coloring ``a`` of ``m`` slots, with
-    c colors and t rainbow triangles among ``tris``, whose total ``m + c``
+def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=(),
+                exact=None):
+    """Yield ``(a, m + c, t)`` for every coloring ``a`` of ``m`` slots
+    extending ``prefix`` (with exactly ``exact`` colors, if given), with c
+    colors and t rainbow triangles among ``tris``, whose total ``m + c``
     reaches ``lowest``.
 
-    Every coloring, yielded or not, is counted in ``out["instances"]``.
-    Within a block c is ``used`` or, for the new value, ``used + 1``, so a
-    block whose best total stays below ``lowest`` is counted and skipped
-    whole.  ``a`` is a shared buffer with its last slot already set.
+    Every coloring, yielded or not, is counted in ``out["instances"]``,
+    exactly by ``_completions``; only those with c >= lowest - m are
+    generated.  ``a`` is a shared buffer with its last slot already set.
     """
+    out["instances"] += _completions(m, prefix, exact)
     if m == 0:
-        out["instances"] += 1
-        if lowest <= 0:
-            yield [], 0, 0
+        # No slots: the empty coloring, if it meets exact and lowest.
+        for a in _rgs_iter(0, exact, prefix, lowest):
+            yield a, 0, 0
         return
     last = m - 1
     rest, through = _split_at_last(tris, last)
-    for a, used, values in _rgs_blocks(m, prefix=prefix):
-        out["instances"] += len(values)
-        if m + used + 1 < lowest:
-            continue
+    for a, used, values in _rgs_blocks(m, exact, prefix, lowest - m):
         counts = _last_slot_counts(a, used, rest, through)
         for val in values:
-            total = m + used + (val == used)
-            if total >= lowest:
-                a[last] = val
-                yield a, total, counts[val]
+            a[last] = val
+            yield a, m + used + (val == used), counts[val]
 
 
 def _t1_scan(grid: dict, pieces) -> dict:
@@ -507,9 +507,8 @@ def _t3_scan(grid: dict, pieces) -> dict:
     observations = []
     for _n, mask, prefix in pieces:
         pairs, tris = _subset_tables(n, mask)
-        for a in _rgs_iter(len(pairs), exact=n + k - 1, prefix=prefix):
-            out["instances"] += 1
-            t_count = _count_rainbow_slots(a, tris)
+        for a, _total, t_count in _rgs_totals(len(pairs), tris, 0, out,
+                                              prefix, exact=n + k - 1):
             expected = t_count == k
             G = _graph_from_colors(n, pairs, a)
             cert = is_in_gk(G, k)
@@ -578,49 +577,77 @@ def _t4_scan(grid: dict, pieces) -> dict:
         thresh = comb(n + 1, 2)
         pairs, tris = _subset_tables(n, mask)
         m = len(pairs)
-        if m == 0:
-            # The empty coloring's color-degree sum 0 is below thresh >= 1.
-            out["instances"] += 1
+        out["instances"] += _completions(m, prefix)
+        floor = _color_degree_floor(n, pairs, thresh)
+        if floor is None:
             continue
-        # Per block only the last slot moves: the color degrees of the
-        # vertices off the last edge are fixed, and each endpoint gains
-        # one exactly when the last color is new to its other slots.
+        # The kernel steps the first m - 1 slots in groups that share all
+        # but slot m - 2, edge pq; the last slot is edge xy.  Within a
+        # group the color degrees off p, q, x and y are fixed, and each
+        # endpoint of pq or xy gains one exactly when that edge's color is
+        # new to its earlier slots, so the color-degree sum of a group or
+        # a block is bounded before any string is made.  A mask with a
+        # floor has 2m >= thresh >= 6, so m >= 3.
         last = m - 1
         x, y = pairs[last]
+        p, q = pairs[last - 1]
         incident = [[] for _ in range(n)]
-        for l, (u, v) in enumerate(pairs[:last]):
+        for l, (u, v) in enumerate(pairs[:last - 1]):
             incident[u].append(l)
             incident[v].append(l)
-        x_slots, y_slots = incident[x], incident[y]
-        others = [lst for w, lst in enumerate(incident) if w != x and w != y]
+        moving = {p, q, x, y}
+        others = [lst for w, lst in enumerate(incident) if w not in moving]
         single = sum(1 for lst in others if len(lst) == 1)
         multi = [lst for lst in others if len(lst) > 1]
         rest, through = _split_at_last(tris, last)
-        for a, used, values in _rgs_blocks(m, prefix=prefix):
-            out["instances"] += len(values)
-            x_cols = {a[i] for i in x_slots}
-            y_cols = {a[i] for i in y_slots}
-            base = single + len(x_cols) + len(y_cols)
+        for a, used2, values2 in _rgs_blocks(m - 1, prefix=prefix,
+                                             floor=floor - 1):
+            cols = {w: {a[i] for i in incident[w]} for w in moving}
+            base2 = single + sum(map(len, cols.values()))
             for lst in multi:
-                base += len({a[i] for i in lst})
-            if base + 2 < thresh:
+                base2 += len({a[i] for i in lst})
+            if base2 + 4 < thresh:
                 continue
-            counts = _last_slot_counts(a, used, rest, through)
-            for val in values:
-                sum_dc = base + (val not in x_cols) + (val not in y_cols)
-                need = min(k_max, sum_dc - thresh + 1)
-                if need < 1:
+            for v2 in values2:
+                base = base2 + (v2 not in cols[p]) + (v2 not in cols[q])
+                if base + 2 < thresh:
                     continue
-                a[last] = val
-                out["premise"] += 1
-                t_count = counts[val]
-                if t_count < need:
-                    out["cex"].append(_cex_entry(
-                        "T4", _graph_from_colors(n, pairs, a),
-                        {"n": n, "k": t_count + 1},
-                        f"color-degree sum forces {need} rainbow triangles, "
-                        f"found {t_count}"))
+                a[last - 1] = v2
+                x_cols, y_cols = cols[x], cols[y]
+                if x in (p, q):
+                    x_cols = x_cols | {v2}
+                if y in (p, q):
+                    y_cols = y_cols | {v2}
+                used = used2 + (v2 == used2)
+                counts = _last_slot_counts(a, used, rest, through)
+                for val in range(0 if used >= floor else used, used + 1):
+                    sum_dc = base + (val not in x_cols) + (val not in y_cols)
+                    need = min(k_max, sum_dc - thresh + 1)
+                    if need < 1:
+                        continue
+                    out["premise"] += 1
+                    t_count = counts[val]
+                    if t_count < need:
+                        out["cex"].append(_cex_entry(
+                            "T4", _graph_from_colors(n, pairs, a + [val]),
+                            {"n": n, "k": t_count + 1},
+                            f"color-degree sum forces {need} rainbow "
+                            f"triangles, found {t_count}"))
     return out
+
+
+def _color_degree_floor(n: int, pairs, thresh: int):
+    """The fewest colors c with which the edges ``pairs`` can reach a color-
+    degree sum of ``thresh``, or None if no c <= len(pairs) can.  A vertex
+    of degree d has color degree at most min(d, c)."""
+    deg = [0] * n
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    for c in range(1, len(pairs) + 1):
+        if sum(min(d, c) for d in deg) >= thresh:
+            return c
+    return None
 
 
 def _l1_scan(grid: dict, pieces) -> dict:

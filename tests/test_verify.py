@@ -37,7 +37,14 @@ from rainbowgraphs.verify import (
     verify_theorem,
 )
 
-from _oracles import bell_triangle, partition_string, set_partitions, stirling_table
+from _oracles import (
+    bell_triangle,
+    brute_rainbow_triangles,
+    gk_referee,
+    partition_string,
+    set_partitions,
+    stirling_table,
+)
 
 
 class TestBellStirling:
@@ -71,22 +78,27 @@ class TestRgsKernel:
             prefixes = {()}
             for s in (naive[0], naive[len(naive) // 2], naive[-1]):
                 prefixes.update(s[:d] for d in {1, q // 2, q - 1, q} if d > 0)
-            for exact in [None] + list(range(q + 2)):
+            for exact, floor in ([(None, f) for f in range(q + 2)]
+                                 + [(e, 0) for e in range(q + 2)]):
+                colors = [exact] if exact is not None else range(floor, q + 1)
                 for prefix in prefixes:
-                    want = [s for s in naive
-                            if (exact is None or len(set(s)) == exact)
+                    want = [s for s in naive if len(set(s)) in colors
                             and s[:len(prefix)] == prefix]
-                    got = [tuple(a) for a in _rgs_iter(q, exact, prefix)]
-                    assert got == want, (q, exact, prefix)
+                    got = [tuple(a) for a in _rgs_iter(q, exact, prefix, floor)]
+                    assert got == want, (q, exact, floor, prefix)
+                    assert len(got) == sum(
+                        verify._completions(q, prefix, c) for c in colors)
 
     def test_blocks_report_used_and_last_values(self):
         for q in range(1, 8):
-            for exact in (None, 1, q // 2 + 1, q):
-                for a, used, values in _rgs_blocks(q, exact):
+            for exact, floor in ([(None, f) for f in range(q + 2)]
+                                 + [(e, 0) for e in (1, q // 2 + 1, q)]):
+                for a, used, values in _rgs_blocks(q, exact, floor=floor):
                     assert used == len(set(a[:-1]))
                     want = [v for v in range(used + 1)
-                            if exact is None
-                            or len(set(a[:-1]) | {v}) == exact]
+                            if len(set(a[:-1]) | {v}) == exact
+                            or exact is None
+                            and len(set(a[:-1]) | {v}) >= floor]
                     assert list(values) == want
 
     def test_invalid_prefix(self):
@@ -129,18 +141,64 @@ def _naive_sweep_counts(n_max, k_max):
     return counts
 
 
+def _naive_t3(n, k):
+    """The T3 report fields of (n, k), recounted over the colorings of K_n
+    with exactly n+k-1 colors with the first ``gk`` recognizer."""
+    instances = premises = accepted = mismatches = 0
+    for G in enumerate_colorings(n, exact_colors=n + k - 1):
+        cert = gk_referee(G, k)
+        expected = len(brute_rainbow_triangles(G)) == k
+        instances += 1
+        premises += expected
+        accepted += cert is not None
+        mismatches += (cert is not None) != expected
+    return instances, premises, accepted, mismatches
+
+
 class TestSweepsAgainstNaiveRecount:
-    def test_counts_at_n4(self):
-        for k_max in (1, 2, 3):
-            naive = _naive_sweep_counts(4, k_max)
+    """Every corner grid against a naive recount: these catch a premise
+    floor set one too high, which drops premises, and a lost empty
+    coloring."""
+
+    @staticmethod
+    def _check_counts(n_max):
+        for k_max in (0, 1, 2, 3, 4, 6):
+            naive = _naive_sweep_counts(n_max, k_max)
             for check in ("T1", "T2", "T4", "L1"):
-                grid = {"n_max": 4}
+                grid = {"n_max": n_max}
                 if check in ("T2", "T4"):
                     grid["k_max"] = k_max
                 report = verify_theorem(check, grid)
                 assert report.ok
                 assert [report.instances, report.premise_instances,
                         report.witness_count] == naive[check], (check, k_max)
+
+    def test_counts_at_n4(self):
+        self._check_counts(4)
+
+    @pytest.mark.parametrize("n_max", range(4))
+    def test_counts_below_n4(self, n_max):
+        self._check_counts(n_max)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_t3_counts_up_to_n4(self, n):
+        for k in range(4):
+            instances, premises, accepted, mismatches = _naive_t3(n, k)
+            report = verify_theorem("T3", {"n": n, "k": k})
+            got = (report.instances, report.premise_instances,
+                   report.notes["accepted"])
+            assert got == (instances, premises, accepted), (n, k)
+            if n >= 3 * k:
+                assert len(report.counterexamples) == mismatches == 0
+            else:
+                assert report.notes["out_of_range_mismatches"] == mismatches
+
+    def test_t3_keeps_the_empty_coloring(self):
+        # K_0 and K_1 have one coloring, with no slots and 0 colors.
+        assert verify_theorem("T3", {"n": 0, "k": 1}).instances == 1
+        report = verify_theorem("T3", {"n": 1, "k": 0})
+        assert (report.instances, report.premise_instances,
+                report.notes["accepted"]) == (1, 1, 1)
 
     def test_empty_coloring_is_an_l1_premise(self):
         report = verify_theorem("L1", {"n_max": 1})
@@ -298,6 +356,15 @@ class TestVerifySmall:
                      parallel.witness_count, parallel.counterexamples), \
                     (theorem, jobs)
                 assert parallel.ok
+
+    def test_default_sweeps_match_the_benchmark_reference(self):
+        # The serial default-grid reports the benchmark gates on; only
+        # the wall clock may differ.
+        reference = json.loads(EXPECTED_SWEEP.read_text())
+        for check in ("T1", "T2", "T3", "T4", "L1"):
+            got = verify_theorem(check).to_dict()
+            got.pop("seconds")
+            assert json.loads(json.dumps(got)) == reference[check], check
 
     def test_default_t2_jobs_match_serial(self):
         serial = verify_theorem("T2").to_dict()
@@ -460,6 +527,8 @@ class TestMinimizer:
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+EXPECTED_SWEEP = (Path(__file__).parent.parent / "perfbench"
+                  / "expected_sweep.json")
 
 
 class TestGoldenReports:

@@ -33,12 +33,15 @@ EXIT_COUNTEREXAMPLE = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot decode {path}: {exc.reason} at byte "
+                          f"{exc.start}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -113,7 +116,7 @@ def cmd_analyze(args) -> int:
         "sum_saturated_degree": st.profile.saturated_degree_sum,
         "rainbow_triangles": {
             "count": len(triangles),
-            "triples": [list(t) for t in triangles],
+            "triples": [],  # spliced in as text below
         },
         "rainbow_cliques": cliques,
         "thresholds": {
@@ -131,7 +134,16 @@ def cmd_analyze(args) -> int:
             "clique_mc": clique_thresholds,
         },
     }
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    text = json.dumps(report, indent=2)
+    if triangles:
+        # json.dumps with indent runs the pure-Python encoder, which spends
+        # most of an analyze on the triples; "triples" is the only key of
+        # that name, so its empty list is the one replaced.
+        triples = ",\n".join([
+            f"      [\n        {u},\n        {v},\n        {w}\n      ]"
+            for u, v, w in triangles])
+        text = text.replace('"triples": []', f'"triples": [\n{triples}\n    ]', 1)
+    _write_text(args.out, text + "\n")
     return EXIT_OK
 
 

@@ -415,7 +415,11 @@ def graph_from_json_obj(obj) -> EdgeColoredGraph:
 
 
 def format_json(G: EdgeColoredGraph) -> str:
-    return json.dumps(graph_to_json_obj(G)) + "\n"
+    """``json.dumps(graph_to_json_obj(G)) + "\\n"``, written as text: one
+    list per edge costs more to build, and to pass the garbage collector
+    over, than the text itself."""
+    body = ", ".join([f"[{u}, {v}, {c}]" for (u, v), c in sorted(G.edges.items())])
+    return f'{{"n": {G.n}, "edges": [{body}]}}\n'
 
 
 def parse_json(text: str) -> EdgeColoredGraph:
@@ -423,6 +427,10 @@ def parse_json(text: str) -> EdgeColoredGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.msg, exc.lineno) from None
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FormatError(str(exc)) from None
     return graph_from_json_obj(obj)
 
 

@@ -138,21 +138,27 @@ def find_monochromatic_p3(G: EdgeColoredGraph) -> list[tuple[int, int, int]]:
 def find_monochromatic_p4(G: EdgeColoredGraph) -> tuple[int, int, int, int] | None:
     """First monochromatic 3-edge path (a, b, c, d) on 4 distinct vertices,
     or None; iteration order is deterministic."""
+    # Each color's edges and neighbour lists, filled in sorted pair order:
+    # a vertex x meets its pairs (u, x), u < x, before its pairs (x, v), so
+    # every neighbour list comes out sorted as well.
+    class_edges: dict[int, list[tuple[int, int]]] = {}
     class_adj: dict[int, dict[int, list[int]]] = {}
     for (u, v), color in sorted(G.edges.items()):
+        class_edges.setdefault(color, []).append((u, v))
         adj = class_adj.setdefault(color, {})
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    for color in sorted(class_adj):
+    for color in sorted(class_edges):
         adj = class_adj[color]
-        for (u, v) in sorted(G.edges):
-            if G.edges[(u, v)] != color:
-                continue
+        for (u, v) in class_edges[color]:
             for b, c in ((u, v), (v, u)):
-                for a in sorted(adj.get(b, ())):
+                ends = adj[c]
+                if len(ends) < 2:  # c's only neighbour is b: no d
+                    continue
+                for a in adj[b]:
                     if a == c:
                         continue
-                    for d in sorted(adj.get(c, ())):
+                    for d in ends:
                         if d != b and d != a:
                             return (a, b, c, d)
     return None

@@ -756,15 +756,26 @@ def random_oriented_graph(n: int, rng: Random, tournament: bool = False,
 
 
 def directed_triangles(D: OrientedGraph) -> list[tuple[int, int, int]]:
-    """All triples u < v < w spanning a directed 3-cycle (oracle loop)."""
-    arcs = D.arcs
+    """All triples u < v < w spanning a directed 3-cycle, sorted.  Given
+    the arc between u and v, w closes the cycle u->v->w->u or
+    v->u->w->v."""
+    out_adj, in_adj = D.out_adj, D.in_adj
     out = []
     for u in range(D.n):
-        for v in range(u + 1, D.n):
-            for w in range(v + 1, D.n):
-                if ((u, v) in arcs and (v, w) in arcs and (w, u) in arcs) or \
-                        ((u, w) in arcs and (w, v) in arcs and (v, u) in arcs):
-                    out.append((u, v, w))
+        nbrs = (out_adj[u] | in_adj[u]) & -1 << (u + 1)
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            v = bit.bit_length() - 1
+            if out_adj[u] & bit:
+                closers = out_adj[v] & in_adj[u]
+            else:
+                closers = in_adj[v] & out_adj[u]
+            closers &= -1 << (v + 1)
+            while closers:
+                low = closers & -closers
+                closers ^= low
+                out.append((u, v, low.bit_length() - 1))
     return out
 
 

@@ -97,6 +97,30 @@ def brute_directed_triangles(D):
     return out
 
 
+def monochromatic_p4_referee(G):
+    """``transform.find_monochromatic_p4`` as first written: per color, a
+    scan over all sorted edges and fresh sorts of both neighbour lists.
+    The library must return the same first path, or None where this does."""
+    class_adj = {}
+    for (u, v), color in sorted(G.edges.items()):
+        adj = class_adj.setdefault(color, {})
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for color in sorted(class_adj):
+        adj = class_adj[color]
+        for (u, v) in sorted(G.edges):
+            if G.edges[(u, v)] != color:
+                continue
+            for b, c in ((u, v), (v, u)):
+                for a in sorted(adj.get(b, ())):
+                    if a == c:
+                        continue
+                    for d in sorted(adj.get(c, ())):
+                        if d != b and d != a:
+                            return (a, b, c, d)
+    return None
+
+
 def random_colored_graph(rng, n_max=16, n_min=1):
     """A random edge-colored graph as an (n, triples) pair."""
     n = rng.randint(n_min, n_max)

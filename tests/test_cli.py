@@ -1,8 +1,22 @@
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rainbowgraphs import cli
 from rainbowgraphs.constructions import build_gk, build_hnk
-from rainbowgraphs.graphs import format_edgelist, format_json, parse_edgelist
+from rainbowgraphs.graphs import (
+    EdgeColoredGraph,
+    format_edgelist,
+    format_json,
+    parse_edgelist,
+)
+from rainbowgraphs.rainbow import list_rainbow_triangles
 from rainbowgraphs.transform import parse_digraph
 from rainbowgraphs.verify import VerificationReport
 
@@ -87,6 +101,22 @@ class TestAnalyze:
 
     def test_missing_file_exit_1(self, capsys):
         assert run(["analyze", "/nonexistent/file"]) == 1
+
+    @pytest.mark.parametrize("triples", [
+        [],  # no triangles: "triples": []
+        [(u, v, (u * v) % 3) for u, v in combinations(range(9), 2)],
+        [(u, v, i) for i, (u, v) in enumerate(combinations(range(7), 2))],
+    ], ids=["edgeless", "three-colors", "rainbow-K7"])
+    def test_report_is_the_json_modules_text(self, tmp_path, triples):
+        G = EdgeColoredGraph(9, triples)
+        src, out = tmp_path / "g.edges", tmp_path / "g.json"
+        src.write_text(format_edgelist(G))
+        assert run(["analyze", str(src), "--out", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert report["rainbow_triangles"]["triples"] == [
+            list(t) for t in list_rainbow_triangles(G)]
 
 
 class TestCheck:
@@ -179,6 +209,77 @@ class TestConvert:
         assert captured.out == ""
         assert "must be [u, v, color]" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestUnreadableInput:
+    """Input that is not text, or JSON nested past the interpreter's
+    recursion limit, is a parse error: exit 1 and one line on stderr."""
+
+    NOT_UTF8 = b"\xff\xfe 3 1\n0 1 2\n"
+    DEEP_JSON = ('{"n": 3, "edges": ' + "[" * 100_000 + "]" * 100_000
+                 + "}").encode()
+
+    @pytest.mark.parametrize("data", [NOT_UTF8, DEEP_JSON], ids=["not-utf8", "deep-json"])
+    @pytest.mark.parametrize("command", [
+        ("convert", "{}"), ("analyze", "{}"), ("check", "gk", "{}", "--k", "1"),
+        ("transform", "associate", "{}"), ("transform", "orient", "{}")],
+        ids=["convert", "analyze", "check", "associate", "orient"])
+    def test_parse_error_exit_1(self, tmp_path, capsys, command, data):
+        src = tmp_path / "g.in"
+        src.write_bytes(data)
+        assert run([arg.format(src) for arg in command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rainbowgraphs: parse error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                        reason="no limit on integer digits")
+    def test_json_integer_past_the_digit_limit_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        digits = sys.get_int_max_str_digits() + 1
+        src.write_text('{"n": ' + "9" * digits + ', "edges": []}')
+        assert run(["convert", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rainbowgraphs: parse error: ") and err.count("\n") == 1
+
+    def test_stdin_not_utf8_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(self.NOT_UTF8), encoding="utf-8"))
+        assert run(["convert", "-"]) == 1
+        assert "cannot decode -" in capsys.readouterr().err
+
+
+_TOKENS = ("0", "1", "2", "3", "5", "8", "65", "4097", "-1", "x", "#", "1.5",
+           "\u00e9", "{", "[", "]", "}", '"n":', '"edges":', ",", "null", "true")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(("n", "edges", "x")), inner, max_size=3),
+    max_leaves=12)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4).map(" ".join),
+             max_size=8).map(lambda lines: "\n".join(lines).encode()),
+    st.builds(lambda n, edges: json.dumps({"n": n, "edges": edges}).encode(),
+              _JSON_VALUES, _JSON_VALUES))
+_FUZZ_COMMANDS = (
+    ("convert", "{}", "--to", "json"), ("convert", "{}", "--to", "dot"),
+    ("analyze", "{}"), ("check", "gk", "{}", "--k", "1"),
+    ("check", "hk", "{}", "--k", "4"),
+    ("check", "turan-partition", "{}", "--parts", "2"))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_FILE_BYTES, command=st.sampled_from(_FUZZ_COMMANDS))
+def test_file_bytes_never_raise_a_traceback(tmp_path, data, command):
+    src = tmp_path / "fuzz.in"
+    src.write_bytes(data)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run([arg.format(src) for arg in command])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestVerifyCommand:

@@ -1,17 +1,20 @@
 """Property tests of the graph file formats over random edge-colored
-graphs: round trips, adjacency masks and tolerance of comments and
-whitespace.  Vertex counts reach 80, past a 64-bit word, and densities
-fall on both sides of the byte-row adjacency threshold."""
+graphs: round trips, adjacency masks, tolerance of comments and
+whitespace, and JSON text equal to the ``json`` module's.  Vertex counts
+reach 80, past a 64-bit word, and densities fall on both sides of the
+byte-row adjacency threshold."""
 
+import json
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowgraphs.graphs import (
     EdgeColoredGraph,
     format_edgelist,
     format_json,
+    graph_to_json_obj,
     parse_edgelist,
     parse_json,
 )
@@ -89,3 +92,16 @@ def test_adjacency_is_the_naive_bitmask(case):
     rng.shuffle(mixed)
     H = EdgeColoredGraph(n, mixed)
     assert H == G and H.adj == G.adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.sampled_from((0.0, 0.3, 1.0)),
+       st.sampled_from((0, 7, 10 ** 6, 2 ** 64, 10 ** 40)), st.integers(0, 2 ** 32))
+@example(0, 1.0, 0, 0)
+@example(5, 0.0, 0, 0)
+@example(3, 1.0, 10 ** 40, 1)
+def test_format_json_is_the_json_modules_text(n, keep, top, seed):
+    rng = random.Random(seed)
+    G = EdgeColoredGraph(n, [(u, v, rng.randint(0, top)) for u in range(n)
+                             for v in range(u + 1, n) if rng.random() < keep])
+    assert format_json(G) == json.dumps(graph_to_json_obj(G)) + "\n"

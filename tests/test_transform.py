@@ -18,7 +18,12 @@ from rainbowgraphs.transform import (
 )
 from rainbowgraphs.verify import random_oriented_graph
 
-from _oracles import brute_directed_triangles, random_colored_graph, weak_components
+from _oracles import (
+    brute_directed_triangles,
+    monochromatic_p4_referee,
+    random_colored_graph,
+    weak_components,
+)
 
 
 class TestOrientedGraph:
@@ -160,6 +165,27 @@ class TestMonochromaticPaths:
         G = build(4, [(u, v, i) for i, (u, v) in enumerate(pairs)])
         assert find_monochromatic_p3(G) == []
         assert find_monochromatic_p4(G) is None
+
+    def test_first_p4_matches_the_per_color_referee(self):
+        """Palettes from one color to one per edge, so the first path lies
+        in the first color, in a later one, or nowhere."""
+        rng = random.Random(4)
+        found = 0
+        for _ in range(600):
+            n = rng.randint(0, 14)
+            pairs = [(u, v) for u, v in combinations(range(n), 2)
+                     if rng.random() < 0.6]
+            palette = rng.randint(1, max(1, len(pairs)))
+            labels = rng.sample(range(10 * palette), palette)
+            G = build(n, [(u, v, rng.choice(labels)) for u, v in pairs])
+            p4 = find_monochromatic_p4(G)
+            assert p4 == monochromatic_p4_referee(G)
+            if p4 is not None:
+                found += 1
+                a, b, c, d = p4
+                assert len({a, b, c, d}) == 4
+                assert G.color_of(a, b) == G.color_of(b, c) == G.color_of(c, d)
+        assert 100 < found < 500
 
 
 class TestOrientation:

@@ -26,6 +26,7 @@ from rainbowgraphs.verify import (
     _rgs_iter,
     bell_number,
     check_grid,
+    directed_triangles,
     enumerate_colorings,
     find_tightness_witness,
     instance_satisfies,
@@ -39,6 +40,7 @@ from rainbowgraphs.verify import (
 
 from _oracles import (
     bell_triangle,
+    brute_directed_triangles,
     brute_rainbow_triangles,
     gk_referee,
     partition_string,
@@ -384,6 +386,15 @@ class TestVerifySmall:
         payload = json.dumps(report.to_dict())
         assert '"T1"' in payload
         assert "verdict" in report.table()
+
+
+class TestDirectedTriangles:
+    def test_matches_the_triple_oracle(self):
+        rng = random.Random(12)
+        for trial in range(400):
+            n = rng.randint(0, 12)
+            D = verify.random_oriented_graph(n, rng, tournament=trial % 2 == 0)
+            assert directed_triangles(D) == brute_directed_triangles(D)
 
 
 class TestT3OutOfRange:

@@ -2,8 +2,9 @@
 convert, all thin wrappers over the library so file outputs are
 byte-identical to direct module calls.
 
-Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
-3 verification counterexample found.
+Exit codes: 0 success, 1 usage, parse or write error, 2 precondition
+violation or a vacuous verification (no instance inside the premise), 3
+verification counterexample found.
 """
 
 from __future__ import annotations
@@ -44,22 +45,26 @@ def _read_text(path: str) -> str:
                           f"{exc.start}") from None
 
 
+class WriteError(Exception):
+    """An output path cannot be written."""
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> EdgeColoredGraph:
     return parse_graph(_read_text(path))
 
 
-def _emit_graph(G: EdgeColoredGraph, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _write_text(out, format_json(G))
-    else:
-        _write_text(out, format_edgelist(G))
+_FORMATS = {"edgelist": format_edgelist, "json": format_json,
+            "dot": format_dot}
 
 
 def cmd_generate(args) -> int:
@@ -76,7 +81,7 @@ def cmd_generate(args) -> int:
         built = constructions.LabeledConstruction(
             graph=G, name="recolored-g1", params={"n": args.n},
             structure={})
-    _emit_graph(built.graph, args.format, args.out)
+    _write_text(args.out, _FORMATS[args.format](built.graph))
     meta_out = args.meta_out
     if meta_out is None and args.out is not None:
         meta_out = args.out + ".meta.json"
@@ -92,14 +97,9 @@ def cmd_analyze(args) -> int:
     triangles = rainbow.list_rainbow_triangles(G)
     bound = args.clique_bound if args.clique_bound is not None else min(n, 6)
     cliques = {}
-    for k in range(4, bound + 1):
-        if k > n:
-            break
-        cliques[str(k)] = bool(rainbow.enumerate_rainbow_cliques(G, k, limit=1))
     clique_thresholds = {}
-    for k in range(4, bound + 1):
-        if k > n:
-            break
+    for k in range(4, min(bound, n) + 1):
+        cliques[str(k)] = bool(rainbow.enumerate_rainbow_cliques(G, k, limit=1))
         threshold = comb(n, 2) + constructions.turan_number(n, k - 2) + 2
         clique_thresholds[str(k)] = {
             "threshold": threshold,
@@ -174,7 +174,7 @@ def cmd_transform(args) -> int:
     if args.action == "associate":
         D = transform.parse_digraph(_read_text(args.input))
         assoc = transform.associated_colored_graph(D)
-        _emit_graph(assoc.graph, args.format, args.out)
+        _write_text(args.out, _FORMATS[args.format](assoc.graph))
         if args.report is not None:
             payload = {"a": D.a, "omega": list(assoc.omega),
                        "omega_sum": assoc.omega_sum}
@@ -191,13 +191,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    G = _load_graph(args.input)
-    if args.to == "json":
-        _write_text(args.out, format_json(G))
-    elif args.to == "dot":
-        _write_text(args.out, format_dot(G))
-    else:
-        _write_text(args.out, format_edgelist(G))
+    _write_text(args.out, _FORMATS[args.to](_load_graph(args.input)))
     return EXIT_OK
 
 
@@ -209,6 +203,8 @@ def cmd_verify(args) -> int:
     sys.stdout.write(report.table() + "\n")
     if args.json is not None:
         _write_text(args.json, json.dumps(report.to_dict(), indent=2) + "\n")
+    if report.verdict == "VACUOUS":
+        return EXIT_PRECONDITION
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
@@ -328,6 +324,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FormatError as exc:
         sys.stderr.write(f"rainbowgraphs: parse error: {exc}\n")
+        return EXIT_USAGE
+    except WriteError as exc:
+        sys.stderr.write(f"rainbowgraphs: error: {exc}\n")
         return EXIT_USAGE
     except GraphError as exc:
         sys.stderr.write(f"rainbowgraphs: error: {exc}\n")

@@ -31,29 +31,32 @@ order, in blocks that share everything but the last slot.  ``_plan`` cuts
 a sweep into tasks of about equal weight, counted exactly in strings: it
 groups light edge subsets and splits heavy ones by RGS prefix.  At most
 min(jobs, cpu count) workers scan the tasks, and the results merge in
-serial order, so no report depends on ``jobs``.  The T1, T2, T4 and L1
-scans read slot arrays, never graphs.  Their premises are floors on m + c
-or on the color-degree sum, so each edge subset is generated only from
-the fewest colors that can reach the premise or the witness boundary
-(``_rgs_blocks``'s ``floor``); the strings below it are counted exactly by
-``_completions``, never generated.  Per block the scans compute the color
-count, the color degrees off the last edge and the rainbow triangles
-avoiding the last slot (``_last_slot_counts``, which T3 reads too).  T4
-also bounds the color-degree sum of each group of blocks sharing all but
-the last two slots, and skips a group or block that cannot reach it.
+serial order, so no report depends on ``jobs``.  T1, T2, T4 and L1 are
+each one rule over a coloring's n, m, statistic (m + c, or the color-
+degree sum) and rainbow triangle count t: their statements apply it to a
+graph, and their scans read slot arrays, never graphs, and look each
+string up in ``_verdicts``, the rule's table per (n, m).  Its least entry
+is a floor on the statistic, so each edge subset is generated only from
+the fewest colors that can reach it (``_rgs_blocks``'s ``floor``); the
+strings below it are counted exactly by ``_completions``.  Per block the
+scans compute the color count, the color degrees off the last edge and
+the rainbow triangles avoiding the last slot (``_last_slot_counts``, which
+T3 reads too).  T4 also bounds the color-degree sum of each group of
+blocks sharing all but the last two slots, and skips those below it.
 Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
 where the statement allows, and serialized so it re-fails on revalidation.
+A report with no premise instance and no counterexample is VACUOUS.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from math import comb
 from multiprocessing import Pool
 from random import Random
@@ -313,19 +316,10 @@ class VerificationReport:
         return not self.counterexamples
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "grid": {key: list(val) if isinstance(val, tuple) else val
-                     for key, val in self.grid.items()},
-            "instances": self.instances,
-            "premise_instances": self.premise_instances,
-            "counterexamples": self.counterexamples,
-            "witnesses": self.witnesses,
-            "witness_count": self.witness_count,
-            "notes": self.notes,
-            "seconds": self.seconds,
-            "seed": self.seed,
-        }
+        """The fields in order, with the grid's tuples as lists."""
+        return dict(asdict(self), grid={
+            key: list(val) if isinstance(val, tuple) else val
+            for key, val in self.grid.items()})
 
     def table(self) -> str:
         lines = [f"check {self.theorem}  grid={self.grid}"]
@@ -339,9 +333,15 @@ class VerificationReport:
         for key, val in self.notes.items():
             lines.append(f"  {key}: {val}")
         lines.append(f"  wall clock         : {self.seconds:.2f} s")
-        lines.append(f"  verdict            : "
-                     f"{'OK' if self.ok else 'COUNTEREXAMPLES FOUND'}")
+        lines.append(f"  verdict            : {self.verdict}")
         return "\n".join(lines)
+
+    @property
+    def verdict(self) -> str:
+        """OK, COUNTEREXAMPLES FOUND, or VACUOUS: no premise instance."""
+        if not self.ok:
+            return "COUNTEREXAMPLES FOUND"
+        return "OK" if self.premise_instances else "VACUOUS"
 
 
 def _cex_entry(theorem: str, obj, params: dict, detail: str) -> dict:
@@ -355,25 +355,16 @@ def _cex_entry(theorem: str, obj, params: dict, detail: str) -> dict:
 
 
 def minimize_counterexample(G: EdgeColoredGraph, still_fails) -> EdgeColoredGraph:
-    """Greedy vertex-then-edge deletion while the failure predicate holds."""
-    changed = True
-    while changed:
-        changed = False
-        for v in range(G.n - 1, -1, -1):
-            H = delete_vertex(G, v)
+    """Greedy vertex-then-edge deletion while the failure predicate holds,
+    restarting from the last vertex after each deletion taken."""
+    while True:
+        for H in chain((delete_vertex(G, v) for v in range(G.n - 1, -1, -1)),
+                       (delete_edge(G, u, v) for u, v in sorted(G.edges))):
             if still_fails(H):
                 G = H
-                changed = True
                 break
-        if changed:
-            continue
-        for (u, v) in sorted(G.edges):
-            H = delete_edge(G, u, v)
-            if still_fails(H):
-                G = H
-                changed = True
-                break
-    return G
+        else:
+            return G
 
 
 def _minimized_entry(entry: dict) -> dict:
@@ -400,6 +391,93 @@ def recheck_counterexample(entry: dict) -> bool:
     else:
         obj = graph_from_json_obj(entry["graph"])
     return not instance_satisfies(entry["theorem"], obj, entry.get("params", {}))
+
+
+# --------------------------------------------------------------------------
+# The rules of T1, T2, T4 and L1, and their verdict tables.  A rule judges
+# a coloring by its order n, size m, statistic value and rainbow triangle
+# count t (and all but L1 at a k), as a statement judges a graph.
+# --------------------------------------------------------------------------
+
+
+def _forces(n, m, value, t, k=1, what="m+c"):
+    """T1, T2 and T4: ``value`` >= C(n+1,2)+k-1 gives k rainbow triangles."""
+    if value < comb(n + 1, 2) + k - 1:
+        return OUTSIDE
+    return None if t >= k else f"{what} forces {k} rainbow triangles, found {t}"
+
+
+def _forces_colordeg(n, m, value, t, k=1):
+    """T4: ``_forces`` on the color-degree sum."""
+    return _forces(n, m, value, t, k, "color-degree sum")
+
+
+def _equality(n, m, value, t):
+    """L1: m+c >= C(n+1,2)+t-1 gives equality there and a complete graph."""
+    thresh = comb(n + 1, 2) + t - 1
+    if value < thresh:
+        return OUTSIDE
+    if value == thresh and m == comb(n, 2):
+        return None
+    return ("threshold met with exactly this many rainbow triangles "
+            "but without equality+completeness")
+
+
+def _tight(n, m, value, t, k=1):
+    """A tightness witness of T1, T2 or T4: the statistic one below the
+    threshold of k, with k-1 rainbow triangles."""
+    return value == comb(n + 1, 2) + k - 2 and t == k - 1
+
+
+@lru_cache(maxsize=None)
+def _verdicts(name: str, n: int, m: int, k_max: int | None):
+    """``(lowest, table)`` for the check ``name`` on m edges of K_n, at
+    k = 1..k_max, or at the rule's own k if ``k_max`` is None.
+
+    ``table[value][t]`` is None, or ``(premise, failure, witness)``: some
+    k is inside; the params and detail of the first failing k, or None;
+    the witness rule holds at k_max.  As the premise of k + 1 implies
+    that of k, k stops at the first k outside or failing.  ``lowest`` is
+    the least value with an entry."""
+    check = CHECKS[name]
+    ks = [None] if k_max is None else range(1, k_max + 1)
+    at_max = {} if k_max is None else {"k": k_max}
+
+    def entry(value, t):
+        premise, failure = False, None
+        for k in ks:
+            extra = {} if k is None else {"k": k}
+            detail = check.rule(n, m, value, t, **extra)
+            if detail is OUTSIDE:
+                break
+            premise = True
+            if detail:
+                failure = ({"n": n, **extra}, detail)
+                break
+        witness = bool(check.witness
+                       and check.witness(n, m, value, t, **at_max))
+        return (premise, failure, witness) if premise or witness else None
+
+    table = [[entry(value, t) for t in range(comb(n, 3) + 1)]
+             for value in range(2 * m + 1)]
+    lowest = next((value for value, row in enumerate(table) if any(row)),
+                  2 * m + 1)
+    return lowest, table
+
+
+def _tally(out: dict, name: str, verdict, n: int, pairs, colors) -> None:
+    """Count a coloring with a table entry; keep it if it fails, and as
+    one of the first three witnesses."""
+    premise, failure, witness = verdict
+    out["premise"] += premise
+    if failure is not None:
+        out["cex"].append(_cex_entry(
+            name, _graph_from_colors(n, pairs, colors), *failure))
+    if witness:
+        out["witness_count"] += 1
+        if len(out["witnesses"]) < 3:
+            out["witnesses"].append(
+                graph_to_json_obj(_graph_from_colors(n, pairs, colors)))
 
 
 # --------------------------------------------------------------------------
@@ -477,29 +555,7 @@ def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=(),
             yield a, m + used + (val == used), counts[val]
 
 
-def _t1_scan(grid: dict, pieces) -> dict:
-    out = {"instances": 0, "premise": 0, "cex": [],
-           "witness_count": 0, "witnesses": []}
-    for n, mask, prefix in pieces:
-        thresh = comb(n + 1, 2)
-        pairs, tris = _subset_tables(n, mask)
-        for a, total, t_count in _rgs_totals(len(pairs), tris, thresh - 1,
-                                             out, prefix):
-            if total >= thresh:
-                out["premise"] += 1
-                if not t_count:
-                    out["cex"].append(_cex_entry(
-                        "T1", _graph_from_colors(n, pairs, a), {"n": n},
-                        "m+c above threshold without a rainbow triangle"))
-            elif not t_count:
-                out["witness_count"] += 1
-                if len(out["witnesses"]) < 3:
-                    out["witnesses"].append(
-                        graph_to_json_obj(_graph_from_colors(n, pairs, a)))
-    return out
-
-
-def _t3_scan(grid: dict, pieces) -> dict:
+def _t3_scan(name: str, grid: dict, pieces) -> dict:
     n, k = grid["n"], grid["k"]
     in_range = n >= 3 * k
     notes = {"accepted": 0}
@@ -517,14 +573,14 @@ def _t3_scan(grid: dict, pieces) -> dict:
                 notes["accepted"] += 1
                 if not validate_gk_certificate(G, k, cert):
                     out["cex"].append(_cex_entry(
-                        "T3", G, {"k": k}, "certificate failed revalidation"))
+                        name, G, {"k": k}, "certificate failed revalidation"))
                     continue
             if expected:
                 out["premise"] += 1
             if accepted != expected:
                 detail = ("premises hold but no certificate" if expected
                           else "certificate without the premises")
-                entry = _cex_entry("T3", G, {"k": k}, detail)
+                entry = _cex_entry(name, G, {"k": k}, detail)
                 (out["cex"] if in_range else observations).append(entry)
     if not in_range:
         notes["out_of_range_mismatches"] = len(observations)
@@ -543,42 +599,31 @@ def _subset_tables(n: int, mask: int):
     return pairs, tris
 
 
-def _t2_scan(grid: dict, pieces) -> dict:
-    k_max = grid["k_max"]
+def _mc_scan(name: str, grid: dict, pieces) -> dict:
+    """T1, T2 and L1: each coloring judged by its m + c and its rainbow
+    triangle count, through the check's verdict table."""
     out = {"instances": 0, "premise": 0, "cex": [],
            "witness_count": 0, "witnesses": []}
     for n, mask, prefix in pieces:
-        thresh = comb(n + 1, 2)
-        boundary = thresh + k_max - 2
         pairs, tris = _subset_tables(n, mask)
-        for a, total, t_count in _rgs_totals(len(pairs), tris,
-                                             min(thresh, boundary), out,
+        lowest, table = _verdicts(name, n, len(pairs), grid.get("k_max"))
+        for a, total, t_count in _rgs_totals(len(pairs), tris, lowest, out,
                                              prefix):
-            need = min(k_max, total - thresh + 1)
-            if need >= 1:
-                out["premise"] += 1
-                if t_count < need:
-                    out["cex"].append(_cex_entry(
-                        "T2", _graph_from_colors(n, pairs, a),
-                        {"n": n, "k": t_count + 1},
-                        f"m+c forces {need} rainbow triangles, found {t_count}"))
-            if total == boundary and t_count == k_max - 1:
-                out["witness_count"] += 1
-                if len(out["witnesses"]) < 3:
-                    out["witnesses"].append(
-                        graph_to_json_obj(_graph_from_colors(n, pairs, a)))
+            verdict = table[total][t_count]
+            if verdict is not None:
+                _tally(out, name, verdict, n, pairs, a)
     return out
 
 
-def _t4_scan(grid: dict, pieces) -> dict:
-    k_max = grid["k_max"]
-    out = {"instances": 0, "premise": 0, "cex": []}
+def _t4_scan(name: str, grid: dict, pieces) -> dict:
+    out = {"instances": 0, "premise": 0, "cex": [],
+           "witness_count": 0, "witnesses": []}
     for n, mask, prefix in pieces:
-        thresh = comb(n + 1, 2)
         pairs, tris = _subset_tables(n, mask)
         m = len(pairs)
         out["instances"] += _completions(m, prefix)
-        floor = _color_degree_floor(n, pairs, thresh)
+        lowest, table = _verdicts(name, n, m, grid["k_max"])
+        floor = _color_degree_floor(n, pairs, lowest)
         if floor is None:
             continue
         # The kernel steps the first m - 1 slots in groups that share all
@@ -587,7 +632,7 @@ def _t4_scan(grid: dict, pieces) -> dict:
         # endpoint of pq or xy gains one exactly when that edge's color is
         # new to its earlier slots, so the color-degree sum of a group or
         # a block is bounded before any string is made.  A mask with a
-        # floor has 2m >= thresh >= 6, so m >= 3.
+        # floor has 2m >= lowest >= C(n+1,2), and n >= 3, so m >= 3.
         last = m - 1
         x, y = pairs[last]
         p, q = pairs[last - 1]
@@ -606,11 +651,11 @@ def _t4_scan(grid: dict, pieces) -> dict:
             base2 = single + sum(map(len, cols.values()))
             for lst in multi:
                 base2 += len({a[i] for i in lst})
-            if base2 + 4 < thresh:
+            if base2 + 4 < lowest:
                 continue
             for v2 in values2:
                 base = base2 + (v2 not in cols[p]) + (v2 not in cols[q])
-                if base + 2 < thresh:
+                if base + 2 < lowest:
                     continue
                 a[last - 1] = v2
                 x_cols, y_cols = cols[x], cols[y]
@@ -622,52 +667,24 @@ def _t4_scan(grid: dict, pieces) -> dict:
                 counts = _last_slot_counts(a, used, rest, through)
                 for val in range(0 if used >= floor else used, used + 1):
                     sum_dc = base + (val not in x_cols) + (val not in y_cols)
-                    need = min(k_max, sum_dc - thresh + 1)
-                    if need < 1:
-                        continue
-                    out["premise"] += 1
-                    t_count = counts[val]
-                    if t_count < need:
-                        out["cex"].append(_cex_entry(
-                            "T4", _graph_from_colors(n, pairs, a + [val]),
-                            {"n": n, "k": t_count + 1},
-                            f"color-degree sum forces {need} rainbow "
-                            f"triangles, found {t_count}"))
+                    verdict = table[sum_dc][counts[val]]
+                    if verdict is not None:
+                        _tally(out, name, verdict, n, pairs, a + [val])
     return out
 
 
-def _color_degree_floor(n: int, pairs, thresh: int):
+def _color_degree_floor(n: int, pairs, lowest: int):
     """The fewest colors c with which the edges ``pairs`` can reach a color-
-    degree sum of ``thresh``, or None if no c <= len(pairs) can.  A vertex
+    degree sum of ``lowest``, or None if no c <= len(pairs) can.  A vertex
     of degree d has color degree at most min(d, c)."""
     deg = [0] * n
     for u, v in pairs:
         deg[u] += 1
         deg[v] += 1
     for c in range(1, len(pairs) + 1):
-        if sum(min(d, c) for d in deg) >= thresh:
+        if sum(min(d, c) for d in deg) >= lowest:
             return c
     return None
-
-
-def _l1_scan(grid: dict, pieces) -> dict:
-    out = {"instances": 0, "premise": 0, "cex": []}
-    for n, mask, prefix in pieces:
-        thresh = comb(n + 1, 2)
-        pairs, tris = _subset_tables(n, mask)
-        m = len(pairs)
-        for a, total, t_count in _rgs_totals(m, tris, thresh - 1, out,
-                                             prefix):
-            slack = total - thresh + 1
-            if t_count > slack:
-                continue
-            out["premise"] += 1
-            if t_count != slack or m != comb(n, 2):
-                out["cex"].append(_cex_entry(
-                    "L1", _graph_from_colors(n, pairs, a), {"n": n},
-                    "threshold met with exactly this many rainbow triangles "
-                    "but without equality+completeness"))
-    return out
 
 
 def _check_sweep_budget(n_max: int, subsets: bool) -> None:
@@ -1039,19 +1056,21 @@ def _l2_samples(grid: dict, rng: Random, notes: dict):
 
 def _t2(G, params, notes):
     """T2, and T1 with its k = 1."""
-    return _forces_triangles(G, G.m + G.c, params.get("k", 1), "m+c")
+    return _forces(G.n, G.m, G.m + G.c, count_rainbow_triangles(G),
+                   params.get("k", 1))
 
 
 def _t3(G, params, notes):
-    """Both directions inside n >= 3k, and every certificate revalidates."""
+    """Both directions inside n >= 3k, and every certificate revalidates.
+    The premise is T2's at k with exactly k rainbow triangles."""
     k = params["k"]
     cert = is_in_gk(G, k)
     if cert is not None and not validate_gk_certificate(G, k, cert):
         return "certificate failed revalidation"
     if G.n < 3 * k:
         return OUTSIDE
-    premise = (G.m + G.c >= comb(G.n + 1, 2) + k - 1
-               and count_rainbow_triangles(G) == k)
+    premise = (count_rainbow_triangles(G) == k
+               and _forces(G.n, G.m, G.m + G.c, k, k) is None)
     if premise and cert is None:
         return "premises hold but no certificate"
     if cert is not None and not premise:
@@ -1060,29 +1079,12 @@ def _t3(G, params, notes):
 
 
 def _t4(G, params, notes):
-    return _forces_triangles(G, stats(G).profile.color_degree_sum,
-                             params["k"], "color-degree sum")
-
-
-def _forces_triangles(G, value: int, k: int, what: str):
-    """``value`` >= C(n+1,2)+k-1 gives k rainbow triangles."""
-    if value < comb(G.n + 1, 2) + k - 1:
-        return OUTSIDE
-    t_count = count_rainbow_triangles(G)
-    if t_count >= k:
-        return None
-    return f"{what} forces {k} rainbow triangles, found {t_count}"
+    return _forces_colordeg(G.n, G.m, stats(G).profile.color_degree_sum,
+                            count_rainbow_triangles(G), params["k"])
 
 
 def _l1(G, params, notes):
-    total = G.m + G.c
-    thresh = comb(G.n + 1, 2) + count_rainbow_triangles(G) - 1
-    if total < thresh:
-        return OUTSIDE
-    if total == thresh and is_complete(G):
-        return None
-    return ("threshold met with exactly this many rainbow triangles "
-            "but without equality+completeness")
+    return _equality(G.n, G.m, G.m + G.c, count_rainbow_triangles(G))
 
 
 def _p1(G, params, notes):
@@ -1198,40 +1200,42 @@ def _l2(D, params, notes):
 class Check:
     """One named check.  ``grid`` is the default grid and the schema of
     overrides.  A sweep lists its units with ``tasks(grid)`` and runs
-    ``scan(grid, pieces)`` on each task ``_plan`` cuts from them; a
-    sampled check draws from ``samples(grid, rng, notes)``.  Counter-
-    examples of a ``minimize`` check are shrunk while the statement still
-    fails.  Samples outside the premise stop the run unless ``vacuous``.
-    Every integer of a grid value but the seed is at least 0, or at least
-    its key's entry in ``floors``; a pair (n, k) needs n >= k >= the
-    floor."""
+    ``scan(name, grid, pieces)`` on each task ``_plan`` cuts from them,
+    judging by ``rule`` and ``witness`` (see ``_verdicts``); a sampled
+    check draws from ``samples(grid, rng, notes)``.  Counterexamples of a
+    ``minimize`` check are shrunk while the statement still fails.
+    Samples outside the premise stop the run unless ``vacuous``.  Every
+    integer of a grid value but the seed is at least 0, or at least its
+    key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
 
     grid: dict
     statement: Callable
     tasks: Callable | None = None
     scan: Callable | None = None
     samples: Callable | None = None
+    rule: Callable | None = None
+    witness: Callable | None = None
     minimize: bool = False
     vacuous: bool = False
     floors: dict = field(default_factory=dict)
 
 
 CHECKS = {
-    "T1": Check({"n_max": 5}, _t2, _complete_colorings, _t1_scan,
-                minimize=True),
-    "T2": Check({"n_max": 5, "k_max": 3}, _t2, _subgraph_colorings, _t2_scan,
-                minimize=True),
+    "T1": Check({"n_max": 5}, _t2, _complete_colorings, _mc_scan,
+                rule=_forces, witness=_tight, minimize=True),
+    "T2": Check({"n_max": 5, "k_max": 3}, _t2, _subgraph_colorings, _mc_scan,
+                rule=_forces, witness=_tight, minimize=True),
     "T3": Check({"n": 5, "k": 1}, _t3, _exact_colorings, _t3_scan),
     "T4": Check({"n_max": 5, "k_max": 2}, _t4, _subgraph_colorings, _t4_scan,
-                minimize=True),
+                rule=_forces_colordeg, minimize=True),
     "T5": Check({"k_values": (4, 5, 6), "n_max": 9, "samples": 200,
                  "seed": DEFAULT_SEED}, _t5, samples=_t5_samples,
                 minimize=True, floors={"k_values": 4}),
     "T6": Check({"pairs": ((8, 6), (9, 7)), "samples": 5000,
                  "seed": DEFAULT_SEED}, _t6, samples=_t6_samples,
                 floors={"pairs": 4}),
-    "L1": Check({"n_max": 5}, _l1, _subgraph_colorings, _l1_scan,
-                minimize=True),
+    "L1": Check({"n_max": 5}, _l1, _subgraph_colorings, _mc_scan,
+                rule=_equality, minimize=True),
     "L2": Check({"count": 10000, "n_max": 12, "seed": DEFAULT_SEED}, _l2,
                 samples=_l2_samples, vacuous=True, floors={"n_max": 3}),
     "L3": Check({"pairs": ((8, 6), (9, 6), (10, 6)), "samples": 300,
@@ -1256,7 +1260,8 @@ def _run_sweep(name: str, check: Check, grid: dict,
                jobs: int) -> VerificationReport:
     report = VerificationReport(name, dict(grid))
     workers = min(jobs, os.cpu_count() or 1)
-    calls = [(grid, pieces) for pieces in _plan(check.tasks(grid), workers)]
+    calls = [(name, grid, pieces)
+             for pieces in _plan(check.tasks(grid), workers)]
     workers = min(workers, len(calls))
     if workers <= 1:
         parts = list(starmap(check.scan, calls))
@@ -1399,9 +1404,8 @@ def recolor_witness_colordeg(n: int) -> EdgeColoredGraph:
         for w in triangle:
             edges[edge_key(i, w)] = i
     G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c in edges.items()])
-    st = stats(G)
-    assert st.profile.color_degree_sum == comb(n + 1, 2)
-    assert count_rainbow_triangles(G) == 1
+    assert _tight(n, G.m, stats(G).profile.color_degree_sum,
+                  count_rainbow_triangles(G), 2)
     return G
 
 
@@ -1410,19 +1414,13 @@ def find_tightness_witness(theorem: str, n: int,
     """A graph sitting exactly one below the named threshold and missing
     the corresponding conclusion; statistics are asserted as equalities."""
     key = theorem.upper()
-    if key == "T1":
-        G = build_gk(n, 0).graph
-        st = stats(G)
-        assert st.m + st.c == comb(n + 1, 2) - 1
-        assert count_rainbow_triangles(G) == 0
-        return G
-    if key == "T2":
-        if k is None:
+    if key in ("T1", "T2"):
+        if k is None and key == "T2":
             raise GraphError("T2 witness needs k")
+        # gk(n, k) sits one below the threshold of k + 1 with k triangles.
+        k = 0 if key == "T1" else k
         G = build_gk(n, k).graph
-        st = stats(G)
-        assert st.m + st.c == comb(n + 1, 2) + k - 1
-        assert count_rainbow_triangles(G) == k
+        assert _tight(n, G.m, G.m + G.c, count_rainbow_triangles(G), k + 1)
         return G
     if key == "T4":
         return recolor_witness_colordeg(n)
@@ -1430,8 +1428,7 @@ def find_tightness_witness(theorem: str, n: int,
         if k is None:
             raise GraphError("T5 witness needs k")
         G = build_hnk(n, k).graph
-        st = stats(G)
-        assert st.m + st.c == comb(n, 2) + turan_number(n, k - 2) + 1
+        assert G.m + G.c == comb(n, 2) + turan_number(n, k - 2) + 1
         if n <= 12:
             assert not enumerate_rainbow_cliques(G, k, limit=1)
         return G

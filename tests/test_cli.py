@@ -361,3 +361,69 @@ class TestVerifyRejections:
         assert run(["verify", "T3", "--grid", '{"n": 60, "k": 1}']) == 2
         err = capsys.readouterr().err
         assert "budget" in err and "Traceback" not in err
+
+
+BAD = object()    # stands for the unwritable path in a command
+
+
+class TestUnwritableOutput:
+    """Every path flag: a missing directory or a directory as the output
+    path is a one-line error with exit 1, never a traceback."""
+
+    @staticmethod
+    def _commands(tmp_path):
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text(format_edgelist(build_gk(6, 1).graph))
+        digraph_file = tmp_path / "d.arcs"
+        digraph_file.write_text("3 3\n0 1\n1 2\n2 0\n")
+        ok = str(tmp_path / "ok.out")
+        return [
+            ["convert", str(graph_file), "--out", BAD],
+            ["generate", "gk", "--n", "6", "--k", "1", "--out", BAD],
+            ["generate", "gk", "--n", "6", "--k", "1", "--out", ok,
+             "--meta-out", BAD],
+            ["analyze", str(graph_file), "--out", BAD],
+            ["check", "gk", str(graph_file), "--k", "1", "--out", BAD],
+            ["transform", "associate", str(digraph_file), "--out", ok,
+             "--report", BAD],
+            ["verify", "T1", "--grid", '{"n_max": 3}', "--json", BAD],
+        ]
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_write_error_exit_1(self, tmp_path, capsys, where):
+        bad = (tmp_path / "missing" / "x" if where == "missing" else tmp_path)
+        for command in self._commands(tmp_path):
+            assert run([str(bad) if arg is BAD else arg
+                        for arg in command]) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"rainbowgraphs: error: cannot write {bad}:")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestVacuousVerdict:
+    """A run with no counterexample and no instance inside the premise
+    proves nothing: it prints VACUOUS and exits 2."""
+
+    @pytest.mark.parametrize("check, grid", [
+        ("T5", '{"samples": 0}'),
+        ("T6", '{"samples": 0}'),
+        ("T3", '{"n": 4, "k": 2}'),
+    ])
+    def test_vacuous_exit_2(self, capsys, check, grid):
+        assert run(["verify", check, "--grid", grid]) == 2
+        out = capsys.readouterr().out
+        assert "premise instances  : 0" in out
+        assert "verdict            : VACUOUS" in out
+
+    def test_t3_out_of_range_keeps_its_notes(self, tmp_path, capsys):
+        report_file = tmp_path / "r.json"
+        assert run(["verify", "T3", "--grid", '{"n": 4, "k": 2}',
+                    "--json", str(report_file)]) == 2
+        payload = json.loads(report_file.read_text())
+        assert (payload["instances"], payload["premise_instances"]) == (15, 0)
+        assert "out_of_range_mismatches" in payload["notes"]
+        assert "out_of_range_examples" in payload["notes"]
+
+    def test_premise_instances_exit_0(self, capsys):
+        assert run(["verify", "T1", "--grid", '{"n_max": 4}']) == 0
+        assert "verdict            : OK" in capsys.readouterr().out

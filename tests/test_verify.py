@@ -208,6 +208,90 @@ class TestSweepsAgainstNaiveRecount:
         assert (report.instances, report.premise_instances) == (1, 1)
 
 
+class TestVerdictTables:
+    """The sweeps judge T1, T2, T4 and L1 by ``_verdicts`` lookups.  On
+    every coloring of every edge subset of K_n, n <= 4, the entry at the
+    coloring's statistic and rainbow triangle count must be what the graph
+    statement says at each k <= k_max, with the witness condition of T1
+    and T2 written out here."""
+
+    @staticmethod
+    def _expected(check, G, t, value, k_max):
+        ks = [{}] if k_max is None else [{"k": k} for k in range(1, k_max + 1)]
+        verdicts = [check.statement(G, params, {}) for params in ks]
+        premise = any(v is not verify.OUTSIDE for v in verdicts)
+        failure = next(((dict(params, n=G.n), v)
+                        for params, v in zip(ks, verdicts) if v), None)
+        k = 1 if k_max is None else k_max
+        witness = (check.witness is not None
+                   and value == comb(G.n + 1, 2) + k - 2 and t == k - 1)
+        return (premise, failure, witness) if premise or witness else None
+
+    def test_entries_match_the_statements(self):
+        seen = {"premise": 0, "failure": 0, "witness": 0}
+        for n in range(1, 5):
+            pairs = list(combinations(range(n), 2))
+            for r in range(len(pairs) + 1):
+                for chosen in combinations(pairs, r):
+                    for part in set_partitions(list(chosen)):
+                        G = EdgeColoredGraph(n, [(u, v, c)
+                                                 for c, block in enumerate(part)
+                                                 for u, v in block])
+                        t = len(brute_rainbow_triangles(G))
+                        mc = G.m + G.c
+                        cases = [("L1", mc, None)]
+                        cases += [("T2", mc, k_max) for k_max in range(5)]
+                        cases += [("T4", stats(G).profile.color_degree_sum,
+                                   k_max) for k_max in range(4)]
+                        if r == len(pairs):
+                            cases.append(("T1", mc, None))
+                        for name, value, k_max in cases:
+                            check = verify.CHECKS[name]
+                            lowest, table = verify._verdicts(name, n, G.m, k_max)
+                            want = self._expected(check, G, t, value, k_max)
+                            assert table[value][t] == want, (name, k_max, G)
+                            if want is not None:
+                                assert value >= lowest, (name, k_max, G)
+                                seen["premise"] += want[0]
+                                seen["failure"] += want[1] is not None
+                                seen["witness"] += want[2]
+        # No coloring fails, so no failure entry is compared here; the
+        # next test pins some by hand.
+        assert seen["premise"] and seen["witness"] and not seen["failure"]
+
+    def test_failure_entries_name_the_first_failing_k(self):
+        # Entries no real coloring reaches: m+c at the k = 3 threshold of
+        # K_4 with one rainbow triangle fails first at k = 2.
+        _lowest, table = verify._verdicts("T2", 4, 6, 3)
+        value = comb(5, 2) + 2
+        assert table[value][1] == (
+            True, ({"n": 4, "k": 2},
+                   "m+c forces 2 rainbow triangles, found 1"), False)
+        _lowest, table = verify._verdicts("T1", 4, 6, None)
+        assert table[comb(5, 2)][0] == (
+            True, ({"n": 4}, "m+c forces 1 rainbow triangles, found 0"), False)
+        # L1 at equality: complete holds, one edge short fails.
+        detail = ("threshold met with exactly this many rainbow triangles "
+                  "but without equality+completeness")
+        for m, want in ((6, None), (5, ({"n": 4}, detail))):
+            _lowest, table = verify._verdicts("L1", 4, m, None)
+            assert table[comb(5, 2)][1] == (True, want, False), m
+
+    def test_lowest_is_the_premise_or_witness_floor(self):
+        # A huge k_max costs no more than k_max = 3: k stops at the first
+        # k outside the premise.
+        n, m = 5, 10
+        thresh = comb(n + 1, 2)
+        for name, k_max, lowest in (("T1", None, thresh - 1),
+                                    ("T2", 0, 2 * m + 1),
+                                    ("T2", 1, thresh - 1),
+                                    ("T2", 3, thresh),
+                                    ("T2", 10 ** 9, thresh),
+                                    ("T4", 2, thresh),
+                                    ("L1", None, thresh - 1)):
+            assert verify._verdicts(name, n, m, k_max)[0] == lowest, name
+
+
 class TestGridAndBudget:
     def test_t1_sweep_budget_sums_over_n(self):
         with pytest.raises(BudgetError) as err:

@@ -15,8 +15,6 @@ count, a rainbow spanning balanced subgraph, and no rainbow k-clique
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -85,45 +83,6 @@ class HkCertificate:
         }
 
 
-def _colors_within(G: EdgeColoredGraph, verts: list[int]) -> set[int]:
-    edges = G.edges
-    out = set()
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            out.add(edges[(u, v)])
-    return out
-
-
-def _rainbow_triangles_within(G: EdgeColoredGraph, verts: list[int]) -> int:
-    edges = G.edges
-    count = 0
-    size = len(verts)
-    for i in range(size):
-        u = verts[i]
-        for j in range(i + 1, size):
-            v = verts[j]
-            cuv = edges[(u, v)]
-            for l in range(j + 1, size):
-                w = verts[l]
-                cuw = edges[(u, w)]
-                cvw = edges[(v, w)]
-                if cuv != cuw and cuv != cvw and cuw != cvw:
-                    count += 1
-    return count
-
-
-# Up to this n, a coloring is first rejected unless it has exactly k
-# rainbow triangles, counted over a cached table of vertex triples: at
-# n = 5 that takes half the time of building the color masks and failing
-# the decomposition, at n = 6 as long, and from n = 8 on longer.
-_TRIPLE_TABLE_MAX_N = 6
-
-
-@lru_cache(maxsize=None)
-def _triple_edges(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(((u, v), (u, w), (v, w)) for u, v, w in combinations(range(n), 3))
-
-
 def _color_masks(G: EdgeColoredGraph) -> list[dict[int, int]]:
     """Per vertex, a map from each color at it to its neighbours in that
     color."""
@@ -177,35 +136,20 @@ def _split(masks: list[dict[int, int]], mask: int) -> Optional[tuple[int, int, i
 def is_in_gk(G: EdgeColoredGraph, k: int) -> Optional[GkCertificate]:
     """Certificate of membership, or None.
 
-    The graph must be complete with c = n + k - 1 and exactly k rainbow
-    triangles, and the recursive split structure must hold at every level
-    (the color-count condition is re-checked per node rather than assumed
-    to follow from the splits).  Splits come from the components of a
-    node minus one color class, found by a flood fill over
-    per-(vertex, color) neighbour masks.  A node has at most one split
-    (see ``_split``), so the decomposition is unique: it is cut top-down
-    with an explicit stack, then checked bottom-up.  A split node with
-    member sides meets its color count c = s + j - 1 exactly when the two
-    sides' color sets and the join color are pairwise disjoint, since a
-    triangle across a split has two edges of the join color and is not
-    rainbow.
+    The graph must be complete with c = n + k - 1 and split recursively
+    into single vertices and k rainbow triangles, each split joining its
+    two sides in one color.  Splits come from the components of a node
+    minus one color class, found by a flood fill over per-(vertex, color)
+    neighbour masks.  A node has at most one split (see ``_split``), so
+    the decomposition is unique: it is cut top-down with an explicit
+    stack, and built bottom-up once its triangle leaves number k.  The
+    colors are then pairwise distinct and the rainbow triangles are the
+    leaves, as ``validate_gk_certificate`` argues.
     """
-    if k < 0 or G.n == 0:
-        return None
-    if not is_complete(G):
-        return None
     n = G.n
-    if G.c != n + k - 1:
+    if k < 0 or n == 0 or not is_complete(G) or G.c != n + k - 1:
         return None
     edges = G.edges
-    if n <= _TRIPLE_TABLE_MAX_N:
-        j = 0
-        for a, b, c in _triple_edges(n):
-            x, y, z = edges[a], edges[b], edges[c]
-            if x != y and x != z and y != z:
-                j += 1
-        if j != k:
-            return None
     masks = _color_masks(G)
     full = (1 << n) - 1
     # Top down, in preorder: each node with its split, or None for a leaf.
@@ -226,76 +170,74 @@ def is_in_gk(G: EdgeColoredGraph, k: int) -> Optional[GkCertificate]:
             return None
         nodes.append((mask, split))
         stack.extend(split[:0:-1])
+    # As in ``validate_gk_certificate``, at most n + j - 1 colors occur
+    # with j triangle leaves, so c = n + k - 1 leaves them pairwise
+    # distinct exactly when j = k.
+    if sum(split is None and mask.bit_count() == 3 for mask, split in nodes) != k:
+        return None
     # Bottom up: children come before their parent in reverse preorder.
-    done: dict[int, tuple[GkCertificate, set[int]]] = {}
+    done: dict[int, GkCertificate] = {}
     for mask, split in reversed(nodes):
         verts = tuple(_bits(mask))
         if split is None:
-            if len(verts) == 1:
-                done[mask] = (GkCertificate(verts, 0, "vertex"), set())
-            else:
-                a, b, c = verts
-                done[mask] = (GkCertificate(verts, 1, "triangle"),
-                              {edges[(a, b)], edges[(a, c)], edges[(b, c)]})
+            done[mask] = (GkCertificate(verts, 1, "triangle") if len(verts) == 3
+                          else GkCertificate(verts, 0, "vertex"))
             continue
         color, low, high = split
-        low_cert, low_colors = done.pop(low)
-        high_cert, high_colors = done.pop(high)
-        if len(low_colors) < len(high_colors):
-            low_colors, high_colors = high_colors, low_colors
-        total = len(low_colors) + len(high_colors) + 1
-        low_colors |= high_colors
-        low_colors.add(color)
-        if len(low_colors) != total:  # the sides or the join share a color
-            return None
-        done[mask] = (GkCertificate(verts, low_cert.k + high_cert.k, "split",
-                                    color, low_cert, high_cert), low_colors)
-    # The root's color count is c = n + k - 1, so its k is the one asked.
-    return done[full][0]
+        low_cert, high_cert = done.pop(low), done.pop(high)
+        done[mask] = GkCertificate(verts, low_cert.k + high_cert.k, "split",
+                                   color, low_cert, high_cert)
+    return done[full]
 
 
 def validate_gk_certificate(G: EdgeColoredGraph, k: int, cert: GkCertificate) -> bool:
-    """Independent revalidation of a certificate against the graph: each
-    node's colors and rainbow triangles are recounted over its pairs and
-    triples.  The tree is walked with an explicit stack."""
-    if cert.k != k or list(cert.vertices) != list(range(G.n)):
-        return False
-    if not is_complete(G):
-        return False
+    """Independent revalidation of a certificate against the graph, by the
+    tree's structure alone, in O(n^2): G is complete with c = n + k - 1
+    and the root is ``cert.k == k`` over range(n); every node's vertices
+    increase strictly; a vertex leaf has one vertex and k = 0, a triangle
+    leaf three vertices, k = 1 and three colors; a split's sides partition
+    it, their k sum to its k, and every edge across it has its join color.
 
+    That suffices.  The k at the root counts the triangle leaves, so there
+    are n - 2k leaves and n - 2k - 1 splits.  Every edge lies in a leaf or
+    across exactly one split, so at most 3k + (n - 2k - 1) = n + k - 1
+    colors occur, and c = n + k - 1 makes them pairwise distinct: the
+    count of every node's colors is then its size plus its k, less one.
+    A triangle across a split has two edges of the join color, so the
+    rainbow triangles are exactly the k triangle leaves.  The tree is
+    walked with an explicit stack."""
+    n = G.n
+    if cert.k != k or tuple(cert.vertices) != tuple(range(n)):
+        return False
+    if not is_complete(G) or G.c != n + k - 1:
+        return False
+    edges = G.edges
     stack = [cert]
     while stack:
         node = stack.pop()
-        verts = sorted(node.vertices)
-        if verts != list(node.vertices) or len(set(verts)) != len(verts):
-            return False
-        j = _rainbow_triangles_within(G, verts)
-        if node.k != j:
-            return False
-        if len(_colors_within(G, verts)) != len(verts) + j - 1:
+        verts = tuple(node.vertices)
+        if any(u >= v for u, v in zip(verts, verts[1:])):
             return False
         if node.kind == "vertex":
-            if len(verts) != 1 or j != 0:
+            if len(verts) != 1 or node.k != 0:
                 return False
-            continue
-        if node.kind == "triangle":
-            if len(verts) != 3 or j != 1:
+        elif node.kind == "triangle":
+            if len(verts) != 3 or node.k != 1:
                 return False
-            continue
-        if node.kind != "split" or node.low is None or node.high is None:
+            a, b, c = verts
+            if len({edges[(a, b)], edges[(a, c)], edges[(b, c)]}) != 3:
+                return False
+        elif node.kind == "split" and node.low is not None and node.high is not None:
+            low, high = tuple(node.low.vertices), tuple(node.high.vertices)
+            if (tuple(sorted(low + high)) != verts
+                    or node.k != node.low.k + node.high.k
+                    or any(edges[(u, v) if u < v else (v, u)] != node.join_color
+                           for u in low for v in high)):
+                return False
+            stack.append(node.high)
+            stack.append(node.low)
+        else:
             return False
-        left = set(node.low.vertices)
-        right = set(node.high.vertices)
-        if left & right or left | right != set(verts):
-            return False
-        if node.k != node.low.k + node.high.k:
-            return False
-        for u in left:
-            for v in right:
-                if G.edges.get((u, v) if u < v else (v, u)) != node.join_color:
-                    return False
-        stack.append(node.high)
-        stack.append(node.low)
     return True
 
 

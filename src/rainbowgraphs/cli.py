@@ -10,7 +10,9 @@ verification counterexample found.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from math import comb
 from pathlib import Path
@@ -49,14 +51,29 @@ class WriteError(Exception):
     """An output path cannot be written."""
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise WriteError(f"cannot write {path}: {exc}") from None
+def _write_text(*outputs) -> None:
+    """Write each ``(path, text)``, to stdout for a None path, once every
+    path passes the checks opening it would (not a directory, in a
+    writable directory): one bad path leaves the others unwritten."""
+    for path in [path for path, _text in outputs if path is not None]:
+        target = Path(path)
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not target.parent.is_dir():
+            code = errno.ENOENT
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise WriteError(f"cannot write {path}: {os.strerror(code)}")
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
+            continue
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise WriteError(f"cannot write {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> EdgeColoredGraph:
@@ -81,12 +98,13 @@ def cmd_generate(args) -> int:
         built = constructions.LabeledConstruction(
             graph=G, name="recolored-g1", params={"n": args.n},
             structure={})
-    _write_text(args.out, _FORMATS[args.format](built.graph))
+    outputs = [(args.out, _FORMATS[args.format](built.graph))]
     meta_out = args.meta_out
     if meta_out is None and args.out is not None:
         meta_out = args.out + ".meta.json"
     if meta_out is not None:
-        _write_text(meta_out, json.dumps(built.metadata(), indent=2) + "\n")
+        outputs.append((meta_out, json.dumps(built.metadata(), indent=2) + "\n"))
+    _write_text(*outputs)
     return EXIT_OK
 
 
@@ -143,7 +161,7 @@ def cmd_analyze(args) -> int:
             f"      [\n        {u},\n        {v},\n        {w}\n      ]"
             for u, v, w in triangles])
         text = text.replace('"triples": []', f'"triples": [\n{triples}\n    ]', 1)
-    _write_text(args.out, text + "\n")
+    _write_text((args.out, text + "\n"))
     return EXIT_OK
 
 
@@ -161,12 +179,12 @@ def cmd_check(args) -> int:
         cert = None if parts is None else {"parts": [list(p) for p in parts]}
     member = cert is not None
     if args.verdict:
-        _write_text(args.out, f"{label}: {'yes' if member else 'no'}\n")
+        _write_text((args.out, f"{label}: {'yes' if member else 'no'}\n"))
     else:
         payload = {"check": label, "member": member,
                    "certificate": (cert.to_dict() if hasattr(cert, "to_dict")
                                    else cert)}
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_text((args.out, json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 
 
@@ -174,24 +192,25 @@ def cmd_transform(args) -> int:
     if args.action == "associate":
         D = transform.parse_digraph(_read_text(args.input))
         assoc = transform.associated_colored_graph(D)
-        _write_text(args.out, _FORMATS[args.format](assoc.graph))
+        outputs = [(args.out, _FORMATS[args.format](assoc.graph))]
         if args.report is not None:
             payload = {"a": D.a, "omega": list(assoc.omega),
                        "omega_sum": assoc.omega_sum}
-            _write_text(args.report, json.dumps(payload, indent=2) + "\n")
+            outputs.append((args.report, json.dumps(payload, indent=2) + "\n"))
     else:  # orient
         G = _load_graph(args.input)
         oriented = transform.orient_by_p3_rule(G)
-        _write_text(args.out, transform.format_digraph(oriented.digraph))
+        outputs = [(args.out, transform.format_digraph(oriented.digraph))]
         if args.report is not None:
             payload = {f"{u},{v}": tag
                        for (u, v), tag in sorted(oriented.provenance.items())}
-            _write_text(args.report, json.dumps(payload, indent=2) + "\n")
+            outputs.append((args.report, json.dumps(payload, indent=2) + "\n"))
+    _write_text(*outputs)
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    _write_text(args.out, _FORMATS[args.to](_load_graph(args.input)))
+    _write_text((args.out, _FORMATS[args.to](_load_graph(args.input))))
     return EXIT_OK
 
 
@@ -202,7 +221,7 @@ def cmd_verify(args) -> int:
     report = verify.verify_theorem(args.theorem, grid, jobs=args.jobs)
     sys.stdout.write(report.table() + "\n")
     if args.json is not None:
-        _write_text(args.json, json.dumps(report.to_dict(), indent=2) + "\n")
+        _write_text((args.json, json.dumps(report.to_dict(), indent=2) + "\n"))
     if report.verdict == "VACUOUS":
         return EXIT_PRECONDITION
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE

@@ -298,14 +298,8 @@ class OrientedGraph:
     def a(self) -> int:
         return len(self.arcs)
 
-    def out_mask(self, v: int) -> int:
-        return self.out_adj[v]
-
     def in_degree(self, v: int) -> int:
         return self.in_adj[v].bit_count()
-
-    def out_degree(self, v: int) -> int:
-        return self.out_adj[v].bit_count()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrientedGraph)

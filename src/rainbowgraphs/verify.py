@@ -40,9 +40,11 @@ is a floor on the statistic, so each edge subset is generated only from
 the fewest colors that can reach it (``_rgs_blocks``'s ``floor``); the
 strings below it are counted exactly by ``_completions``.  Per block the
 scans compute the color count, the color degrees off the last edge and
-the rainbow triangles avoiding the last slot (``_last_slot_counts``, which
-T3 reads too).  T4 also bounds the color-degree sum of each group of
-blocks sharing all but the last two slots, and skips those below it.
+the rainbow triangles avoiding the last slot (``_last_slot_counts``).
+T3's scan reads t per string too, and builds and certifies a graph only
+for its premise strings, those with t = k.  T4 also bounds the color-
+degree sum of each group of blocks sharing all but the last two slots,
+and skips those below it.
 Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
@@ -556,6 +558,11 @@ def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=(),
 
 
 def _t3_scan(name: str, grid: dict, pieces) -> dict:
+    """T3 on the strings with n + k - 1 colors, which all meet T2's
+    premise at k: only those with t = k, its premises, are certified;
+    the rest hold no certificate that revalidates.  A certificate failing
+    revalidation is a counterexample, not a premise; a premise without
+    one is a counterexample inside n >= 3k and an observation outside."""
     n, k = grid["n"], grid["k"]
     in_range = n >= 3 * k
     notes = {"accepted": 0}
@@ -565,22 +572,20 @@ def _t3_scan(name: str, grid: dict, pieces) -> dict:
         pairs, tris = _subset_tables(n, mask)
         for a, _total, t_count in _rgs_totals(len(pairs), tris, 0, out,
                                               prefix, exact=n + k - 1):
-            expected = t_count == k
+            if t_count != k:
+                continue
             G = _graph_from_colors(n, pairs, a)
             cert = is_in_gk(G, k)
-            accepted = cert is not None
-            if accepted:
+            if cert is not None:
                 notes["accepted"] += 1
                 if not validate_gk_certificate(G, k, cert):
                     out["cex"].append(_cex_entry(
                         name, G, {"k": k}, "certificate failed revalidation"))
                     continue
-            if expected:
-                out["premise"] += 1
-            if accepted != expected:
-                detail = ("premises hold but no certificate" if expected
-                          else "certificate without the premises")
-                entry = _cex_entry(name, G, {"k": k}, detail)
+            out["premise"] += 1
+            if cert is None:
+                entry = _cex_entry(name, G, {"k": k},
+                                   "premises hold but no certificate")
                 (out["cex"] if in_range else observations).append(entry)
     if not in_range:
         notes["out_of_range_mismatches"] = len(observations)

@@ -8,7 +8,7 @@ their bugs.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 
 def bell_triangle(limit):
@@ -240,3 +240,67 @@ def gk_referee(G, k):
     if cert is None or cert.k != k:
         return None
     return cert
+
+
+def gk_count(n, k):
+    """The colorings of K_n (up to renaming colors) in G_k, counted by
+    structure: n!/(k! 6^k (n-3k)!) ways to pick the k triangle leaves,
+    times (2L-3)!! rooted binary trees with unordered children on the
+    L = n - 2k leaves, with (-1)!! = 1.  A member's tree is unique, so
+    no coloring is counted twice; 0 when n < 3k or n = 0."""
+    leaves = n - 2 * k
+    if k < 0 or n < 3 * k or leaves < 1:
+        return 0
+    trees = 1
+    for odd in range(1, 2 * leaves - 2, 2):
+        trees *= odd
+    return factorial(n) // (factorial(k) * 6 ** k * factorial(n - 3 * k)) * trees
+
+
+def gk_certificate_referee(G, k, cert):
+    """``validate_gk_certificate`` as first written: each node's colors
+    and rainbow triangles are recounted over its pairs and triples, about
+    n^4/24 steps on a deep tree.  The library must give the same verdict."""
+    from rainbowgraphs.graphs import is_complete
+
+    if cert.k != k or list(cert.vertices) != list(range(G.n)):
+        return False
+    if not is_complete(G):
+        return False
+    edges = G.edges
+    stack = [cert]
+    while stack:
+        node = stack.pop()
+        verts = sorted(node.vertices)
+        if verts != list(node.vertices) or len(set(verts)) != len(verts):
+            return False
+        j = sum(len({edges[(u, v)], edges[(u, w)], edges[(v, w)]}) == 3
+                for u, v, w in combinations(verts, 3))
+        if node.k != j:
+            return False
+        colors = {edges[(u, v)] for u, v in combinations(verts, 2)}
+        if len(colors) != len(verts) + j - 1:
+            return False
+        if node.kind == "vertex":
+            if len(verts) != 1 or j != 0:
+                return False
+            continue
+        if node.kind == "triangle":
+            if len(verts) != 3 or j != 1:
+                return False
+            continue
+        if node.kind != "split" or node.low is None or node.high is None:
+            return False
+        left = set(node.low.vertices)
+        right = set(node.high.vertices)
+        if left & right or left | right != set(verts):
+            return False
+        if node.k != node.low.k + node.high.k:
+            return False
+        for u in left:
+            for v in right:
+                if edges.get((u, v) if u < v else (v, u)) != node.join_color:
+                    return False
+        stack.append(node.high)
+        stack.append(node.low)
+    return True

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import sys
+import time
 from itertools import combinations
 from math import comb
 
@@ -23,7 +24,7 @@ from rainbowgraphs.constructions import (
 from rainbowgraphs.graphs import GraphError, build
 from rainbowgraphs.rainbow import count_rainbow_triangles
 
-from _oracles import gk_referee
+from _oracles import gk_certificate_referee, gk_referee
 
 
 def recolor(G, e, color):
@@ -191,6 +192,149 @@ def test_gk_without_recursion():
     assert ok and rejected
     assert _depth(cert) == 104 and level == 103
     assert cert == is_in_gk(G, 8)
+
+
+def _random_member(n, k, rng):
+    """A random G_k coloring of K_n: k random disjoint rainbow triangles
+    and n - 3k single vertices, joined pairwise at random, each join on a
+    fresh color."""
+    verts = list(range(n))
+    rng.shuffle(verts)
+    edges, fresh = [], iter(range(n + k))
+    groups = [verts[3 * i:3 * i + 3] for i in range(k)]
+    for a, b, c in groups:
+        edges += [(a, b, next(fresh)), (a, c, next(fresh)), (b, c, next(fresh))]
+    groups += [[v] for v in verts[3 * k:]]
+    while len(groups) > 1:
+        low = groups.pop(rng.randrange(len(groups)))
+        high = groups.pop(rng.randrange(len(groups)))
+        color = next(fresh)
+        edges += [(u, v, color) for u in low for v in high]
+        groups.append(low + high)
+    return build(n, [(min(u, v), max(u, v), col) for u, v, col in edges])
+
+
+def _relabelled(G, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return build(G.n, [(min(perm[u], perm[v]), max(perm[u], perm[v]), col)
+                       for (u, v), col in G.edges.items()])
+
+
+def _cert_nodes(cert):
+    """Every node of a certificate, with its path of sides from the root."""
+    out, stack = [], [(cert, ())]
+    while stack:
+        node, path = stack.pop()
+        out.append((node, path))
+        if node.kind == "split":
+            stack += [(node.high, path + ("high",)), (node.low, path + ("low",))]
+    return out
+
+
+def _with_node(cert, path, node):
+    if not path:
+        return node
+    side = getattr(cert, path[0])
+    return dataclasses.replace(cert, **{path[0]: _with_node(side, path[1:], node)})
+
+
+def _shifted(cert, path, delta):
+    """The certificate with ``delta`` added to the k of the node at
+    ``path`` and of every node above it, so the sums still hold."""
+    node = dataclasses.replace(cert, k=cert.k + delta)
+    if path:
+        side = _shifted(getattr(cert, path[0]), path[1:], delta)
+        node = dataclasses.replace(node, **{path[0]: side})
+    return node
+
+
+def _mutated_case(G, k, cert, rng):
+    """A (graph, k, certificate) triple: the member's own, or one changed
+    in the graph, in k, or at a random node of the certificate."""
+    colors = sorted(G.colors) + [max(G.colors, default=0) + 1]
+    how = rng.choice(("none", "recolor", "foreign", "root_k", "join", "k",
+                      "swap", "kind", "order", "twin", "grow", "relabel"))
+    if how == "recolor":
+        edges = dict(G.edges)
+        for e in rng.sample(sorted(edges), min(len(edges), rng.randint(1, 3))):
+            edges[e] = rng.choice(colors)
+        H = build(G.n, [(u, v, col) for (u, v), col in edges.items()])
+        # Half the time at the k its color count fits.
+        return H, rng.choice((k, H.c - H.n + 1)), cert
+    if how == "foreign":
+        kk = rng.randint(0, G.n // 3)
+        return _random_member(G.n, kk, rng), k, cert
+    if how == "grow":
+        # A member one vertex larger, which the certificate does not span.
+        return build(G.n + 1, [(u, v, col) for (u, v), col in G.edges.items()]
+                     + [(u, G.n, colors[-1]) for u in range(G.n)]), k, cert
+    if how == "relabel":
+        # Two colors merged, a leaf and the nodes above it one k lower,
+        # and asked at that k: the sums and the color count still agree.
+        if G.c < 2:
+            return G, k, cert
+        x, y = rng.sample(colors[:-1], 2)
+        H = build(G.n, [(u, v, y if col == x else col)
+                        for (u, v), col in G.edges.items()])
+        leaves = [path for node, path in _cert_nodes(cert) if node.kind != "split"]
+        return H, k - 1, _shifted(cert, rng.choice(leaves), -1)
+    if how == "root_k":
+        kk = k + rng.choice((-1, 1))
+        if rng.random() < 0.5:
+            cert = dataclasses.replace(cert, k=kk)
+        return G, kk, cert
+    nodes = _cert_nodes(cert)
+    if how in ("join", "swap", "twin"):
+        nodes = [(node, path) for node, path in nodes if node.kind == "split"]
+        if not nodes:
+            return G, k, cert
+    node, path = rng.choice(nodes)
+    if how == "join":
+        node = dataclasses.replace(node, join_color=rng.choice(colors))
+    elif how == "swap":
+        node = dataclasses.replace(node, low=node.high, high=node.low)
+    elif how == "twin":
+        node = dataclasses.replace(node, high=node.low)
+    elif how == "order":
+        node = dataclasses.replace(node, vertices=node.vertices[::-1])
+    elif how == "k":
+        node = dataclasses.replace(node, k=node.k + rng.choice((-1, 1)))
+    elif how == "kind":
+        node = dataclasses.replace(node, kind=rng.choice(
+            [kind for kind in ("vertex", "triangle", "split", "leaf")
+             if kind != node.kind]))
+    return G, k, _with_node(cert, path, node)
+
+
+def test_gk_validator_matches_the_recount_referee():
+    """The structural validator against the per-node recount it replaced,
+    on relabelled and random members and on changed graphs, k and
+    certificates: the same verdict every time."""
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        k = rng.randint(0, n // 3)
+        G = (_relabelled(build_gk(n, k).graph, rng) if rng.random() < 0.5
+             else _random_member(n, k, rng))
+        cert = is_in_gk(G, k)
+        assert cert is not None and gk_certificate_referee(G, k, cert)
+        for _ in range(8):
+            H, kk, C = _mutated_case(G, k, cert, rng)
+            got = validate_gk_certificate(H, kk, C)
+            assert got == gk_certificate_referee(H, kk, C), (
+                sorted(H.edges.items()), kk, C.to_dict())
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 600, verdicts
+
+
+def test_gk_validator_is_quadratic():
+    G = build_gk(1000, 8).graph
+    cert = is_in_gk(G, 8)
+    start = time.perf_counter()
+    assert validate_gk_certificate(G, 8, cert)
+    assert time.perf_counter() - start < 2
 
 
 class TestIsInHk:

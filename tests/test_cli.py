@@ -323,6 +323,14 @@ class TestVerifyCommand:
         assert not report.ok
         assert (cli.EXIT_OK if report.ok else cli.EXIT_COUNTEREXAMPLE) == 3
 
+    def test_verify_exits_3_on_a_counterexample(self, monkeypatch, capsys):
+        report = VerificationReport("T1", {"n_max": 3}, premise_instances=1,
+                                    counterexamples=[{"theorem": "T1"}])
+        monkeypatch.setattr(cli.verify, "verify_theorem",
+                            lambda theorem, grid, jobs: report)
+        assert run(["verify", "T1", "--grid", '{"n_max": 3}']) == 3
+        assert "COUNTEREXAMPLES FOUND" in capsys.readouterr().out
+
 
 class TestUsage:
     def test_no_command(self):
@@ -398,6 +406,19 @@ class TestUnwritableOutput:
             err = capsys.readouterr().err
             assert err.startswith(f"rainbowgraphs: error: cannot write {bad}:")
             assert err.count("\n") == 1 and "Traceback" not in err
+            # A command with a good and a bad path writes neither.
+            assert not (tmp_path / "ok.out").exists(), command
+
+    def test_unwritable_directory_exit_1(self, tmp_path, capsys, monkeypatch):
+        # Permission bits do not bind root, so the check's answer is faked.
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        ok = tmp_path / "ok.out"
+        assert run(["generate", "gk", "--n", "6", "--k", "1",
+                    "--out", str(ok)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"rainbowgraphs: error: cannot write {ok}: "
+                       "Permission denied\n")
+        assert not ok.exists()
 
 
 class TestVacuousVerdict:

@@ -42,6 +42,7 @@ from _oracles import (
     bell_triangle,
     brute_directed_triangles,
     brute_rainbow_triangles,
+    gk_count,
     gk_referee,
     partition_string,
     set_partitions,
@@ -201,6 +202,33 @@ class TestSweepsAgainstNaiveRecount:
         report = verify_theorem("T3", {"n": 1, "k": 0})
         assert (report.instances, report.premise_instances,
                 report.notes["accepted"]) == (1, 1, 1)
+
+    def test_t3_premises_are_the_gk_members(self):
+        # Every in-range grid under the budget: each premise string is a
+        # member, certified, and they are as many as G_k(n) has members.
+        grids = [(n, k) for n in range(1, 6) for k in range(n // 3 + 1)]
+        assert [gk_count(n, k) for n, k in grids] == [1, 1, 3, 1, 15, 4, 105, 30]
+        for n, k in grids:
+            report = verify_theorem("T3", {"n": n, "k": k})
+            assert (report.premise_instances == report.notes["accepted"]
+                    == gk_count(n, k)), (n, k)
+        for k in range(3):
+            with pytest.raises(BudgetError):
+                verify_theorem("T3", {"n": 6, "k": k})
+
+    def test_t1_witnesses_are_the_g0_members(self):
+        # m + c = C(n+1,2) - 1 with no rainbow triangle on K_n is G_0.
+        assert verify_theorem("T1").witness_count == 125 == sum(
+            gk_count(n, 0) for n in range(1, 6))
+
+    def test_t3_certifies_only_its_premise_strings(self, monkeypatch):
+        calls = []
+        real = verify.is_in_gk
+        monkeypatch.setattr(verify, "is_in_gk",
+                            lambda G, k: calls.append(k) or real(G, k))
+        report = verify_theorem("T3", {"n": 5, "k": 1})
+        assert report.instances == stirling2(10, 5)
+        assert len(calls) == report.premise_instances == 30
 
     def test_empty_coloring_is_an_l1_premise(self):
         report = verify_theorem("L1", {"n_max": 1})
@@ -656,9 +684,8 @@ def _no_cliques(G, k, limit=None):
 _FAULTS = {
     "T3-validator": ("T3", {"n": 4, "k": 1}, {
         "validate_gk_certificate": lambda G, k, cert: False}),
-    "T3-converse": ("T3", {"n": 4, "k": 1}, {
-        "is_in_gk": lambda G, k: object(),
-        "validate_gk_certificate": lambda G, k, cert: True}),
+    "T3-recognizer": ("T3", {"n": 4, "k": 1}, {
+        "is_in_gk": lambda G, k: None}),
     "T6-validator": ("T6", {"pairs": [[8, 6]], "samples": 3}, {
         "validate_hk_certificate": lambda G, k, cert: False}),
     "L4-partition": ("L4", {"pairs": [[8, 6]], "samples": 3}, {
@@ -705,6 +732,41 @@ class TestRecheckUnderFaults:
         serial = verify_theorem(check, grid).counterexamples
         assert serial
         assert verify_theorem(check, grid, jobs=2).counterexamples == serial
+
+
+class TestT3Faults:
+    """The sweep certifies only premise strings, so a recognizer that
+    accepts a non-member can only be caught by the statement."""
+
+    def test_failed_revalidation_is_not_a_premise(self, monkeypatch):
+        monkeypatch.setattr(verify, "validate_gk_certificate",
+                            lambda G, k, cert: False)
+        report = verify_theorem("T3", {"n": 4, "k": 1})
+        assert (report.premise_instances, report.notes["accepted"]) == (0, 4)
+        assert [e["detail"] for e in report.counterexamples] == [
+            "certificate failed revalidation"] * 4
+
+    def test_recognizer_rejecting_members_fails_every_premise(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_in_gk", lambda G, k: None)
+        report = verify_theorem("T3", {"n": 4, "k": 1})
+        assert report.premise_instances == 4
+        assert [e["detail"] for e in report.counterexamples] == [
+            "premises hold but no certificate"] * 4
+
+    def test_certificate_without_the_premises(self, monkeypatch):
+        # A complete 4-colored K_4, the T2 premise at k = 1, with 4
+        # rainbow triangles.
+        G = build(4, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1),
+                      (0, 3, 2), (1, 2, 3)])
+        assert count_rainbow_triangles(G) == 4
+        assert instance_satisfies("T3", G, {"k": 1})
+        monkeypatch.setattr(verify, "is_in_gk", lambda G, k: object())
+        monkeypatch.setattr(verify, "validate_gk_certificate",
+                            lambda G, k, cert: True)
+        assert not instance_satisfies("T3", G, {"k": 1})
+        entry = verify._cex_entry("T3", G, {"k": 1},
+                                  "certificate without the premises")
+        assert recheck_counterexample(entry)
 
 
 def _at_most_two_processes(monkeypatch):

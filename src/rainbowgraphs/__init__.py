@@ -35,7 +35,6 @@ from .graphs import (
     GraphError,
     GraphStats,
     OrientedGraph,
-    build,
     canonicalize_colors,
     delete_edge,
     delete_vertex,
@@ -88,7 +87,7 @@ __all__ = [
     "FormatError", "GkCertificate", "GraphError", "GraphStats",
     "HkCertificate", "LabeledConstruction", "OrientationReport",
     "OrientedGraph", "TuranPartition", "VerificationReport",
-    "associated_colored_graph", "bell_number", "build", "build_case2_figure",
+    "associated_colored_graph", "bell_number", "build_case2_figure",
     "build_gk", "build_hnk", "canonicalize_colors", "count_rainbow_triangles",
     "delete_edge", "delete_vertex", "directed_triangles",
     "enumerate_colorings", "enumerate_rainbow_cliques",

@@ -54,7 +54,8 @@ class WriteError(Exception):
 def _write_text(*outputs) -> None:
     """Write each ``(path, text)``, to stdout for a None path, once every
     path passes the checks opening it would (not a directory, in a
-    writable directory): one bad path leaves the others unwritten."""
+    writable directory): one bad path leaves the others unwritten, and a
+    write that fails anyway (a full disk) unlinks the ones written before."""
     for path in [path for path, _text in outputs if path is not None]:
         target = Path(path)
         if target.is_dir():
@@ -66,6 +67,7 @@ def _write_text(*outputs) -> None:
         else:
             continue
         raise WriteError(f"cannot write {path}: {os.strerror(code)}")
+    written = []
     for path, text in outputs:
         if path is None:
             sys.stdout.write(text)
@@ -73,7 +75,10 @@ def _write_text(*outputs) -> None:
         try:
             Path(path).write_text(text)
         except OSError as exc:
+            for done in written:
+                done.unlink(missing_ok=True)
             raise WriteError(f"cannot write {path}: {exc}") from None
+        written.append(Path(path))
 
 
 def _load_graph(path: str) -> EdgeColoredGraph:
@@ -215,7 +220,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    grid = json.loads(args.grid) if args.grid else {}
+    grid = args.grid or {}  # parsed by _check_args
     if args.seed is not None:
         grid.setdefault("seed", args.seed)
     report = verify.verify_theorem(args.theorem, grid, jobs=args.jobs)
@@ -317,13 +322,15 @@ def _check_args(args) -> str | None:
             return f"--jobs: {exc}"
     if args.command == "verify" and args.grid:
         try:
-            obj = json.loads(args.grid)
-        except json.JSONDecodeError as exc:
+            args.grid = json.loads(args.grid)
+        # A JSONDecodeError, or an integer past the interpreter's digit
+        # limit, is a ValueError; deep nesting is a RecursionError.
+        except (ValueError, RecursionError) as exc:
             return f"--grid is not valid JSON: {exc}"
-        if not isinstance(obj, dict):
+        if not isinstance(args.grid, dict):
             return "--grid must be a JSON object"
         try:
-            verify.check_grid(args.theorem, obj)
+            verify.check_grid(args.theorem, args.grid)
         except GraphError as exc:
             return f"--grid: {exc}"
     return None

@@ -17,14 +17,22 @@ ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
-from .graphs import EdgeColoredGraph, GraphError
+from .graphs import EdgeColoredGraph, GraphError, _check_vertex_count
 from .rainbow import count_rainbow_triangles, enumerate_rainbow_cliques
 
 # Generators self-check their advertised structure up to this size; all
 # desk-scale verification lives well below it.
 _BUILD_CHECK_MAX_N = 32
+
+
+def _check_parts(n: int, k: int) -> None:
+    if k < 1:
+        raise GraphError(f"part count k={k} must be at least 1")
+    if k > n:
+        raise GraphError(f"part count k={k} exceeds n={n}")
 
 
 @dataclass(frozen=True)
@@ -37,10 +45,7 @@ class TuranPartition:
 
     @classmethod
     def balanced(cls, n: int, k: int) -> "TuranPartition":
-        if k < 1:
-            raise GraphError(f"part count k={k} must be at least 1")
-        if k > n:
-            raise GraphError(f"part count k={k} exceeds n={n}")
+        _check_parts(n, k)
         p, i = divmod(n, k)
         return cls(n, k, (p + 1,) * i + (p,) * (k - i))
 
@@ -77,29 +82,15 @@ def turan_number(n: int, k: int) -> int:
 
     With n = p*k + i: C(k,2)*p^2 + i*(k-1)*p + C(i,2).
     """
-    if k < 1:
-        raise GraphError(f"part count k={k} must be at least 1")
-    if k > n:
-        raise GraphError(f"part count k={k} exceeds n={n}")
+    _check_parts(n, k)
     p, i = divmod(n, k)
     return comb(k, 2) * p * p + i * (k - 1) * p + comb(i, 2)
 
 
 def turan_diff(n: int, k: int) -> int:
     """turan_number(n+1, k) - turan_number(n, k), in closed form n - n//k."""
-    if k < 1:
-        raise GraphError(f"part count k={k} must be at least 1")
-    if k > n:
-        raise GraphError(f"part count k={k} exceeds n={n}")
+    _check_parts(n, k)
     return n - n // k
-
-
-def _part_lookup(partition: TuranPartition) -> list[int]:
-    part_of = [0] * partition.n
-    for idx, part in enumerate(partition.parts()):
-        for v in part:
-            part_of[v] = idx
-    return part_of
 
 
 def turan_graph(n: int, k: int, rainbow: bool = False) -> LabeledConstruction:
@@ -109,7 +100,8 @@ def turan_graph(n: int, k: int, rainbow: bool = False) -> LabeledConstruction:
     edge order; otherwise all edges share color 0.
     """
     partition = TuranPartition.balanced(n, k)
-    part_of = _part_lookup(partition)
+    _check_vertex_count(n)
+    part_of = [idx for idx, size in enumerate(partition.sizes) for _ in range(size)]
     edges = []
     color = 0
     for u in range(n):
@@ -144,6 +136,7 @@ def build_gk(n: int, k: int) -> LabeledConstruction:
         raise GraphError(f"n={n} must be at least 1")
     if n < 3 * k:
         raise GraphError(f"n < 3k (n={n}, k={k})")
+    _check_vertex_count(n)
     base = n - 3 * k
     edges: list[tuple[int, int, int]] = []
     for u in range(base):
@@ -199,23 +192,13 @@ def build_hnk(n: int, k: int) -> LabeledConstruction:
         raise GraphError(f"k={k} must be at least 4")
     if n < k:
         raise GraphError(f"n < k (n={n}, k={k})")
-    q = k - 2
-    partition = TuranPartition.balanced(n, q)
-    part_of = _part_lookup(partition)
-    edges = []
-    color = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] != part_of[v]:
-                edges.append((u, v, color))
-                color += 1
-    t = color
-    assert t == turan_number(n, q)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] == part_of[v]:
-                edges.append((u, v, t))
-    G = EdgeColoredGraph(n, edges)
+    turan = turan_graph(n, k - 2, rainbow=True)
+    t = turan.graph.m
+    edges = dict(turan.graph.edges)
+    for part in turan.structure["parts"]:
+        for pair in combinations(part, 2):
+            edges[pair] = t
+    G = EdgeColoredGraph._from_checked(n, edges)
     assert G.m == comb(n, 2)
     assert G.c == t + 1
     if n <= 12:
@@ -224,10 +207,7 @@ def build_hnk(n: int, k: int) -> LabeledConstruction:
         graph=G,
         name="hnk",
         params={"n": n, "k": k},
-        structure={"sizes": list(partition.sizes),
-                   "parts": [list(p) for p in partition.parts()],
-                   "mono_color": t,
-                   "cross_edge_count": t},
+        structure={**turan.structure, "mono_color": t, "cross_edge_count": t},
     )
 
 
@@ -244,22 +224,12 @@ def build_case2_figure(n: int = 8, k: int = 7) -> LabeledConstruction:
     """
     if (n, k) != (8, 7):
         raise GraphError(f"only the (n, k) = (8, 7) instance is defined, got ({n}, {k})")
-    q = k - 2
-    partition = TuranPartition.balanced(n, q)
-    part_of = _part_lookup(partition)
-    parts = partition.parts()
-    pairs = [p for p in parts if len(p) == 2]
+    turan = turan_graph(n, k - 2, rainbow=True)
+    cross_colors = turan.graph.edges
+    parts = turan.structure["parts"]
+    pairs = [tuple(p) for p in parts if len(p) == 2]
     singletons = [p[0] for p in parts if len(p) == 1]
-    cross_colors: dict[tuple[int, int], int] = {}
-    color = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] != part_of[v]:
-                cross_colors[(u, v)] = color
-                color += 1
-    t = color
-    assert t == turan_number(n, q)
-    fresh = t
+    fresh = turan.graph.m
     candidates = {
         pair: sorted(cross_colors[(min(x, s), max(x, s))]
                      for x in pair for s in singletons)
@@ -275,13 +245,12 @@ def build_case2_figure(n: int = 8, k: int = 7) -> LabeledConstruction:
             G = EdgeColoredGraph(n, edges)
             if enumerate_rainbow_cliques(G, k, limit=1):
                 continue
-            assert G.c == t + 1
+            assert G.c == fresh + 1
             return LabeledConstruction(
                 graph=G,
                 name="case2",
                 params={"n": n, "k": k},
-                structure={"sizes": list(partition.sizes),
-                           "parts": [list(p) for p in parts],
+                structure={**turan.structure,
                            "fresh_color": fresh,
                            "fresh_pair": list(pairs[fresh_idx]),
                            "reused_colors": {f"{p[0]},{p[1]}": c

@@ -16,7 +16,8 @@ from typing import Iterable, NamedTuple
 
 # Size cap for plain statistics and I/O paths.
 MAX_ANALYSIS_N = 4096
-# Size cap for the O(n^3)-style enumeration paths (single-word bitsets).
+# Size cap for the O(n^3)-style enumeration paths: it bounds their output
+# and search time, not a word size (the bitmasks are Python ints).
 MAX_ENUMERATION_N = 64
 
 # Fixed palette for DOT export; color id maps to palette[id % len(palette)].
@@ -49,28 +50,13 @@ def _check_vertex_count(n) -> None:
             f"vertex count {n!r} outside supported range 0..{MAX_ANALYSIS_N}")
 
 
-# From this average degree on, neighbourhood masks are built from byte
-# rows: ORing one bit into a growing mask per edge reallocates an n-bit int
-# each time, while a byte store costs the same at every n.  Below it, which
-# includes every graph with n <= 16, the rows' O(n^2) set-up costs more
-# than the ORs save.
-_BYTE_ROWS_MIN_DEGREE = 16
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _adjacency(n: int, edges: dict[tuple[int, int], int]) -> list[int]:
     """Per-vertex neighbourhood bitmasks of the pairs ``edges``."""
-    if 2 * len(edges) < _BYTE_ROWS_MIN_DEGREE * n:
-        adj = [0] * n
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
-    rows = [bytearray(n) for _ in range(n)]
+    adj = [0] * n
     for u, v in edges:
-        rows[u][v] = rows[v][u] = 1
-    # Row byte i is bit i; int() reads the most significant digit first.
-    return [int(row[::-1].translate(_BITS), 2) for row in rows]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 class EdgeColoredGraph:
@@ -158,11 +144,6 @@ class EdgeColoredGraph:
 
     def __repr__(self) -> str:
         return f"EdgeColoredGraph(n={self.n}, m={self.m}, c={self.c})"
-
-
-def build(n: int, colored_edges: Iterable[tuple[int, int, int]]) -> EdgeColoredGraph:
-    """Validate and build an edge-colored graph from (u, v, color) triples."""
-    return EdgeColoredGraph(n, colored_edges)
 
 
 @dataclass(frozen=True)

@@ -814,15 +814,10 @@ def _random_exact_colors(count: int, c: int, rng: Random) -> list[int]:
 
 
 def _random_balanced_parts(n: int, q: int, rng: Random) -> list[list[int]]:
-    sizes = TuranPartition.balanced(n, q).sizes
     verts = list(range(n))
     rng.shuffle(verts)
-    parts = []
-    pos = 0
-    for size in sizes:
-        parts.append(sorted(verts[pos:pos + size]))
-        pos += size
-    return parts
+    return [sorted(verts[i] for i in part)
+            for part in TuranPartition.balanced(n, q).parts()]
 
 
 def _random_labels(n: int, q: int, rng: Random):

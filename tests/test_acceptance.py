@@ -19,7 +19,7 @@ from rainbowgraphs.constructions import (
     turan_number,
 )
 from rainbowgraphs.graphs import (
-    build,
+    EdgeColoredGraph,
     canonicalize_colors,
     delete_vertex,
     stats,
@@ -135,7 +135,7 @@ def test_criterion_08_t5_tightness():
             for (u, v), color in sorted(G.edges.items()):
                 if color != mono:
                     continue
-                H = build(n, [(a, b, fresh if (a, b) == (u, v) else col)
+                H = EdgeColoredGraph(n, [(a, b, fresh if (a, b) == (u, v) else col)
                               for (a, b), col in G.edges.items()])
                 instances += 1
                 if not enumerate_rainbow_cliques(H, k, limit=1):
@@ -202,7 +202,7 @@ def test_criterion_12_core_property_sweep():
         m = rng.randint(0, len(pairs)) if pairs else 0
         chosen = rng.sample(pairs, m)
         c_max = max(1, m)
-        G = build(n, [(u, v, rng.randrange(c_max)) for (u, v) in chosen])
+        G = EdgeColoredGraph(n, [(u, v, rng.randrange(c_max)) for (u, v) in chosen])
         st = stats(G)
         prof = st.profile
         if prof.saturated_degree_sum > 2 * st.c:

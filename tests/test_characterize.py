@@ -21,14 +21,14 @@ from rainbowgraphs.constructions import (
     build_hnk,
     turan_number,
 )
-from rainbowgraphs.graphs import GraphError, build
+from rainbowgraphs.graphs import EdgeColoredGraph, GraphError
 from rainbowgraphs.rainbow import count_rainbow_triangles
 
 from _oracles import gk_certificate_referee, gk_referee
 
 
 def recolor(G, e, color):
-    return build(G.n, [(a, b, color if (a, b) == e else col)
+    return EdgeColoredGraph(G.n, [(a, b, color if (a, b) == e else col)
                        for (a, b), col in G.edges.items()])
 
 
@@ -42,18 +42,18 @@ class TestIsInGk:
                 assert validate_gk_certificate(G, k, cert)
 
     def test_rainbow_triangle_leaf(self):
-        G = build(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+        G = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
         cert = is_in_gk(G, 1)
         assert cert is not None and cert.kind == "triangle"
 
     def test_single_vertex_and_edge(self):
-        assert is_in_gk(build(1, []), 0) is not None
-        cert = is_in_gk(build(2, [(0, 1, 5)]), 0)
+        assert is_in_gk(EdgeColoredGraph(1, []), 0) is not None
+        cert = is_in_gk(EdgeColoredGraph(2, [(0, 1, 5)]), 0)
         assert cert is not None and cert.kind == "split"
 
     def test_rainbow_k4_rejected(self):
         pairs = list(combinations(range(4), 2))
-        G = build(4, [(u, v, i) for i, (u, v) in enumerate(pairs)])
+        G = EdgeColoredGraph(4, [(u, v, i) for i, (u, v) in enumerate(pairs)])
         # 4 rainbow triangles but c = 6 != 4 + 4 - 1
         assert count_rainbow_triangles(G) == 4
         assert is_in_gk(G, 4) is None
@@ -64,7 +64,7 @@ class TestIsInGk:
         assert is_in_gk(G, 3) is None
 
     def test_incomplete_rejected(self):
-        G = build(3, [(0, 1, 0), (1, 2, 1)])
+        G = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1)])
         assert is_in_gk(G, 0) is None
 
     def test_recolored_join_edge_rejected(self):
@@ -211,13 +211,13 @@ def _random_member(n, k, rng):
         color = next(fresh)
         edges += [(u, v, color) for u in low for v in high]
         groups.append(low + high)
-    return build(n, [(min(u, v), max(u, v), col) for u, v, col in edges])
+    return EdgeColoredGraph(n, [(min(u, v), max(u, v), col) for u, v, col in edges])
 
 
 def _relabelled(G, rng):
     perm = list(range(G.n))
     rng.shuffle(perm)
-    return build(G.n, [(min(perm[u], perm[v]), max(perm[u], perm[v]), col)
+    return EdgeColoredGraph(G.n, [(min(perm[u], perm[v]), max(perm[u], perm[v]), col)
                        for (u, v), col in G.edges.items()])
 
 
@@ -259,7 +259,7 @@ def _mutated_case(G, k, cert, rng):
         edges = dict(G.edges)
         for e in rng.sample(sorted(edges), min(len(edges), rng.randint(1, 3))):
             edges[e] = rng.choice(colors)
-        H = build(G.n, [(u, v, col) for (u, v), col in edges.items()])
+        H = EdgeColoredGraph(G.n, [(u, v, col) for (u, v), col in edges.items()])
         # Half the time at the k its color count fits.
         return H, rng.choice((k, H.c - H.n + 1)), cert
     if how == "foreign":
@@ -267,7 +267,7 @@ def _mutated_case(G, k, cert, rng):
         return _random_member(G.n, kk, rng), k, cert
     if how == "grow":
         # A member one vertex larger, which the certificate does not span.
-        return build(G.n + 1, [(u, v, col) for (u, v), col in G.edges.items()]
+        return EdgeColoredGraph(G.n + 1, [(u, v, col) for (u, v), col in G.edges.items()]
                      + [(u, G.n, colors[-1]) for u in range(G.n)]), k, cert
     if how == "relabel":
         # Two colors merged, a leaf and the nodes above it one k lower,
@@ -275,7 +275,7 @@ def _mutated_case(G, k, cert, rng):
         if G.c < 2:
             return G, k, cert
         x, y = rng.sample(colors[:-1], 2)
-        H = build(G.n, [(u, v, y if col == x else col)
+        H = EdgeColoredGraph(G.n, [(u, v, y if col == x else col)
                         for (u, v), col in G.edges.items()])
         leaves = [path for node, path in _cert_nodes(cert) if node.kind != "split"]
         return H, k - 1, _shifted(cert, rng.choice(leaves), -1)
@@ -377,7 +377,7 @@ class TestIsInHk:
     def test_incomplete_returns_none(self):
         built = build_hnk(8, 6)
         edges = built.graph.sorted_edges()[1:]
-        H = build(8, edges)
+        H = EdgeColoredGraph(8, edges)
         assert is_in_hk(H, 6) is None
 
     def test_vertex_permutation_invariance(self):
@@ -386,7 +386,7 @@ class TestIsInHk:
         for _ in range(10):
             perm = list(range(9))
             rng.shuffle(perm)
-            H = build(9, [(min(perm[u], perm[v]), max(perm[u], perm[v]), c)
+            H = EdgeColoredGraph(9, [(min(perm[u], perm[v]), max(perm[u], perm[v]), c)
                           for (u, v), c in G.edges.items()])
             cert = is_in_hk(H, 7)
             assert cert is not None and cert.case == "I"
@@ -405,12 +405,12 @@ class TestRainbowSpanningTuran:
         assert len(set(cross)) == len(cross)
 
     def test_monochromatic_k6_absent(self):
-        G = build(6, [(u, v, 0) for u, v in combinations(range(6), 2)])
+        G = EdgeColoredGraph(6, [(u, v, 0) for u, v in combinations(range(6), 2)])
         assert find_rainbow_spanning_turan(G, 4) is None
 
     def test_incomplete_rejected(self):
         with pytest.raises(GraphError, match="complete"):
-            find_rainbow_spanning_turan(build(4, [(0, 1, 0)]), 2)
+            find_rainbow_spanning_turan(EdgeColoredGraph(4, [(0, 1, 0)]), 2)
 
     def test_deterministic(self):
         G = build_hnk(9, 6).graph
@@ -421,7 +421,7 @@ class TestRainbowSpanningTuran:
         for _ in range(150):
             n = rng.randint(1, 7)
             c = rng.randint(1, comb(n, 2) + 1)
-            G = build(n, [(u, v, rng.randrange(c)) for u, v in combinations(range(n), 2)])
+            G = EdgeColoredGraph(n, [(u, v, rng.randrange(c)) for u, v in combinations(range(n), 2)])
             for parts in range(1, min(n, 4) + 1):
                 assert (find_rainbow_spanning_turan(G, parts)
                         == brute_first_rainbow_turan(G, parts))
@@ -449,7 +449,7 @@ class TestRainbowSpanningTuran:
     def test_rainbow_k1100_without_recursion(self):
         # One search step per vertex, deeper than the default recursion limit.
         n = 1100
-        G = build(n, [(u, v, i) for i, (u, v) in enumerate(combinations(range(n), 2))])
+        G = EdgeColoredGraph(n, [(u, v, i) for i, (u, v) in enumerate(combinations(range(n), 2))])
         assert find_rainbow_spanning_turan(G, 2) == (tuple(range(550)),
                                                      tuple(range(550, n)))
 
@@ -627,7 +627,7 @@ class TestBruteForceEquivalence:
             q = rng.randint(2, 4)
             pairs = list(combinations(range(n), 2))
             c = rng.randint(2, len(pairs))
-            G = build(n, [(u, v, rng.randrange(c)) for u, v in pairs])
+            G = EdgeColoredGraph(n, [(u, v, rng.randrange(c)) for u, v in pairs])
             want = brute_has_rainbow_turan(G, q)
             got = find_rainbow_spanning_turan(G, q) is not None
             disagreements += want != got
@@ -651,7 +651,7 @@ class TestBruteForceEquivalence:
                 colors = list(range(c)) + [rng.randrange(c)
                                            for _ in range(len(pairs) - c)]
                 rng.shuffle(colors)
-                G = build(n, [(u, v, col)
+                G = EdgeColoredGraph(n, [(u, v, col)
                               for (u, v), col in zip(pairs, colors)])
             if G.c != t + 1:
                 continue

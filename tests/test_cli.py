@@ -1,11 +1,14 @@
+import errno
 import io
 import json
+import os
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rainbowgraphs import cli
@@ -18,7 +21,7 @@ from rainbowgraphs.graphs import (
 )
 from rainbowgraphs.rainbow import list_rainbow_triangles
 from rainbowgraphs.transform import parse_digraph
-from rainbowgraphs.verify import VerificationReport
+from rainbowgraphs.verify import THEOREMS, VerificationReport
 
 
 def run(args):
@@ -58,6 +61,18 @@ class TestGenerate:
         assert run(["generate", "hnk", "--n", "8", "--k", "6",
                     "--format", "json", "--out", str(out)]) == 0
         assert out.read_text() == format_json(build_hnk(8, 6).graph)
+
+    @pytest.mark.parametrize("command", [
+        ("gk", "--n", "4097", "--k", "0"),
+        ("hnk", "--n", str(10**18), "--k", "6"),
+        ("turan", "--n", str(10**18), "--parts", "2")], ids=["gk", "hnk", "turan"])
+    def test_oversized_n_exit_2_before_building(self, capsys, command):
+        start = time.perf_counter()
+        assert run(["generate", *command]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("rainbowgraphs: error: vertex count ")
+        assert err.count("\n") == 1
 
     def test_recolored_g1(self, tmp_path):
         out = tmp_path / "w.edges"
@@ -359,6 +374,17 @@ class TestVerifyRejections:
             err = capsys.readouterr().err
             assert ">=" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", [
+        pytest.param('{"n_max": ' + "9" * 5000 + "}", id="digit-limit", marks=pytest.mark.skipif(
+            getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+            reason="no limit on integer digits")),
+        pytest.param("[" * 100_000, id="deep-nesting")])
+    def test_grid_past_the_json_limits_exit_1(self, capsys, grid):
+        assert run(["verify", "T1", "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rainbowgraphs: error: --grid is not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_jobs_below_one_exit_1(self, capsys):
         for jobs in ("0", "-3"):
             assert run(["verify", "T1", "--jobs", jobs]) == 1
@@ -409,6 +435,23 @@ class TestUnwritableOutput:
             # A command with a good and a bad path writes neither.
             assert not (tmp_path / "ok.out").exists(), command
 
+    def test_failed_write_unlinks_earlier_outputs(self, tmp_path, capsys, monkeypatch):
+        ok, meta = tmp_path / "ok.out", tmp_path / "ok.meta"
+        write_text = cli.Path.write_text
+
+        def disk_full_at_meta(path, text):
+            if path == meta:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, text)
+
+        monkeypatch.setattr(cli.Path, "write_text", disk_full_at_meta)
+        assert run(["generate", "gk", "--n", "6", "--k", "1", "--out", str(ok),
+                    "--meta-out", str(meta)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"rainbowgraphs: error: cannot write {meta}: ")
+        assert err.count("\n") == 1
+        assert not ok.exists()
+
     def test_unwritable_directory_exit_1(self, tmp_path, capsys, monkeypatch):
         # Permission bits do not bind root, so the check's answer is faked.
         monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
@@ -448,3 +491,106 @@ class TestVacuousVerdict:
     def test_premise_instances_exit_0(self, capsys):
         assert run(["verify", "T1", "--grid", '{"n_max": 4}']) == 0
         assert "verdict            : OK" in capsys.readouterr().out
+
+
+# Argument fuzz: every subcommand with valid and invalid kinds, flags and
+# files.  Sizes stay small (--n <= 40; samples, count <= 3; n_max <= 4), and
+# --grid always bounds a check's work, since a default grid runs for seconds.
+_ODD = ("", "1e3", "-0", "-1", "x", "0")
+_INTS = st.sampled_from(("0", "1", "2", "3", "4", "6", "7", "8", "9", "40") + _ODD)
+_PATHS = st.sampled_from(("graph", "json", "digraph", "empty", "missing", "dir", ""))
+_OUT_PATHS = st.sampled_from(("out", "meta", "missing", "dir"))
+_SWITCH = st.just(None)  # a flag without a value, such as --rainbow
+_GRID_VALUES = st.one_of(
+    st.integers(-1, 4), st.booleans(), st.none(), st.just(1e3), st.just(""),
+    st.lists(st.lists(st.integers(-1, 9), max_size=3), max_size=2),
+    st.lists(st.integers(-1, 6), max_size=3))
+_GRID_KEYS = ("n_max", "k_max", "n", "k", "k_values", "pairs", "samples",
+              "count", "ell_values", "seed", "x")
+_BOUNDS = {"n_max": 4, "n": 4, "samples": 3, "count": 3}
+
+
+def _flags(*pairs):
+    """Each (flag, values) pair: left out, or the flag with a drawn value."""
+    return st.tuples(*(st.one_of(st.just([]), values.map(lambda v, f=flag: [f, v]))
+                       for flag, values in pairs)).map(
+        lambda chosen: [arg for flag in chosen for arg in flag])
+
+
+def _command(name, positionals, *flags):
+    return st.tuples(st.tuples(*positionals), _flags(*flags)).map(
+        lambda parts: [name, *parts[0], *parts[1]])
+
+
+@st.composite
+def _grid_text(draw, theorem):
+    """A JSON grid whose work stays small, or text that is not a grid."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(("1e3", "-0", "[", "null", "[]", "true", '"x"',
+                                     "{", "{]", '{"n_max": [[]]}')))
+    check = cli.verify.CHECKS.get(theorem)
+    grid = {key: draw(st.integers(0, bound)) for key, bound in _BOUNDS.items()
+            if check is not None and key in check.grid}
+    for key in draw(st.lists(st.sampled_from(_GRID_KEYS), max_size=3)):
+        value = draw(_GRID_VALUES)
+        if key in _BOUNDS and type(value) is int:
+            value = min(value, _BOUNDS[key])
+        grid[key] = value
+    return json.dumps(grid)
+
+
+@st.composite
+def _verify_argv(draw):
+    theorem = draw(st.sampled_from(THEOREMS + ("t1", "X9", "")))
+    argv = ["verify", theorem, "--grid", draw(_grid_text(theorem))]
+    return argv + draw(_flags(("--jobs", st.sampled_from(("1",) + _ODD)),
+                              ("--seed", st.sampled_from(("7",) + _ODD)),
+                              ("--json", _OUT_PATHS)))
+
+
+_FORMATS = st.sampled_from(("edgelist", "json", "dot"))
+_ARGV = st.one_of(
+    _command("generate", [st.sampled_from(("gk", "hnk", "turan", "case2",
+                                           "recolored-g1", "bogus", ""))],
+             ("--n", _INTS), ("--k", _INTS), ("--parts", _INTS),
+             ("--rainbow", _SWITCH), ("--format", _FORMATS),
+             ("--out", _OUT_PATHS), ("--meta-out", _OUT_PATHS)),
+    _command("analyze", [_PATHS], ("--clique-bound", _INTS), ("--out", _OUT_PATHS)),
+    _command("check", [st.sampled_from(("gk", "hk", "turan-partition", "bogus")), _PATHS],
+             ("--k", _INTS), ("--parts", _INTS), ("--verdict", _SWITCH),
+             ("--out", _OUT_PATHS)),
+    _command("transform", [st.sampled_from(("associate", "orient", "bogus")), _PATHS],
+             ("--format", _FORMATS), ("--out", _OUT_PATHS), ("--report", _OUT_PATHS)),
+    _command("convert", [_PATHS], ("--to", _FORMATS), ("--out", _OUT_PATHS)),
+    _verify_argv(),
+    st.lists(st.sampled_from(("generate", "verify", "--help", "-h", "--n") + _ODD),
+             max_size=3))
+
+
+def _resolve(argv, tmp_path):
+    """Stand-in names to paths; a None value leaves its flag a switch."""
+    paths = {"graph": tmp_path / "g.edges", "json": tmp_path / "g.json",
+             "digraph": tmp_path / "d.arcs", "empty": tmp_path / "empty",
+             "missing": tmp_path / "missing" / "x", "dir": tmp_path,
+             "out": tmp_path / "o.out", "meta": tmp_path / "o.meta"}
+    return [str(paths.get(arg, arg)) for arg in argv if arg is not None]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+@example(argv=["verify", "T1", "--grid", '{"n_max": ' + "9" * 5000 + "}"])
+@example(argv=["verify", "T1", "--grid", "[" * 100_000])
+@example(argv=["generate", "gk", "--n", "4097", "--k", "0"])
+@example(argv=["generate", "hnk", "--n", str(10**18), "--k", "6"])
+@example(argv=["generate", "turan", "--n", str(10**18), "--parts", "2"])
+def test_argv_never_raises_a_traceback(tmp_path, argv):
+    (tmp_path / "g.edges").write_text(format_edgelist(build_gk(6, 1).graph))
+    (tmp_path / "g.json").write_text(format_json(build_hnk(7, 5).graph))
+    (tmp_path / "d.arcs").write_text("3 3\n0 1\n1 2\n2 0\n")
+    (tmp_path / "empty").write_text("")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(_resolve(argv, tmp_path))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

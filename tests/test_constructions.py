@@ -193,7 +193,7 @@ class TestBuildHnk:
         assert len(set(cross)) == len(cross)
 
     def test_recoloring_intra_edge_creates_clique(self):
-        from rainbowgraphs.graphs import build as gbuild
+        from rainbowgraphs.graphs import EdgeColoredGraph
         for n, k in ((7, 4), (8, 5), (10, 5), (9, 6)):
             built = build_hnk(n, k)
             mono = built.structure["mono_color"]
@@ -202,7 +202,7 @@ class TestBuildHnk:
             for (u, v), color in sorted(G.edges.items()):
                 if color != mono:
                     continue
-                H = gbuild(n, [(a, b, fresh if (a, b) == (u, v) else col)
+                H = EdgeColoredGraph(n, [(a, b, fresh if (a, b) == (u, v) else col)
                                for (a, b), col in G.edges.items()])
                 st = stats(H)
                 assert st.m + st.c == comb(n, 2) + turan_number(n, k - 2) + 2

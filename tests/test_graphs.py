@@ -8,7 +8,6 @@ from rainbowgraphs.graphs import (
     EdgeColoredGraph,
     FormatError,
     GraphError,
-    build,
     canonicalize_colors,
     delete_edge,
     delete_vertex,
@@ -27,41 +26,41 @@ from _oracles import random_colored_graph
 
 
 def rainbow_k3():
-    return build(3, [(0, 1, 10), (1, 2, 11), (0, 2, 12)])
+    return EdgeColoredGraph(3, [(0, 1, 10), (1, 2, 11), (0, 2, 12)])
 
 
 def mono_k3():
-    return build(3, [(0, 1, 4), (1, 2, 4), (0, 2, 4)])
+    return EdgeColoredGraph(3, [(0, 1, 4), (1, 2, 4), (0, 2, 4)])
 
 
 class TestBuild:
     def test_k3_three_labels(self):
-        G = build(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+        G = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
         assert (G.m, G.c) == (3, 3)
 
     def test_empty(self):
-        G = build(4, [])
+        G = EdgeColoredGraph(4, [])
         assert (G.m, G.c) == (0, 0)
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(GraphError, match=r"duplicate edge pair \(0, 1\)"):
-            build(3, [(0, 1, 0), (0, 1, 1)])
+            EdgeColoredGraph(3, [(0, 1, 0), (0, 1, 1)])
 
     def test_duplicate_reversed_pair_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
-            build(3, [(0, 1, 0), (1, 0, 1)])
+            EdgeColoredGraph(3, [(0, 1, 0), (1, 0, 1)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
-            build(3, [(1, 1, 0)])
+            EdgeColoredGraph(3, [(1, 1, 0)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="outside vertex range"):
-            build(3, [(0, 3, 0)])
+            EdgeColoredGraph(3, [(0, 3, 0)])
 
     def test_negative_color_rejected(self):
         with pytest.raises(GraphError, match="non-negative"):
-            build(3, [(0, 1, -2)])
+            EdgeColoredGraph(3, [(0, 1, -2)])
 
     def test_size_cap(self):
         with pytest.raises(GraphError, match="outside supported range"):
@@ -84,7 +83,7 @@ class TestStats:
 
     def test_saturated_star(self):
         # One color spanning a star: only the hub loses it on deletion.
-        G = build(4, [(0, 1, 7), (0, 2, 7), (0, 3, 7)])
+        G = EdgeColoredGraph(4, [(0, 1, 7), (0, 2, 7), (0, 3, 7)])
         _, _, prof = stats(G)
         assert prof.saturated_degree == (1, 0, 0, 0)
 
@@ -104,7 +103,7 @@ class TestDeletion:
 
     def test_missing_edge(self):
         with pytest.raises(GraphError, match="not present"):
-            delete_edge(build(3, [(0, 1, 0)]), 1, 2)
+            delete_edge(EdgeColoredGraph(3, [(0, 1, 0)]), 1, 2)
 
     def test_identities_random(self):
         # m(G-v) = m - d(v) and c(G-v) = c - d^s(v), cross-checked by
@@ -112,7 +111,7 @@ class TestDeletion:
         rng = random.Random(7)
         for _ in range(300):
             n, triples = random_colored_graph(rng, n_max=10)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             _, _, prof = stats(G)
             for v in range(n):
                 H = delete_vertex(G, v)
@@ -121,7 +120,7 @@ class TestDeletion:
                 assert H.c == len({c for c in H.edges.values()})
 
     def test_renumbering_is_order_preserving(self):
-        G = build(4, [(0, 1, 0), (1, 3, 1), (2, 3, 2)])
+        G = EdgeColoredGraph(4, [(0, 1, 0), (1, 3, 1), (2, 3, 2)])
         H = delete_vertex(G, 1)
         assert sorted(H.edges) == [(1, 2)]
         assert H.edges[(1, 2)] == 2
@@ -129,7 +128,7 @@ class TestDeletion:
 
 class TestCanonicalize:
     def test_idempotent_and_relabels(self):
-        G = build(3, [(0, 1, 7), (1, 2, 3), (0, 2, 9)])
+        G = EdgeColoredGraph(3, [(0, 1, 7), (1, 2, 3), (0, 2, 9)])
         C = canonicalize_colors(G)
         assert sorted(C.edges.values()) == [0, 1, 2]
         assert canonicalize_colors(C) == C
@@ -138,19 +137,19 @@ class TestCanonicalize:
         rng = random.Random(11)
         for _ in range(100):
             n, triples = random_colored_graph(rng, n_max=8)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             labels = sorted({c for _, _, c in triples})
             perm = labels[:]
             rng.shuffle(perm)
             mapping = dict(zip(labels, perm))
-            H = build(n, [(u, v, mapping[c]) for u, v, c in triples])
+            H = EdgeColoredGraph(n, [(u, v, mapping[c]) for u, v, c in triples])
             assert canonicalize_colors(G) == canonicalize_colors(H)
 
     def test_preserves_statistics(self):
         rng = random.Random(13)
         for _ in range(100):
             n, triples = random_colored_graph(rng, n_max=9)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             C = canonicalize_colors(G)
             assert stats(G)[:2] == stats(C)[:2]
             assert stats(G).profile == stats(C).profile
@@ -162,7 +161,7 @@ class TestInvariants:
         rng = random.Random(17)
         for _ in range(300):
             n, triples = random_colored_graph(rng, n_max=12)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             m, c, prof = stats(G)
             assert prof.degree_sum == 2 * m
             assert prof.color_degree_sum <= 2 * m
@@ -232,8 +231,8 @@ class TestFormats:
 
 def test_is_complete():
     assert is_complete(mono_k3())
-    assert not is_complete(build(3, [(0, 1, 0)]))
-    assert is_complete(build(1, []))
+    assert not is_complete(EdgeColoredGraph(3, [(0, 1, 0)]))
+    assert is_complete(EdgeColoredGraph(1, []))
 
 
 GOLDEN_ERRORS = Path(__file__).parent / "data" / "golden_graph_errors.json"

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from rainbowgraphs.constructions import build_gk, build_hnk
-from rainbowgraphs.graphs import GraphError, build
+from rainbowgraphs.graphs import EdgeColoredGraph, GraphError
 from rainbowgraphs.rainbow import (
     count_rainbow_triangles,
     enumerate_rainbow_cliques,
@@ -19,11 +19,11 @@ from _oracles import brute_rainbow_cliques, brute_rainbow_triangles, random_colo
 
 def rainbow_complete(n):
     pairs = list(combinations(range(n), 2))
-    return build(n, [(u, v, i) for i, (u, v) in enumerate(pairs)])
+    return EdgeColoredGraph(n, [(u, v, i) for i, (u, v) in enumerate(pairs)])
 
 
 def mono_complete(n):
-    return build(n, [(u, v, 0) for u, v in combinations(range(n), 2)])
+    return EdgeColoredGraph(n, [(u, v, 0) for u, v in combinations(range(n), 2)])
 
 
 class TestTriangles:
@@ -41,7 +41,7 @@ class TestTriangles:
         rng = random.Random(23)
         for _ in range(200):
             n, triples = random_colored_graph(rng, n_max=10)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             got = list_rainbow_triangles(G)
             assert got == sorted(got)
             assert got == brute_rainbow_triangles(G)
@@ -60,7 +60,7 @@ class TestCliqueEnumeration:
         pairs = list(combinations(range(8), 2))
         for _ in range(60):
             c = rng.randint(2, len(pairs))
-            G = build(8, [(u, v, rng.randrange(c)) for u, v in pairs])
+            G = EdgeColoredGraph(8, [(u, v, rng.randrange(c)) for u, v in pairs])
             got = enumerate_rainbow_cliques(G, 4)
             assert got == brute_rainbow_cliques(G, 4)
 
@@ -68,7 +68,7 @@ class TestCliqueEnumeration:
         rng = random.Random(31)
         for _ in range(150):
             n, triples = random_colored_graph(rng, n_max=10, n_min=4)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             for k in (3, 4):
                 assert enumerate_rainbow_cliques(G, k) == brute_rainbow_cliques(G, k)
 
@@ -76,7 +76,7 @@ class TestCliqueEnumeration:
         rng = random.Random(37)
         for _ in range(150):
             n, triples = random_colored_graph(rng, n_max=9, n_min=3)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             assert enumerate_rainbow_cliques(G, 3) == list_rainbow_triangles(G)
 
     def test_limit_prefix(self):
@@ -94,7 +94,7 @@ class TestCliqueEnumeration:
     def test_too_few_colors_have_none(self):
         # A rainbow k-clique needs C(k,2) distinct colors.
         rng = random.Random(41)
-        G = build(64, [(u, v, rng.randrange(3)) for u, v in combinations(range(64), 2)])
+        G = EdgeColoredGraph(64, [(u, v, rng.randrange(3)) for u, v in combinations(range(64), 2)])
         assert G.c == 3
         for k in (4, 5, 6):
             assert enumerate_rainbow_cliques(G, k) == []
@@ -108,7 +108,7 @@ class TestCliqueEnumeration:
             n = rng.randint(4, 7)
             chosen = rng.sample(pairs[n], rng.randint(len(pairs[n]) - 2, len(pairs[n])))
             c = rng.randint(1, min(len(chosen), 11))
-            G = build(n, [(u, v, rng.randrange(c)) for u, v in chosen])
+            G = EdgeColoredGraph(n, [(u, v, rng.randrange(c)) for u, v in chosen])
             for k in range(3, n + 1):
                 assert enumerate_rainbow_cliques(G, k) == brute_rainbow_cliques(G, k)
 
@@ -124,7 +124,7 @@ class TestCliqueEnumeration:
             # take distinct ids, the others reuse them.
             palette = rng.sample(range(10 ** 9), rng.randint(1, max(1, len(chosen))))
             colors = palette + [rng.choice(palette) for _ in chosen[len(palette):]]
-            G = build(n, [(u, v, col) for (u, v), col in zip(chosen, colors)])
+            G = EdgeColoredGraph(n, [(u, v, col) for (u, v), col in zip(chosen, colors)])
             for k in range(3, n + 1):
                 want = brute_rainbow_cliques(G, k)
                 assert enumerate_rainbow_cliques(G, k) == want
@@ -183,7 +183,7 @@ class TestGuaranteesSampled:
             chosen = rng.sample(pairs, m)
             c = rng.randint(max(1, m - 6), m)
             colors = [rng.randrange(c) for _ in chosen]
-            G = build(n, [(u, v, col) for (u, v), col in zip(chosen, colors)])
+            G = EdgeColoredGraph(n, [(u, v, col) for (u, v), col in zip(chosen, colors)])
             st = stats(G)
             count = count_rainbow_triangles(G)
             assert count >= guaranteed_triangles_mc(n, st.m, st.c)

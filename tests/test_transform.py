@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from rainbowgraphs.graphs import FormatError, GraphError, OrientedGraph, build, stats
+from rainbowgraphs.graphs import EdgeColoredGraph, FormatError, GraphError, OrientedGraph, stats
 from rainbowgraphs.rainbow import list_rainbow_triangles
 from rainbowgraphs.transform import (
     associated_colored_graph,
@@ -147,12 +147,12 @@ class TestGuaranteedDirected:
 
 class TestMonochromaticPaths:
     def test_star_p3s(self):
-        G = build(4, [(0, 1, 5), (0, 2, 5), (0, 3, 5)])
+        G = EdgeColoredGraph(4, [(0, 1, 5), (0, 2, 5), (0, 3, 5)])
         assert find_monochromatic_p3(G) == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
         assert find_monochromatic_p4(G) is None
 
     def test_path_p4(self):
-        G = build(4, [(0, 1, 9), (1, 2, 9), (2, 3, 9)])
+        G = EdgeColoredGraph(4, [(0, 1, 9), (1, 2, 9), (2, 3, 9)])
         p4 = find_monochromatic_p4(G)
         assert p4 is not None
         a, b, c, d = p4
@@ -162,7 +162,7 @@ class TestMonochromaticPaths:
 
     def test_rainbow_k4_has_none(self):
         pairs = list(combinations(range(4), 2))
-        G = build(4, [(u, v, i) for i, (u, v) in enumerate(pairs)])
+        G = EdgeColoredGraph(4, [(u, v, i) for i, (u, v) in enumerate(pairs)])
         assert find_monochromatic_p3(G) == []
         assert find_monochromatic_p4(G) is None
 
@@ -177,7 +177,7 @@ class TestMonochromaticPaths:
                      if rng.random() < 0.6]
             palette = rng.randint(1, max(1, len(pairs)))
             labels = rng.sample(range(10 * palette), palette)
-            G = build(n, [(u, v, rng.choice(labels)) for u, v in pairs])
+            G = EdgeColoredGraph(n, [(u, v, rng.choice(labels)) for u, v in pairs])
             p4 = find_monochromatic_p4(G)
             assert p4 == monochromatic_p4_referee(G)
             if p4 is not None:
@@ -190,39 +190,39 @@ class TestMonochromaticPaths:
 
 class TestOrientation:
     def test_single_p3_points_away_from_center(self):
-        G = build(3, [(0, 1, 2), (1, 2, 2)])
+        G = EdgeColoredGraph(3, [(0, 1, 2), (1, 2, 2)])
         report = orient_by_p3_rule(G)
         assert report.digraph.arcs == frozenset({(1, 0), (1, 2)})
         assert set(report.provenance.values()) == {"p3-forced"}
 
     def test_rainbow_triangle_becomes_cycle(self):
-        G = build(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+        G = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
         report = orient_by_p3_rule(G)
         assert report.digraph.arcs == frozenset({(0, 1), (1, 2), (2, 0)})
 
     def test_free_edges_low_to_high(self):
-        G = build(3, [(0, 1, 0), (1, 2, 1)])
+        G = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1)])
         report = orient_by_p3_rule(G)
         assert report.digraph.arcs == frozenset({(0, 1), (1, 2)})
         assert set(report.provenance.values()) == {"free-default"}
 
     def test_mono_p4_rejected(self):
-        G = build(4, [(0, 1, 9), (1, 2, 9), (2, 3, 9)])
+        G = EdgeColoredGraph(4, [(0, 1, 9), (1, 2, 9), (2, 3, 9)])
         with pytest.raises(GraphError, match="monochromatic path on 4"):
             orient_by_p3_rule(G)
 
     def test_shared_triangle_edge_rejected(self):
-        G = build(4, [(0, 1, 0), (0, 2, 1), (1, 2, 2), (0, 3, 3), (1, 3, 4)])
+        G = EdgeColoredGraph(4, [(0, 1, 0), (0, 2, 1), (1, 2, 2), (0, 3, 3), (1, 3, 4)])
         with pytest.raises(GraphError, match="share edge"):
             orient_by_p3_rule(G)
 
     def test_triangle_edge_in_p3_rejected(self):
-        G = build(4, [(0, 1, 0), (1, 2, 1), (0, 2, 2), (0, 3, 0)])
+        G = EdgeColoredGraph(4, [(0, 1, 0), (1, 2, 1), (0, 2, 2), (0, 3, 0)])
         with pytest.raises(GraphError, match="lies in a"):
             orient_by_p3_rule(G)
 
     def test_monochromatic_triangle_conflict_detected(self):
-        G = build(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
+        G = EdgeColoredGraph(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
         with pytest.raises(GraphError, match="both directions"):
             orient_by_p3_rule(G)
 
@@ -231,7 +231,7 @@ class TestOrientation:
         found = []
         while len(found) < count:
             n, triples = random_colored_graph(rng, n_max=9, n_min=3)
-            G = build(n, triples)
+            G = EdgeColoredGraph(n, triples)
             try:
                 report = orient_by_p3_rule(G)
             except GraphError:

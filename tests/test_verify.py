@@ -12,7 +12,6 @@ from rainbowgraphs.constructions import build_gk, turan_number
 from rainbowgraphs.graphs import (
     EdgeColoredGraph,
     GraphError,
-    build,
     canonicalize_colors,
     is_complete,
     stats,
@@ -593,7 +592,7 @@ class TestSampler:
                 old, new = G.edges[(u, v)], rng.choice(palette + [palette[-1] + 1])
                 if new == old:
                     continue
-                H = build(G.n, [(a, b, new if (a, b) == (u, v) else col)
+                H = EdgeColoredGraph(G.n, [(a, b, new if (a, b) == (u, v) else col)
                                 for (a, b), col in G.edges.items()])
                 if H.c == G.c and not enumerate_rainbow_cliques(H, k, limit=1):
                     return H
@@ -645,7 +644,7 @@ class TestMinimizer:
         assert instance_satisfies("T1", G, {})
         assert instance_satisfies("T2", G, {"k": 1})
         assert instance_satisfies("L1", G, {})
-        mono = build(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
+        mono = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
         assert instance_satisfies("T1", mono, {})  # premise fails, vacuous
 
 
@@ -756,7 +755,7 @@ class TestT3Faults:
     def test_certificate_without_the_premises(self, monkeypatch):
         # A complete 4-colored K_4, the T2 premise at k = 1, with 4
         # rainbow triangles.
-        G = build(4, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1),
+        G = EdgeColoredGraph(4, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1),
                       (0, 3, 2), (1, 2, 3)])
         assert count_rainbow_triangles(G) == 4
         assert instance_satisfies("T3", G, {"k": 1})

@@ -26,25 +26,20 @@ runner, the minimizer, ``recheck_counterexample`` and
 Sweeps enumerate colorings of K_n, of its edge subsets, or with exactly c
 colors, as restricted-growth strings over the edge slots: every coloring
 once up to renaming of colors (vertex symmetry is deliberately not
-quotiented; it affects speed only).  The strings come in lexicographic
-order, in blocks that share everything but the last slot.  ``_plan`` cuts
-a sweep into tasks of about equal weight, counted exactly in strings: it
-groups light edge subsets and splits heavy ones by RGS prefix.  At most
-min(jobs, cpu count) workers scan the tasks, and the results merge in
+quotiented; it affects speed only).  ``_plan`` cuts a sweep into tasks of
+about equal weight, counted exactly in strings by ``_completions``.  At
+most min(jobs, cpu count) workers scan them, and the results merge in
 serial order, so no report depends on ``jobs``.  T1, T2, T4 and L1 are
 each one rule over a coloring's n, m, statistic (m + c, or the color-
 degree sum) and rainbow triangle count t: their statements apply it to a
 graph, and their scans read slot arrays, never graphs, and look each
-string up in ``_verdicts``, the rule's table per (n, m).  Its least entry
-is a floor on the statistic, so each edge subset is generated only from
-the fewest colors that can reach it (``_rgs_blocks``'s ``floor``); the
-strings below it are counted exactly by ``_completions``.  Per block the
-scans compute the color count, the color degrees off the last edge and
-the rainbow triangles avoiding the last slot (``_last_slot_counts``).
-T3's scan reads t per string too, and builds and certifies a graph only
-for its premise strings, those with t = k.  T4 also bounds the color-
-degree sum of each group of blocks sharing all but the last two slots,
-and skips those below it.
+string up in ``_verdicts``, the rule's table per (n, m).  T1, T2, L1 and
+T3 count t as each slot closes triangles, and ``_rgs_blocks`` prunes a
+prefix whose t exceeds ``_ceiling``, the most any entry (for T3, its
+premise t = k) allows up to the most colors the prefix can reach.  T3
+certifies only its premise strings.  T4 steps the groups of blocks that
+share all but the last two slots and skips those whose color-degree sum
+cannot reach its table.
 Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
@@ -58,8 +53,8 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, starmap
-from math import comb
+from itertools import accumulate, chain, combinations, islice, starmap
+from math import comb, inf
 from multiprocessing import Pool
 from random import Random
 from typing import Callable
@@ -130,78 +125,116 @@ def bell_number(q: int) -> int:
     return sum(_stirling_row(q))
 
 
-def _rgs_blocks(slots, exact=None, prefix=(), floor=0):
+def _rgs_blocks(slots, exact=None, prefix=(), floor=0, closers=None,
+                ceiling=None):
     """Yield the restricted-growth strings over ``slots`` >= 1 positions
-    that use at least ``floor`` values, in blocks that share everything but
-    the last position.
+    that use at least ``floor`` values, in lexicographic order, in blocks
+    that share everything but the last position.
 
     Each block is ``(a, used, last_values)``: ``a[:slots-1]`` is a valid
-    prefix using ``used`` values, and the block's strings are ``a`` with
-    ``a[slots-1]`` set to each value of the range ``last_values`` in turn
-    (``range(used+1)``; ``range(used, used+1)`` when only a new value
-    reaches the floor; under ``exact``, also ``range(used)``).  The last
-    position of ``a`` is left to the caller, and ``a`` is a shared buffer:
-    consume it before advancing.  Blocks come in lexicographic order, so
-    the strings do too.  ``exact`` keeps only strings using exactly that
-    many values: it is both the floor and the cap.  Both are pruned during
-    generation, never filtered.  ``prefix`` pins the first positions, which
-    partitions the space for parallel scans.
+    prefix using ``used`` values, and the block's strings set ``a[slots-1]``
+    to each value of the range ``last_values`` (``range(used+1)``, less the
+    values that miss the floor or, under ``exact``, the cap).  ``a`` is a
+    shared buffer: consume it before advancing.  ``exact`` keeps only
+    strings using exactly that many values; both bounds prune generation.
+    ``prefix`` pins the first positions, which partitions the space.
 
-    The prefixes are stepped iteratively, as in the successor loop of
-    Knuth's Algorithm H (TAOCP 7.2.1.5): raise the rightmost position
-    that can still grow, then refill the positions after it with their
-    smallest feasible values.
+    ``closers[i]``, if given, holds the other two positions of each
+    triangle whose last position is i, and each block gains a fourth item:
+    t, the triangles of its prefix with three distinct values, counted as
+    each position closes them (``_last_slot_counts``).  t never falls as a
+    prefix grows, so one whose t exceeds ``ceiling[c]``, for the most
+    values c it can still reach, is pruned; the ceiling never falls with
+    c either, and its -1 entries raise the floor.
+
+    The prefixes are stepped as in the successor loop of Knuth's Algorithm
+    H (TAOCP 7.2.1.5): raise the rightmost position that can still grow,
+    then refill the ones after it with their smallest feasible values.
+    Position slots-2 steps in one loop.
     """
     cap = slots if exact is None else exact    # most values a string uses
     need = floor if exact is None else exact   # fewest values a string uses
+    if ceiling is not None:
+        need = max(need, ceiling.count(-1))
     if slots == 0 or not max(need, 1) <= cap <= slots:
         return
     last = slots - 1
-    if len(prefix) > slots:
-        raise GraphError(f"invalid restricted-growth prefix {prefix!r}")
-    fixed, pinned = prefix[:last], prefix[last:]
+    # top[u + r]: most triangles with u values used and r positions left.
+    top = [-1 if c < need else inf if ceiling is None else ceiling[c]
+           for c in range(cap + 1)]
+    top += top[-1:] * (2 * slots - cap)
     a = [0] * slots
     before = [0] * slots    # before[i]: values used by a[:i]
-    used = 0
+    tris = [0] * slots      # tris[i]: triangles closed by a[:i]
+    closing = [None] * slots    # closing[i][v]: triangles a[i] = v closes
+    used = t = 0
     for i, val in enumerate(prefix):
-        if not 0 <= val <= used:
+        if i > last or not 0 <= val <= used:
             raise GraphError(f"invalid restricted-growth prefix {prefix!r}")
         a[i] = val
-        if val == used and i < last:
-            used += 1
-    start = len(fixed)
-    if used > cap or used + slots - start < need:
+        if i < last:
+            if closers is not None:
+                t += _last_slot_counts(a, used, (), closers[i])[val]
+            used += val == used
+    i = start = min(len(prefix), last)
+    if used > cap or t > top[used + slots - start]:
         return
     ranges = [range(0 if u >= need else u, u + 1 if u < cap else u)
               for u in range(slots + 1)]
-    if pinned:
-        if pinned[0] in ranges[used]:
-            yield a, used, range(pinned[0], pinned[0] + 1)
-        return
-    i = start
-    while True:
-        while i < last:
-            before[i] = used
-            if used and used + last - i >= need:
-                a[i] = 0
-            else:
-                a[i] = used
-                used += 1
-            i += 1
-        yield a, used, ranges[used]
-        i = last - 1
-        while i >= start:
-            used = before[i]
-            val = a[i] + 1
-            if val < used or (val == used < cap):
-                a[i] = val
-                if val == used:
-                    used += 1
-                i += 1
-                break
-            i -= 1
-        else:
+    for pinned in prefix[last:]:
+        if pinned not in ranges[used]:
             return
+        ranges[used] = range(pinned, pinned + 1)
+    before[i], tris[i] = used, t
+    v = 0    # the least value left to try at position i; 0 on entering it
+    while True:
+        if i < last - 1:
+            used = before[i]
+            if closers is not None and not v:
+                closing[i] = _last_slot_counts(a, used, (), closers[i])
+            if v < used and used + last - i < need:
+                v = used    # only a new value reaches the floor
+            if closers is not None:
+                cnt, t = closing[i], tris[i]
+                room = top[used + last - i] - t
+                while v < used and cnt[v] > room:
+                    v += 1
+                if v == used and cnt[v] > top[used + 1 + last - i] - t:
+                    v += 1
+            if v < used or v == used < cap:
+                a[i] = v
+                i += 1
+                before[i] = used + (v == used)
+                if closers is not None:
+                    tris[i] = t + cnt[v]
+                v = 0
+                continue
+        elif i == last - 1:
+            # One block per value of position last - 1, one position left.
+            used, t = before[i], tris[i]
+            if closers is None:
+                if top[used + 1] >= 0:
+                    for v in range(used):
+                        a[i] = v
+                        yield a, used, ranges[used]
+                if used < cap and top[used + 2] >= 0:
+                    a[i] = used
+                    yield a, used + 1, ranges[used + 1]
+            else:
+                cnt = _last_slot_counts(a, used, (), closers[i])
+                for v in range(used + (used < cap)):
+                    grown = used + (v == used)
+                    if cnt[v] <= top[grown + 1] - t:
+                        a[i] = v
+                        yield a, grown, ranges[grown], t + cnt[v]
+        elif closers is None:
+            yield a, before[i], ranges[before[i]]
+        else:
+            yield a, before[i], ranges[before[i]], tris[i]
+        i -= 1
+        if i < start:
+            return
+        v = a[i] + 1
 
 
 def _rgs_iter(slots, exact=None, prefix=(), floor=0):
@@ -226,19 +259,11 @@ def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def _split_at_last(tris, last: int):
-    """The slot triangles avoiding slot ``last``, and the other two slots
-    of each triangle through it."""
-    rest = [t for t in tris if last not in t]
-    through = [tuple(s for s in t if s != last) for t in tris if last in t]
-    return rest, through
-
-
 def _last_slot_counts(a, used: int, rest, through) -> list[int]:
-    """Rainbow triangle counts of one RGS block, indexed by the value of
-    the last slot: the ``rest`` triangles count for every value, and one
-    through the last slot counts unless the value repeats one of its
-    other two (distinct) colors."""
+    """Rainbow triangle counts indexed by the value 0..``used`` of one
+    slot: the ``rest`` triangles count for every value, and one through
+    the slot, given by its other two slots, counts unless the value
+    repeats one of their two (distinct) colors."""
     fixed = 0
     for i, j, l in rest:
         x, y, z = a[i], a[j], a[l]
@@ -278,8 +303,8 @@ def enumerate_colorings(n: int, exact_colors: int | None = None,
         if n > 6:
             estimate = bell_number(comb(7, 2))
             raise BudgetError(
-                f"unconstrained enumeration is capped at n=6; n={n} would "
-                f"visit at least Bell(21) = {estimate} colorings", estimate)
+                f"unconstrained enumeration is capped at n=6; n=7 would "
+                f"visit Bell(21) = {estimate} colorings", estimate)
         targets = [None]
     else:
         targets = [exact_colors] if exact_colors is not None else list(
@@ -439,8 +464,9 @@ def _verdicts(name: str, n: int, m: int, k_max: int | None):
     ``table[value][t]`` is None, or ``(premise, failure, witness)``: some
     k is inside; the params and detail of the first failing k, or None;
     the witness rule holds at k_max.  As the premise of k + 1 implies
-    that of k, k stops at the first k outside or failing.  ``lowest`` is
-    the least value with an entry."""
+    that of k, k stops at the first k outside or failing.  ``lowest``,
+    the least value with an entry, floors T4's sweep; the m + c sweeps
+    prune by the largest t with an entry instead (``_ceiling``)."""
     check = CHECKS[name]
     ks = [None] if k_max is None else range(1, k_max + 1)
     at_max = {} if k_max is None else {"k": k_max}
@@ -465,6 +491,20 @@ def _verdicts(name: str, n: int, m: int, k_max: int | None):
     lowest = next((value for value, row in enumerate(table) if any(row)),
                   2 * m + 1)
     return lowest, table
+
+
+@lru_cache(maxsize=None)
+def _ceiling(name: str, n: int, m: int, k_max: int | None):
+    """Per c = 0..m, the largest t of a ``_verdicts`` entry at m + c or
+    below, or -1: the most rainbow triangles a coloring of m edges of K_n
+    with at most c colors can have and be judged.  For T3 (``k_max`` = k)
+    it is k from its exact n + k - 1 colors on."""
+    if name == "T3":
+        return tuple(k_max if c >= n + k_max - 1 else -1
+                     for c in range(m + 1))
+    tops = accumulate((max((t for t, e in enumerate(row) if e), default=-1)
+                       for row in _verdicts(name, n, m, k_max)[1]), max)
+    return tuple(islice(tops, m, 2 * m + 1))
 
 
 def _tally(out: dict, name: str, verdict, n: int, pairs, colors) -> None:
@@ -531,30 +571,27 @@ def _plan(units, workers: int) -> list[list[tuple]]:
     return tasks
 
 
-def _rgs_totals(m: int, tris, lowest: int, out: dict, prefix=(),
+def _rgs_totals(m: int, closers, ceiling, out: dict, prefix=(),
                 exact=None):
-    """Yield ``(a, m + c, t)`` for every coloring ``a`` of ``m`` slots
-    extending ``prefix`` (with exactly ``exact`` colors, if given), with c
-    colors and t rainbow triangles among ``tris``, whose total ``m + c``
-    reaches ``lowest``.
-
-    Every coloring, yielded or not, is counted in ``out["instances"]``,
-    exactly by ``_completions``; only those with c >= lowest - m are
-    generated.  ``a`` is a shared buffer with its last slot already set.
-    """
+    """Yield ``(a, m + c, t)`` for colorings ``a`` of ``m`` slots extending
+    ``prefix`` (with exactly ``exact`` colors, if given), with c colors and
+    t rainbow triangles, each slot adding those it closes (``closers``),
+    that ``ceiling`` does not prune (``_rgs_blocks``).  Every coloring is
+    counted in ``out["instances"]``, exactly by ``_completions``.  ``a`` is
+    a shared buffer with its last slot already set."""
     out["instances"] += _completions(m, prefix, exact)
     if m == 0:
-        # No slots: the empty coloring, if it meets exact and lowest.
-        for a in _rgs_iter(0, exact, prefix, lowest):
+        # No slots: the empty coloring, if it meets exact and the ceiling.
+        for a in _rgs_iter(0, exact, prefix, ceiling.count(-1)):
             yield a, 0, 0
         return
     last = m - 1
-    rest, through = _split_at_last(tris, last)
-    for a, used, values in _rgs_blocks(m, exact, prefix, lowest - m):
-        counts = _last_slot_counts(a, used, rest, through)
+    for a, used, values, t in _rgs_blocks(m, exact, prefix,
+                                          closers=closers, ceiling=ceiling):
+        counts = _last_slot_counts(a, used, (), closers[last])
         for val in values:
             a[last] = val
-            yield a, m + used + (val == used), counts[val]
+            yield a, m + used + (val == used), t + counts[val]
 
 
 def _t3_scan(name: str, grid: dict, pieces) -> dict:
@@ -569,9 +606,10 @@ def _t3_scan(name: str, grid: dict, pieces) -> dict:
     out = {"instances": 0, "premise": 0, "cex": [], "notes": notes}
     observations = []
     for _n, mask, prefix in pieces:
-        pairs, tris = _subset_tables(n, mask)
-        for a, _total, t_count in _rgs_totals(len(pairs), tris, 0, out,
-                                              prefix, exact=n + k - 1):
+        pairs, closers = _subset_tables(n, mask)
+        m = len(pairs)
+        for a, _total, t_count in _rgs_totals(m, closers, _ceiling(
+                name, n, m, k), out, prefix, exact=n + k - 1):
             if t_count != k:
                 continue
             G = _graph_from_colors(n, pairs, a)
@@ -594,14 +632,15 @@ def _t3_scan(name: str, grid: dict, pieces) -> dict:
 
 
 def _subset_tables(n: int, mask: int):
-    """The edge slots of K_n in ``mask``, and the triangles they hold as
-    index triples into them."""
+    """The edge slots of K_n in ``mask``, and per slot l the other two
+    slots (i, j), i < j < l, of each triangle whose last slot is l."""
     pairs = [pair for i, pair in enumerate(_edge_slots(n)) if mask >> i & 1]
     index = {pair: i for i, pair in enumerate(pairs)}
-    tris = [(index[u, v], index[u, w], index[v, w])
-            for u, v, w in combinations(range(n), 3)
-            if (u, v) in index and (u, w) in index and (v, w) in index]
-    return pairs, tris
+    closers = [[] for _ in pairs]
+    for u, v, w in combinations(range(n), 3):
+        if (u, v) in index and (u, w) in index and (v, w) in index:
+            closers[index[v, w]].append((index[u, v], index[u, w]))
+    return pairs, closers
 
 
 def _mc_scan(name: str, grid: dict, pieces) -> dict:
@@ -610,10 +649,11 @@ def _mc_scan(name: str, grid: dict, pieces) -> dict:
     out = {"instances": 0, "premise": 0, "cex": [],
            "witness_count": 0, "witnesses": []}
     for n, mask, prefix in pieces:
-        pairs, tris = _subset_tables(n, mask)
-        lowest, table = _verdicts(name, n, len(pairs), grid.get("k_max"))
-        for a, total, t_count in _rgs_totals(len(pairs), tris, lowest, out,
-                                             prefix):
+        pairs, closers = _subset_tables(n, mask)
+        m, k_max = len(pairs), grid.get("k_max")
+        table = _verdicts(name, n, m, k_max)[1]
+        for a, total, t_count in _rgs_totals(m, closers, _ceiling(
+                name, n, m, k_max), out, prefix):
             verdict = table[total][t_count]
             if verdict is not None:
                 _tally(out, name, verdict, n, pairs, a)
@@ -624,7 +664,7 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
     out = {"instances": 0, "premise": 0, "cex": [],
            "witness_count": 0, "witnesses": []}
     for n, mask, prefix in pieces:
-        pairs, tris = _subset_tables(n, mask)
+        pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
         out["instances"] += _completions(m, prefix)
         lowest, table = _verdicts(name, n, m, grid["k_max"])
@@ -649,7 +689,7 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
         others = [lst for w, lst in enumerate(incident) if w not in moving]
         single = sum(1 for lst in others if len(lst) == 1)
         multi = [lst for lst in others if len(lst) > 1]
-        rest, through = _split_at_last(tris, last)
+        rest = [(i, j, l) for l in range(last) for i, j in closers[l]]
         for a, used2, values2 in _rgs_blocks(m - 1, prefix=prefix,
                                              floor=floor - 1):
             cols = {w: {a[i] for i in incident[w]} for w in moving}
@@ -669,7 +709,7 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
                 if y in (p, q):
                     y_cols = y_cols | {v2}
                 used = used2 + (v2 == used2)
-                counts = _last_slot_counts(a, used, rest, through)
+                counts = _last_slot_counts(a, used, rest, closers[last])
                 for val in range(0 if used >= floor else used, used + 1):
                     sum_dc = base + (val not in x_cols) + (val not in y_cols)
                     verdict = table[sum_dc][counts[val]]
@@ -696,7 +736,8 @@ def _check_sweep_budget(n_max: int, subsets: bool) -> None:
     """Raise BudgetError when the sweep over n = 1..n_max would visit
     ENUMERATION_BUDGET instances: Bell(C(n,2)) colorings of each K_n, or,
     summing Bell(|E'|) over the edge subsets E', Bell(C(n,2)+1) colored
-    subgraphs.  The sum stops at the budget, so a huge n_max costs nothing.
+    subgraphs.  The sum stops at the budget, so a huge n_max costs nothing,
+    and the message names the n that reaches it, never n_max itself.
     """
     estimate = 0
     for n in range(1, n_max + 1):
@@ -704,21 +745,20 @@ def _check_sweep_budget(n_max: int, subsets: bool) -> None:
         if estimate >= ENUMERATION_BUDGET:
             kind = "edge-subset" if subsets else "exhaustive"
             raise BudgetError(
-                f"{kind} sweep up to n={n_max} would visit at least "
-                f"{estimate} instances (budget {ENUMERATION_BUDGET})",
-                estimate)
+                f"{kind} sweep reaches its budget of {ENUMERATION_BUDGET} "
+                f"instances at n={n}: {estimate} up to there", estimate)
 
 
 def _check_exact_budget(n: int, colors) -> None:
     """Raise BudgetError past n = 7, or when the colorings of K_n with c
     colors, summed over ``colors``, reach ENUMERATION_BUDGET.  The cap is
     tested first: past it the count at n = 8 stands in, a lower bound that
-    needs no large Stirling row."""
+    needs no large Stirling row, and the message names n = 8."""
     estimate = sum(stirling2(comb(min(n, 8), 2), c) for c in colors)
     if n > 7 or estimate >= ENUMERATION_BUDGET:
         raise BudgetError(
-            f"exact-color enumeration at n={n} (capped at n=7) would visit "
-            f"{'at least ' if n > 7 else ''}{estimate} colorings "
+            f"exact-color enumeration at n={min(n, 8)} (capped at n=7) would "
+            f"visit {'at least ' if n > 7 else ''}{estimate} colorings "
             f"(budget {ENUMERATION_BUDGET})", estimate)
 
 

@@ -319,6 +319,111 @@ class TestVerdictTables:
             assert verify._verdicts(name, n, m, k_max)[0] == lowest, name
 
 
+def _judged_strings(n, mask, exact=None):
+    """Every restricted-growth string of the edge slots of K_n in ``mask``
+    (with exactly ``exact`` colors, if given), in order, with its m + c and
+    its rainbow triangle count from the brute oracle."""
+    pairs, _closers = verify._subset_tables(n, mask)
+    out = []
+    for a in _rgs_iter(len(pairs), exact):
+        G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, a)])
+        out.append((tuple(a), G.m + G.c, len(brute_rainbow_triangles(G))))
+    return out
+
+
+def _yielded(n, mask, ceiling, exact=None):
+    pairs, closers = verify._subset_tables(n, mask)
+    out = {"instances": 0}
+    return [(tuple(a), total, t) for a, total, t in verify._rgs_totals(
+        len(pairs), closers, ceiling, out, exact=exact)]
+
+
+def _running_top(table, m):
+    """The ceiling by brute force: per c, the largest t of an entry at a
+    statistic of at most m + c, or -1."""
+    return tuple(max((t for value in range(m + c + 1)
+                      for t, entry in enumerate(table[value])
+                      if entry is not None), default=-1)
+                 for c in range(m + 1))
+
+
+class TestTriangleCeiling:
+    """``_rgs_totals`` prunes every prefix whose rainbow triangle count
+    exceeds ``_ceiling`` at the most colors it can still reach.  On every
+    edge subset of K_n, n <= 4, and on T3's exact-color sweeps up to n = 5,
+    what it yields must be a subsequence of ``_rgs_iter``'s strings, with
+    the true m + c and t of each, holding every string with a verdict."""
+
+    @staticmethod
+    def _check(strings, got, wanted):
+        rest = iter(strings)
+        assert all(row in rest for row in got)    # in order, values true
+        assert wanted(strings) <= set(got)
+
+    def test_mc_sweeps_keep_every_judged_string(self):
+        cases = [("T1", None), ("L1", None)] + [("T2", k) for k in range(5)]
+        for n in range(5):
+            for mask in range(1 << comb(n, 2)):
+                m = bin(mask).count("1")
+                strings = _judged_strings(n, mask)
+                for name, k_max in cases:
+                    table = verify._verdicts(name, n, m, k_max)[1]
+                    ceiling = verify._ceiling(name, n, m, k_max)
+                    assert ceiling == _running_top(table, m), (name, n, m)
+                    self._check(strings, _yielded(n, mask, ceiling),
+                                lambda rows: {row for row in rows
+                                              if table[row[1]][row[2]]})
+
+    def test_t3_sweeps_keep_every_premise_string(self):
+        for n in range(6):
+            mask = (1 << comb(n, 2)) - 1
+            for k in range(3):
+                exact = n + k - 1
+                ceiling = verify._ceiling("T3", n, comb(n, 2), k)
+                assert ceiling == tuple(k if c >= exact else -1
+                                        for c in range(comb(n, 2) + 1))
+                self._check(_judged_strings(n, mask, exact),
+                            _yielded(n, mask, ceiling, exact),
+                            lambda rows: {row for row in rows
+                                          if row[2] == k})
+
+    def test_ceiling_carries_the_running_maximum(self, monkeypatch):
+        # No rule tabulated so far has a row below its best; this one
+        # allows three triangles only at m + c = 8 on K_4's six edges, so
+        # the ceiling must hold 3 from c = 2 on.
+        n, m = 4, 6
+        table = [[None] * (comb(n, 3) + 1) for _ in range(2 * m + 1)]
+        table[8][3] = (True, None, False)
+        table[10][1] = (True, None, False)
+        monkeypatch.setattr(verify, "_verdicts",
+                            lambda *args: (8, table))
+        ceiling = verify._ceiling.__wrapped__("T2", n, m, 3)
+        assert ceiling == _running_top(table, m) == (-1,) * 2 + (3,) * 5
+        mask = (1 << m) - 1
+        self._check(_judged_strings(n, mask), _yielded(n, mask, ceiling),
+                    lambda rows: {row for row in rows
+                                  if table[row[1]][row[2]]})
+
+    def test_default_grids_generate_only_these_strings(self, monkeypatch):
+        # Strings yielded to the scans on the default grids: the ceiling
+        # drops most of L1's and T3's, and none of T2's.
+        real = verify._rgs_totals
+        counts = []
+
+        def counting(*args, **kwargs):
+            for row in real(*args, **kwargs):
+                counts[-1] += 1
+                yield row
+
+        monkeypatch.setattr(verify, "_rgs_totals", counting)
+        got = {}
+        for name in ("L1", "T3", "T1", "T2"):
+            counts.append(0)
+            verify_theorem(name)
+            got[name] = counts[-1]
+        assert got == {"L1": 12049, "T3": 703, "T1": 103649, "T2": 104871}
+
+
 class TestGridAndBudget:
     def test_t1_sweep_budget_sums_over_n(self):
         with pytest.raises(BudgetError) as err:
@@ -330,6 +435,16 @@ class TestGridAndBudget:
         for check in ("T1", "T2", "T4", "L1"):
             with pytest.raises(BudgetError):
                 verify_theorem(check, {"n_max": 10 ** 6})
+
+    @pytest.mark.parametrize("check, grid, at", [
+        ("T1", {"n_max": 10 ** 5000}, "n=6"),
+        ("L1", {"n_max": 10 ** 5000}, "n=6"),
+        ("T3", {"n": 10 ** 5000, "k": 1}, "n=8")])
+    def test_budget_past_the_digit_limit(self, check, grid, at):
+        # The message names the n that reaches the budget, not the grid
+        # value, which past 4300 digits would not convert to text.
+        with pytest.raises(BudgetError, match=f"at {at}"):
+            verify_theorem(check, grid)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(GraphError, match="unknown T2 grid key 'nmax'"):

@@ -33,13 +33,14 @@ serial order, so no report depends on ``jobs``.  T1, T2, T4 and L1 are
 each one rule over a coloring's n, m, statistic (m + c, or the color-
 degree sum) and rainbow triangle count t: their statements apply it to a
 graph, and their scans read slot arrays, never graphs, and look each
-string up in ``_verdicts``, the rule's table per (n, m).  T1, T2, L1 and
-T3 count t as each slot closes triangles, and ``_rgs_blocks`` prunes a
-prefix whose t exceeds ``_ceiling``, the most any entry (for T3, its
-premise t = k) allows up to the most colors the prefix can reach.  T3
-certifies only its premise strings.  T4 steps the groups of blocks that
-share all but the last two slots and skips those whose color-degree sum
-cannot reach its table.
+string up in ``_verdicts``, the rule's table per (n, m).  Every sweep
+reads t from ``_rgs_blocks``, which counts it as each slot closes
+triangles.  T1, T2, L1 and T3 prune a prefix whose t exceeds
+``_ceiling``, the most any entry (for T3, its premise t = k) allows up
+to the most colors the prefix can reach.  T3 certifies only its premise
+strings.  T4 floors the colors by its color-degree sum, steps the groups
+of blocks that share all but the last two slots, and skips those whose
+sum cannot reach its table.
 Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
@@ -125,44 +126,42 @@ def bell_number(q: int) -> int:
     return sum(_stirling_row(q))
 
 
-def _rgs_blocks(slots, exact=None, prefix=(), floor=0, closers=None,
-                ceiling=None):
+def _rgs_blocks(slots, ceiling, prefix=(), closers=None):
     """Yield the restricted-growth strings over ``slots`` >= 1 positions
-    that use at least ``floor`` values, in lexicographic order, in blocks
-    that share everything but the last position.
+    that ``ceiling`` allows, in lexicographic order, in blocks that share
+    everything but the last position.
 
-    Each block is ``(a, used, last_values)``: ``a[:slots-1]`` is a valid
-    prefix using ``used`` values, and the block's strings set ``a[slots-1]``
-    to each value of the range ``last_values`` (``range(used+1)``, less the
-    values that miss the floor or, under ``exact``, the cap).  ``a`` is a
-    shared buffer: consume it before advancing.  ``exact`` keeps only
-    strings using exactly that many values; both bounds prune generation.
-    ``prefix`` pins the first positions, which partitions the space.
+    Each block is ``(a, used, last_values, t)``: ``a[:slots-1]`` is a valid
+    prefix using ``used`` values, the block's strings set ``a[slots-1]`` to
+    each value of the range ``last_values`` (``range(used+1)``, less the
+    values that miss the floor or the cap), and t counts the triangles of
+    the prefix with three distinct values.  ``closers[i]`` holds the other
+    two positions of each triangle whose last position is i, and each
+    position adds the triangles it closes (``_last_slot_counts``); without
+    ``closers`` there are no triangles and t is 0.  ``a`` is a shared
+    buffer: consume it before advancing.  ``prefix`` pins the first
+    positions, which partitions the space.
 
-    ``closers[i]``, if given, holds the other two positions of each
-    triangle whose last position is i, and each block gains a fourth item:
-    t, the triangles of its prefix with three distinct values, counted as
-    each position closes them (``_last_slot_counts``).  t never falls as a
-    prefix grows, so one whose t exceeds ``ceiling[c]``, for the most
-    values c it can still reach, is pruned; the ceiling never falls with
-    c either, and its -1 entries raise the floor.
+    ``ceiling[c]`` is the most triangles a string with c values may have:
+    its length caps the values a string uses, its -1 entries (all before
+    the others, as it never falls with c) floor them, and as t never falls
+    as a prefix grows, one whose t exceeds ``ceiling[c]``, for the most
+    values c it can still reach, is pruned.
 
     The prefixes are stepped as in the successor loop of Knuth's Algorithm
     H (TAOCP 7.2.1.5): raise the rightmost position that can still grow,
     then refill the ones after it with their smallest feasible values.
     Position slots-2 steps in one loop.
     """
-    cap = slots if exact is None else exact    # most values a string uses
-    need = floor if exact is None else exact   # fewest values a string uses
-    if ceiling is not None:
-        need = max(need, ceiling.count(-1))
+    cap = len(ceiling) - 1      # most values a string uses
+    need = ceiling.count(-1)    # fewest values a string uses
     if slots == 0 or not max(need, 1) <= cap <= slots:
         return
+    if closers is None:
+        closers = [()] * slots
     last = slots - 1
     # top[u + r]: most triangles with u values used and r positions left.
-    top = [-1 if c < need else inf if ceiling is None else ceiling[c]
-           for c in range(cap + 1)]
-    top += top[-1:] * (2 * slots - cap)
+    top = list(ceiling) + [ceiling[-1]] * (2 * slots - cap)
     a = [0] * slots
     before = [0] * slots    # before[i]: values used by a[:i]
     tris = [0] * slots      # tris[i]: triangles closed by a[:i]
@@ -173,8 +172,7 @@ def _rgs_blocks(slots, exact=None, prefix=(), floor=0, closers=None,
             raise GraphError(f"invalid restricted-growth prefix {prefix!r}")
         a[i] = val
         if i < last:
-            if closers is not None:
-                t += _last_slot_counts(a, used, (), closers[i])[val]
+            t += _last_slot_counts(a, used, closers[i])[val]
             used += val == used
     i = start = min(len(prefix), last)
     if used > cap or t > top[used + slots - start]:
@@ -189,46 +187,31 @@ def _rgs_blocks(slots, exact=None, prefix=(), floor=0, closers=None,
     v = 0    # the least value left to try at position i; 0 on entering it
     while True:
         if i < last - 1:
-            used = before[i]
-            if closers is not None and not v:
-                closing[i] = _last_slot_counts(a, used, (), closers[i])
-            if v < used and used + last - i < need:
-                v = used    # only a new value reaches the floor
-            if closers is not None:
-                cnt, t = closing[i], tris[i]
-                room = top[used + last - i] - t
-                while v < used and cnt[v] > room:
-                    v += 1
-                if v == used and cnt[v] > top[used + 1 + last - i] - t:
-                    v += 1
+            used, t = before[i], tris[i]
+            if not v:
+                closing[i] = _last_slot_counts(a, used, closers[i])
+            cnt = closing[i]
+            room = top[used + last - i] - t
+            while v < used and cnt[v] > room:
+                v += 1
+            if v == used and cnt[v] > top[used + 1 + last - i] - t:
+                v += 1
             if v < used or v == used < cap:
                 a[i] = v
                 i += 1
                 before[i] = used + (v == used)
-                if closers is not None:
-                    tris[i] = t + cnt[v]
+                tris[i] = t + cnt[v]
                 v = 0
                 continue
         elif i == last - 1:
             # One block per value of position last - 1, one position left.
             used, t = before[i], tris[i]
-            if closers is None:
-                if top[used + 1] >= 0:
-                    for v in range(used):
-                        a[i] = v
-                        yield a, used, ranges[used]
-                if used < cap and top[used + 2] >= 0:
-                    a[i] = used
-                    yield a, used + 1, ranges[used + 1]
-            else:
-                cnt = _last_slot_counts(a, used, (), closers[i])
-                for v in range(used + (used < cap)):
-                    grown = used + (v == used)
-                    if cnt[v] <= top[grown + 1] - t:
-                        a[i] = v
-                        yield a, grown, ranges[grown], t + cnt[v]
-        elif closers is None:
-            yield a, before[i], ranges[before[i]]
+            cnt = _last_slot_counts(a, used, closers[i])
+            for v in range(used + (used < cap)):
+                grown = used + (v == used)
+                if cnt[v] <= top[grown + 1] - t:
+                    a[i] = v
+                    yield a, grown, ranges[grown], t + cnt[v]
         else:
             yield a, before[i], ranges[before[i]], tris[i]
         i -= 1
@@ -238,17 +221,21 @@ def _rgs_blocks(slots, exact=None, prefix=(), floor=0, closers=None,
 
 
 def _rgs_iter(slots, exact=None, prefix=(), floor=0):
-    """Yield restricted-growth strings over ``slots`` positions.
+    """Yield restricted-growth strings over ``slots`` positions that use
+    exactly ``exact`` values, if given, or else at least ``floor``.
 
     The yielded list is a shared buffer: consume it before advancing.
-    Arguments are as for :func:`_rgs_blocks`, which this flattens.
+    ``prefix`` is as for :func:`_rgs_blocks`, which this flattens.
     """
+    cap = slots if exact is None else min(exact, slots + 1)
+    need = floor if exact is None else exact
+    ceiling = [-1 if c < need else 0 for c in range(cap + 1)]
     if slots == 0:
-        if not prefix and (exact == 0 if exact is not None else floor <= 0):
+        if not prefix and ceiling[:1] == [0]:
             yield []
         return
     last = slots - 1
-    for a, _used, values in _rgs_blocks(slots, exact, prefix, floor):
+    for a, _used, values, _t in _rgs_blocks(slots, ceiling, prefix):
         for val in values:
             a[last] = val
             yield a
@@ -259,18 +246,12 @@ def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def _last_slot_counts(a, used: int, rest, through) -> list[int]:
-    """Rainbow triangle counts indexed by the value 0..``used`` of one
-    slot: the ``rest`` triangles count for every value, and one through
-    the slot, given by its other two slots, counts unless the value
-    repeats one of their two (distinct) colors."""
-    fixed = 0
-    for i, j, l in rest:
-        x, y, z = a[i], a[j], a[l]
-        if x != y and x != z and y != z:
-            fixed += 1
+def _last_slot_counts(a, used: int, through) -> list[int]:
+    """Rainbow triangle counts through one slot, indexed by its value
+    0..``used``: a triangle, given by the slot's other two slots, counts
+    unless the value repeats one of their two (distinct) colors."""
     closing = [(a[i], a[j]) for i, j in through if a[i] != a[j]]
-    counts = [fixed + len(closing)] * (used + 1)
+    counts = [len(closing)] * (used + 1)
     for x, y in closing:
         counts[x] -= 1
         counts[y] -= 1
@@ -580,15 +561,17 @@ def _rgs_totals(m: int, closers, ceiling, out: dict, prefix=(),
     counted in ``out["instances"]``, exactly by ``_completions``.  ``a`` is
     a shared buffer with its last slot already set."""
     out["instances"] += _completions(m, prefix, exact)
+    if exact is not None:
+        ceiling = [-1 if c < exact else top
+                   for c, top in enumerate(ceiling[:exact + 1])]
     if m == 0:
         # No slots: the empty coloring, if it meets exact and the ceiling.
         for a in _rgs_iter(0, exact, prefix, ceiling.count(-1)):
             yield a, 0, 0
         return
     last = m - 1
-    for a, used, values, t in _rgs_blocks(m, exact, prefix,
-                                          closers=closers, ceiling=ceiling):
-        counts = _last_slot_counts(a, used, (), closers[last])
+    for a, used, values, t in _rgs_blocks(m, ceiling, prefix, closers):
+        counts = _last_slot_counts(a, used, closers[last])
         for val in values:
             a[last] = val
             yield a, m + used + (val == used), t + counts[val]
@@ -672,12 +655,15 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
         if floor is None:
             continue
         # The kernel steps the first m - 1 slots in groups that share all
-        # but slot m - 2, edge pq; the last slot is edge xy.  Within a
-        # group the color degrees off p, q, x and y are fixed, and each
-        # endpoint of pq or xy gains one exactly when that edge's color is
-        # new to its earlier slots, so the color-degree sum of a group or
-        # a block is bounded before any string is made.  A mask with a
-        # floor has 2m >= lowest >= C(n+1,2), and n >= 3, so m >= 3.
+        # but slot m - 2, edge pq, with the group's triangle count t; the
+        # last slot is edge xy.  Slot m - 2 adds its triangles once per
+        # group, and slot m - 1 once per block.  Within a group the color
+        # degrees off p, q, x and y are fixed, and each endpoint of pq or
+        # xy gains one exactly when that edge's color is new to its earlier
+        # slots, so the color-degree sum of a group or a block is bounded
+        # before any string is made.  A mask with a floor has 2m >= lowest
+        # >= C(n+1,2), and n >= 3, so m >= 3.  The last slot may add a
+        # color, so the first m - 1 use at least floor - 1.
         last = m - 1
         x, y = pairs[last]
         p, q = pairs[last - 1]
@@ -689,15 +675,16 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
         others = [lst for w, lst in enumerate(incident) if w not in moving]
         single = sum(1 for lst in others if len(lst) == 1)
         multi = [lst for lst in others if len(lst) > 1]
-        rest = [(i, j, l) for l in range(last) for i, j in closers[l]]
-        for a, used2, values2 in _rgs_blocks(m - 1, prefix=prefix,
-                                             floor=floor - 1):
+        ceiling = [-1 if c < floor - 1 else inf for c in range(m)]
+        for a, used2, values2, t2 in _rgs_blocks(m - 1, ceiling, prefix,
+                                                 closers):
             cols = {w: {a[i] for i in incident[w]} for w in moving}
             base2 = single + sum(map(len, cols.values()))
             for lst in multi:
                 base2 += len({a[i] for i in lst})
             if base2 + 4 < lowest:
                 continue
+            counts2 = _last_slot_counts(a, used2, closers[last - 1])
             for v2 in values2:
                 base = base2 + (v2 not in cols[p]) + (v2 not in cols[q])
                 if base + 2 < lowest:
@@ -709,10 +696,11 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
                 if y in (p, q):
                     y_cols = y_cols | {v2}
                 used = used2 + (v2 == used2)
-                counts = _last_slot_counts(a, used, rest, closers[last])
+                t = t2 + counts2[v2]
+                counts = _last_slot_counts(a, used, closers[last])
                 for val in range(0 if used >= floor else used, used + 1):
                     sum_dc = base + (val not in x_cols) + (val not in y_cols)
-                    verdict = table[sum_dc][counts[val]]
+                    verdict = table[sum_dc][t + counts[val]]
                     if verdict is not None:
                         _tally(out, name, verdict, n, pairs, a + [val])
     return out

@@ -92,16 +92,42 @@ class TestRgsKernel:
                         verify._completions(q, prefix, c) for c in colors)
 
     def test_blocks_report_used_and_last_values(self):
+        # The ceiling's length caps the values a string uses and its -1
+        # entries floor them; without closers every block has t = 0.
         for q in range(1, 8):
-            for exact, floor in ([(None, f) for f in range(q + 2)]
-                                 + [(e, 0) for e in (1, q // 2 + 1, q)]):
-                for a, used, values in _rgs_blocks(q, exact, floor=floor):
-                    assert used == len(set(a[:-1]))
+            for low, cap in ([(f, q) for f in range(q + 2)]
+                             + [(e, e) for e in (1, q // 2 + 1, q)]):
+                ceiling = [-1] * low + [0] * (cap + 1 - low)
+                for a, used, values, t in _rgs_blocks(q, ceiling):
+                    assert used == len(set(a[:-1])) and t == 0
                     want = [v for v in range(used + 1)
-                            if len(set(a[:-1]) | {v}) == exact
-                            or exact is None
-                            and len(set(a[:-1]) | {v}) >= floor]
+                            if low <= len(set(a[:-1]) | {v}) <= cap]
                     assert list(values) == want
+        # With the closers of K_n, t counts the rainbow triangles of the
+        # block's prefix, also under a pinned prefix.
+        for n in range(6):
+            m = comb(n, 2)
+            pairs, closers = verify._subset_tables(n, (1 << m) - 1)
+            for low in (0, m // 2 + 1):
+                ceiling = [-1] * low + [comb(n, 3)] * (m + 1 - low)
+                blocks = [(tuple(a[:-1]), used, list(values), t) for a, used,
+                          values, t in _rgs_blocks(m, ceiling, (), closers)]
+                for head, used, values, t in blocks:
+                    assert used == len(set(head))
+                    assert values == [v for v in range(used + 1)
+                                      if len(set(head) | {v}) >= low]
+                    G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c
+                                             in zip(pairs, head)])
+                    assert t == len(brute_rainbow_triangles(G)), (n, head)
+                prefix = tuple(range(m - 1))
+                assert [(tuple(a[:-1]), used, list(values), t) for a, used,
+                        values, t in _rgs_blocks(m, ceiling, prefix,
+                                                 closers)] == [
+                    block for block in blocks
+                    if block[0][:len(prefix)] == prefix], (n, low)
+        # An empty ceiling allows no string, not even the empty one.
+        assert list(_rgs_blocks(3, [])) == []
+        assert list(_rgs_iter(0, exact=-1)) == []
 
     def test_invalid_prefix(self):
         for prefix in ((1,), (0, 2), (0, 0, 0, 0)):
@@ -424,6 +450,35 @@ class TestTriangleCeiling:
         assert got == {"L1": 12049, "T3": 703, "T1": 103649, "T2": 104871}
 
 
+class TestT4Scan:
+    def test_tallies_exactly_the_judged_strings(self, monkeypatch):
+        # On every edge subset of K_n, 1 <= n <= 4 (the sweep starts at
+        # n = 1), each string whose brute (color-degree sum, rainbow
+        # triangle count) has a table entry is tallied once, in order,
+        # with that entry, and no other string is.
+        tallied = []
+        monkeypatch.setattr(
+            verify, "_tally", lambda out, name, verdict, n, pairs, colors:
+            tallied.append((tuple(colors), verdict)))
+        for n in range(1, 5):
+            for mask in range(1 << comb(n, 2)):
+                pairs, _closers = verify._subset_tables(n, mask)
+                judged = []
+                for a in _rgs_iter(len(pairs)):
+                    G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c
+                                             in zip(pairs, a)])
+                    judged.append((tuple(a),
+                                   stats(G).profile.color_degree_sum,
+                                   len(brute_rainbow_triangles(G))))
+                for k_max in range(4):
+                    table = verify._verdicts("T4", n, len(pairs), k_max)[1]
+                    want = [(a, table[value][t]) for a, value, t in judged
+                            if table[value][t] is not None]
+                    tallied.clear()
+                    verify._t4_scan("T4", {"k_max": k_max}, [(n, mask, ())])
+                    assert tallied == want, (n, mask, k_max)
+
+
 class TestGridAndBudget:
     def test_t1_sweep_budget_sums_over_n(self):
         with pytest.raises(BudgetError) as err:
@@ -594,9 +649,10 @@ class TestVerifySmall:
             got.pop("seconds")
             assert json.loads(json.dumps(got)) == reference[check], check
 
-    def test_default_t2_jobs_match_serial(self):
-        serial = verify_theorem("T2").to_dict()
-        parallel = verify_theorem("T2", jobs=2).to_dict()
+    @pytest.mark.parametrize("check", ["T2", "T4"])
+    def test_default_t2_jobs_match_serial(self, check):
+        serial = verify_theorem(check).to_dict()
+        parallel = verify_theorem(check, jobs=2).to_dict()
         serial.pop("seconds")
         parallel.pop("seconds")
         assert parallel == serial
@@ -814,7 +870,7 @@ _FAULTS = {
     "L2-triangles": ("L2", {"count": 20, "n_max": 6}, {
         "directed_triangles": lambda D: []}),
 }
-_TRIANGLE_FREE = {"_last_slot_counts": lambda a, used, rest, through:
+_TRIANGLE_FREE = {"_last_slot_counts": lambda a, used, through:
                   [0] * (used + 1),
                   "count_rainbow_triangles": lambda G: 0}
 for _check, _grid in (("T1", {"n_max": 3}), ("T2", {"n_max": 3, "k_max": 2}),

@@ -256,14 +256,27 @@ def find_rainbow_spanning_turan(
     one of each group of earlier u sharing a color to v.  A placement adds
     conflicts only where another edge repeats one of its new cross
     colors, and backtracking removes them.  No bit per color is made, so
-    any number of colors is fine.  The search keeps its own stack, one
-    frame per placed vertex, so its depth is not bounded by the
-    interpreter's.
+    any number of colors is fine.
+
+    A balanced partition has exactly t = t(n, parts) cross edges, on t
+    distinct colors, so at most c - t colors lie wholly inside parts: with
+    c < t there is no partition.  The search keeps, per color, the number
+    of its edges not yet inside a part; placing v in p takes one off for
+    each edge from v to p's members, and a placement that closes more
+    colors than the budget has left holds no partition below it and is
+    skipped.  This only cuts empty subtrees, so the placements are tried
+    in the same order and the same first partition is returned.  The
+    search keeps its own stack, one frame per placed vertex, so its depth
+    is not bounded by the interpreter's.
     """
     if not is_complete(G):
         raise GraphError("rainbow spanning multipartite search needs a complete graph")
     sizes = TuranPartition.balanced(G.n, parts).sizes
     n = G.n
+    # Colors that may lie wholly inside parts.
+    budget = G.c - turan_number(n, parts)
+    if budget < 0:
+        return None
     edges = G.edges
     first: dict[int, tuple[int, int]] = {}
     repeated: dict[int, list[tuple[int, int]]] = {}
@@ -272,11 +285,14 @@ def find_rainbow_spanning_turan(
             repeated.setdefault(color, [first[color]]).append(pair)
         else:
             first[color] = pair
+    # Per color, its edges not yet inside a part.
+    left = dict.fromkeys(first, 1)
     # spread[v]: the earlier u whose color to v another edge repeats;
     # dup_groups[v]: those among them sharing one color to v, two or more.
     spread = [0] * n
     dup_groups: list[list[int]] = [[] for _ in range(n)]
     for color, pairs in repeated.items():
+        left[color] = len(pairs)
         group: dict[int, int] = {}
         for a, b in pairs:
             group[b] = group.get(b, 0) | 1 << a
@@ -289,9 +305,10 @@ def find_rainbow_spanning_turan(
     conflict = [0] * n
     part_mask = [0] * parts
     fill = [0] * parts
-    # Per placed vertex: its part, the conflict bits it set, and the sizes
-    # of the empty parts tried for it.
-    frames: list[tuple[int, list[tuple[int, int]], set[int]]] = []
+    # Per placed vertex: its part, the conflict bits it set, the colors of
+    # its edges into the part, the colors those closed, and the sizes of
+    # the empty parts tried for it.
+    frames: list[tuple[int, list[tuple[int, int]], list[int], int, set[int]]] = []
     v, start, tried_empty_sizes = 0, 0, set()
     while v < n:
         placed = (1 << v) - 1
@@ -310,6 +327,22 @@ def find_rainbow_spanning_turan(
                 if clash & (clash - 1):
                     break
             else:
+                mates = part_mask[p]
+                mate_colors = []
+                closing = 0
+                while mates:
+                    bit = mates & -mates
+                    mates ^= bit
+                    color = edges[(bit.bit_length() - 1, v)]
+                    mate_colors.append(color)
+                    left[color] -= 1
+                    if not left[color]:
+                        closing += 1
+                if closing > budget:
+                    for color in mate_colors:
+                        left[color] += 1
+                    continue
+                budget -= closing
                 changes = []
                 rest = cross & spread[v]
                 while rest:
@@ -320,7 +353,7 @@ def find_rainbow_spanning_turan(
                             break
                         conflict[b] |= a_bit
                         changes.append((b, a_bit))
-                frames.append((p, changes, tried_empty_sizes))
+                frames.append((p, changes, mate_colors, closing, tried_empty_sizes))
                 part_mask[p] |= 1 << v
                 fill[p] += 1
                 v, start, tried_empty_sizes = v + 1, 0, set()
@@ -329,10 +362,13 @@ def find_rainbow_spanning_turan(
             if not frames:
                 return None
             v -= 1
-            p, changes, tried_empty_sizes = frames.pop()
+            p, changes, mate_colors, closing, tried_empty_sizes = frames.pop()
             for b, a_bit in changes:
                 conflict[b] ^= a_bit
             part_mask[p] ^= 1 << v
+            for color in mate_colors:
+                left[color] += 1
+            budget += closing
             fill[p] -= 1
             start = p + 1
     return tuple(tuple(_bits(mask)) for mask in part_mask)

@@ -68,6 +68,18 @@ def enumerate_rainbow_cliques(
     cheap.  A graph with fewer than C(k,2) colors has none, and is not
     searched.
     """
+    return _rainbow_cliques(G, k, limit)
+
+
+def _rainbow_cliques(
+    G: EdgeColoredGraph, k: int, limit: int | None,
+    through: tuple[int, int] | None = None,
+) -> list[tuple[int, ...]]:
+    """``enumerate_rainbow_cliques``, or with ``through`` = (u, v), an edge
+    of G, only the cliques containing it: the search then starts from the
+    clique {u, v}, whose candidates are the common neighbours z with
+    colors to u and v that differ from each other and from uv's.  Such a
+    clique comes out as u, v and then its other vertices ascending."""
     _check_enumeration_size(G)
     if k < 3 or k > G.n:
         raise GraphError(f"clique size {k} outside supported range 3..n={G.n}")
@@ -81,7 +93,16 @@ def enumerate_rainbow_cliques(
     for (u, v), color in G.edges.items():
         color_bit[u][v] = bit_of[color]
     results: list[tuple[int, ...]] = []
-    clique: list[int] = []
+    if through is None:
+        clique, used, start = [], 0, [(v, 0) for v in range(n)]
+    else:
+        u, v = through
+        clique, used, start = [u, v], color_bit[u][v], []
+        for z in range(n):
+            zu = color_bit[u][z] | color_bit[z][u]
+            zv = color_bit[v][z] | color_bit[z][v]
+            if zu and zv and zu != zv and not (zu | zv) & used:
+                start.append((z, zu | zv))
 
     def extend(cands: list[tuple[int, int]], used: int) -> bool:
         # cands holds (z, bits of z's colors to the clique), z ascending.
@@ -107,7 +128,7 @@ def enumerate_rainbow_cliques(
                 clique.pop()
         return False
 
-    extend([(v, 0) for v in range(n)], 0)
+    extend(start, used)
     return results
 
 

@@ -81,6 +81,7 @@ from .graphs import (
     stats,
 )
 from .rainbow import (
+    _rainbow_cliques,
     count_rainbow_triangles,
     enumerate_rainbow_cliques,
     list_rainbow_triangles,
@@ -917,7 +918,15 @@ def _recolored(G: EdgeColoredGraph, e: tuple[int, int], color: int) -> EdgeColor
 
 def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
                        attempts: int = 30):
-    """One random recoloring that keeps c and rainbow-k-clique-freeness."""
+    """One random recoloring that keeps c and rainbow-k-clique-freeness.
+
+    G itself must have no rainbow k-clique: a case-I sample has none by
+    construction and a case-II sample passed a full search.  Then a
+    recoloring H of G's edge uv has one exactly when one contains uv, so
+    only the cliques through uv are searched.  Were a G with a rainbow
+    k-clique passed in, H could keep it; the checks still fail closed,
+    since T6's validator searches every sample in full, and L3 and L4
+    search in full before they report a failure."""
     all_edges = sorted(G.edges)
     palette = sorted(G.colors)
     fresh = palette[-1] + 1
@@ -934,7 +943,7 @@ def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
         if new == old or (count[old] == 1) != (new == fresh):
             continue
         H = _recolored(G, (u, v), new)
-        if not enumerate_rainbow_cliques(H, k, limit=1):
+        if not _rainbow_cliques(H, k, 1, (u, v)):
             return H
     return None
 
@@ -1259,19 +1268,21 @@ CHECKS = {
     "T5": Check({"k_values": (4, 5, 6), "n_max": 9, "samples": 200,
                  "seed": DEFAULT_SEED}, _t5, samples=_t5_samples,
                 minimize=True, floors={"k_values": 4}),
+    # The paper characterizes the colorings with no rainbow k-clique for
+    # k >= 6; T6, L3 and L4 have counterexamples at k = 4 and 5.
     "T6": Check({"pairs": ((8, 6), (9, 7)), "samples": 5000,
                  "seed": DEFAULT_SEED}, _t6, samples=_t6_samples,
-                floors={"pairs": 4}),
+                floors={"pairs": 6}),
     "L1": Check({"n_max": 5}, _l1, _subgraph_colorings, _mc_scan,
                 rule=_equality, minimize=True),
     "L2": Check({"count": 10000, "n_max": 12, "seed": DEFAULT_SEED}, _l2,
                 samples=_l2_samples, vacuous=True, floors={"n_max": 3}),
     "L3": Check({"pairs": ((8, 6), (9, 6), (10, 6)), "samples": 300,
                  "seed": DEFAULT_SEED}, _l3, samples=_l3_samples,
-                floors={"pairs": 4}),
+                floors={"pairs": 6}),
     "L4": Check({"pairs": ((7, 6), (8, 6), (9, 6), (10, 6), (9, 7), (10, 7)),
                  "samples": 300, "seed": DEFAULT_SEED}, _l4,
-                samples=_clique_free_samples, floors={"pairs": 4}),
+                samples=_clique_free_samples, floors={"pairs": 6}),
     "L5": Check({"pairs": ((8, 6), (9, 7)), "samples": 300,
                  "seed": DEFAULT_SEED}, _l5, samples=_l5_samples,
                 minimize=True, floors={"pairs": 4}),

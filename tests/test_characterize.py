@@ -446,6 +446,42 @@ class TestRainbowSpanningTuran:
             absent += want is None
         assert found and absent
 
+    def test_first_partition_matches_oracle_near_the_color_budget(self):
+        # With c near t = t(n, parts), only c - t colors may lie wholly
+        # inside parts, so the budget cuts placements.  Planted colorings
+        # hide a partition whose intra edges reuse cross colors or take
+        # at most two new ones; exact-c colorings mostly have none, and
+        # with c < t never.
+        from rainbowgraphs.verify import _random_exact_colors, _random_labels
+        rng = random.Random(67)
+        found = absent = below = 0
+        for parts in range(2, 5):
+            for n in range(parts, 8):
+                t = turan_number(n, parts)
+                pairs = list(combinations(range(n), 2))
+                for c in 3 * list(range(max(1, t - 1), min(t + 2, comb(n, 2)) + 1)):
+                    colors = _random_exact_colors(len(pairs), c, rng)
+                    graphs = [EdgeColoredGraph(n, [(u, v, col) for (u, v), col
+                                                   in zip(pairs, colors)])]
+                    if c >= t:
+                        cross = _random_labels(n, parts, rng)[1]
+                        intra = [pair for pair in pairs if pair not in cross]
+                        top = max(cross.values()) + 1
+                        new = list(range(top, top + c - t))
+                        pool = sorted(cross.values()) + new
+                        edges = [(u, v, col) for (u, v), col in cross.items()]
+                        edges += [(u, v, new[i] if i < len(new) else rng.choice(pool))
+                                  for i, (u, v) in enumerate(intra)]
+                        graphs.append(EdgeColoredGraph(n, edges))
+                    for G in graphs:
+                        assert G.c == c
+                        want = brute_first_rainbow_turan(G, parts)
+                        assert find_rainbow_spanning_turan(G, parts) == want
+                        found += want is not None
+                        absent += want is None
+                        below += c < t
+        assert found and absent and below
+
     def test_rainbow_k1100_without_recursion(self):
         # One search step per vertex, deeper than the default recursion limit.
         n = 1100

@@ -374,6 +374,15 @@ class TestVerifyRejections:
             err = capsys.readouterr().err
             assert ">=" in err and "Traceback" not in err
 
+    def test_clique_pairs_below_k6_exit_1(self, capsys):
+        # T6, L3 and L4 fail at k = 5 (e.g. 90 of T6's 105 premise
+        # colorings at (6, 5)), so such a grid is refused, not sampled.
+        grid = '{"pairs":[[6,5],[7,5],[8,5]],"samples":300}'
+        for check in ("T6", "L3", "L4"):
+            assert run(["verify", check, "--grid", grid]) == 1
+            err = capsys.readouterr().err
+            assert "n >= k >= 6" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("grid", [
         pytest.param('{"n_max": ' + "9" * 5000 + "}", id="digit-limit", marks=pytest.mark.skipif(
             getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,

@@ -6,6 +6,7 @@ import pytest
 from rainbowgraphs.constructions import build_gk, build_hnk
 from rainbowgraphs.graphs import EdgeColoredGraph, GraphError
 from rainbowgraphs.rainbow import (
+    _rainbow_cliques,
     count_rainbow_triangles,
     enumerate_rainbow_cliques,
     guaranteed_cliques_mc,
@@ -130,6 +131,30 @@ class TestCliqueEnumeration:
                 assert enumerate_rainbow_cliques(G, k) == want
                 for limit in (1, 2):
                     assert enumerate_rainbow_cliques(G, k, limit=limit) == want[:limit]
+
+    def test_through_an_edge_matches_oracle(self):
+        # Started from an edge uv, the search finds exactly the cliques
+        # through uv, as u, v and the rest ascending, whatever the rest of
+        # the graph holds; with limit=1 it stops at the first.
+        rng = random.Random(53)
+        found = absent = 0
+        for _ in range(150):
+            n = rng.randint(3, 8)
+            pairs = list(combinations(range(n), 2))
+            chosen = rng.sample(pairs, rng.randint(len(pairs) * 3 // 4, len(pairs)))
+            c = rng.randint(1, len(chosen))
+            G = EdgeColoredGraph(n, [(u, v, rng.randrange(c)) for u, v in chosen])
+            u, v = rng.choice(chosen)
+            for k in range(3, n + 1):
+                want = [(u, v, *(z for z in clique if z not in (u, v)))
+                        for clique in brute_rainbow_cliques(G, k)
+                        if u in clique and v in clique]
+                got = _rainbow_cliques(G, k, None, (u, v))
+                assert got == want
+                assert _rainbow_cliques(G, k, 1, (u, v)) == want[:1]
+                found += bool(want)
+                absent += not want
+        assert found and absent
 
     def test_preconditions(self):
         G = rainbow_complete(5)

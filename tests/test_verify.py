@@ -17,7 +17,11 @@ from rainbowgraphs.graphs import (
     stats,
 )
 from rainbowgraphs import verify
-from rainbowgraphs.rainbow import count_rainbow_triangles, enumerate_rainbow_cliques
+from rainbowgraphs.rainbow import (
+    _rainbow_cliques,
+    count_rainbow_triangles,
+    enumerate_rainbow_cliques,
+)
 from rainbowgraphs.verify import (
     THEOREMS,
     BudgetError,
@@ -40,6 +44,7 @@ from rainbowgraphs.verify import (
 from _oracles import (
     bell_triangle,
     brute_directed_triangles,
+    brute_rainbow_cliques,
     brute_rainbow_triangles,
     gk_count,
     gk_referee,
@@ -753,6 +758,26 @@ class TestSampler:
         tags = {sample_clique_free_extremal(9, 7, rng)[1] for _ in range(80)}
         assert any(tag.startswith("case2") for tag in tags)
 
+    def test_anchored_check_matches_brute(self):
+        # Case-I and case-II samples have no rainbow k-clique, so after
+        # recoloring uv every rainbow k-clique goes through uv, and the
+        # mutation's anchored search must answer as the full brute force.
+        rng = random.Random(71)
+        answers = set()
+        for n, k in ((8, 6), (9, 7), (10, 7)) * 8:
+            G = verify._random_case2(n, k, rng) if rng.random() < 0.5 else None
+            if G is None:
+                G = verify._random_case1(n, k, rng)[0]
+            assert not brute_rainbow_cliques(G, k)
+            palette = sorted(G.colors) + [max(G.colors) + 1]
+            for _ in range(8):
+                u, v = rng.choice(sorted(G.edges))
+                H = verify._recolored(G, (u, v), rng.choice(palette))
+                want = bool(brute_rainbow_cliques(H, k))
+                assert bool(_rainbow_cliques(H, k, 1, (u, v))) == want
+                answers.add(want)
+        assert answers == {False, True}
+
     def test_mutation_builds_only_keepers_of_c(self, monkeypatch):
         # The same draws as building every recoloring and testing its c,
         # which is how the mutation was first written.
@@ -1107,8 +1132,8 @@ class TestGridRanges:
                     check_grid(name, {key: bad})
 
     def test_pairs_need_n_at_least_k(self):
-        for name in ("T6", "L3", "L4", "L5"):
-            with pytest.raises(GraphError, match="n >= k >= 4"):
+        for name, floor in (("T6", 6), ("L3", 6), ("L4", 6), ("L5", 4)):
+            with pytest.raises(GraphError, match=f"n >= k >= {floor}"):
                 check_grid(name, {"pairs": [[8, 6], [5, 6]]})
             check_grid(name, {"pairs": [[6, 6]]})
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .constructions import TuranPartition, turan_number
+from .constructions import TuranPartition, check_hk_order, turan_number
 from .graphs import EdgeColoredGraph, GraphError, is_complete
 from .rainbow import enumerate_rainbow_cliques
 
@@ -413,10 +413,7 @@ def is_in_hk(G: EdgeColoredGraph, k: int) -> Optional[HkCertificate]:
     complete, c = t+1, some rainbow spanning balanced subgraph, and no
     rainbow k-clique.
     """
-    if k < 4:
-        raise GraphError(f"k={k} must be at least 4")
-    if G.n < k:
-        raise GraphError(f"n={G.n} smaller than k={k}")
+    check_hk_order(G.n, k)
     if not is_complete(G):
         return None
     q = k - 2
@@ -438,7 +435,15 @@ def is_in_hk(G: EdgeColoredGraph, k: int) -> Optional[HkCertificate]:
 
 def validate_hk_certificate(G: EdgeColoredGraph, k: int, cert: HkCertificate) -> bool:
     """Independent revalidation: balanced spanning parts, rainbow cross
-    edges, case-specific conditions, and clique-freeness by enumeration."""
+    edges, c = t + 1, and the case's condition, which decides whether G
+    has a rainbow k-clique.  k vertices in k - 2 parts put at least two
+    of their pairs inside parts.  In case I those pairs share
+    ``mono_color``, so no k-clique is rainbow and nothing is searched.
+    In case II the parts are pairs or single vertices, so a rainbow
+    k-clique holds two intra-part pairs, and the searches through all of
+    those pairs but one find it.  Raises GraphError when k < 4 or n < k.
+    """
+    check_hk_order(G.n, k)
     q = k - 2
     t = turan_number(G.n, q)
     flat = sorted(v for part in cert.parts for v in part)
@@ -447,24 +452,29 @@ def validate_hk_certificate(G: EdgeColoredGraph, k: int, cert: HkCertificate) ->
     sizes = tuple(sorted((len(p) for p in cert.parts), reverse=True))
     if sizes != TuranPartition.balanced(G.n, q).sizes:
         return False
-    part_of = {}
-    for idx, part in enumerate(cert.parts):
-        for v in part:
-            part_of[v] = idx
+    part_of = {v: idx for idx, part in enumerate(cert.parts) for v in part}
     cross = [col for (u, v), col in G.edges.items() if part_of[u] != part_of[v]]
     if len(set(cross)) != len(cross):
         return False
     if cert.color_count != G.c or G.c != t + 1:
         return False
     if cert.case == "I":
-        intra = [col for (u, v), col in G.edges.items() if part_of[u] == part_of[v]]
-        if cert.mono_color is None or set(intra) != {cert.mono_color}:
-            return False
-        if cert.mono_color in cross:
-            return False
-    elif cert.case == "II":
-        if G.n // q != 1:
-            return False
-    else:
+        return (cert.mono_color is not None
+                and intra_part_color(G, cert.parts) == cert.mono_color)
+    if cert.case != "II" or G.n // q != 1:
         return False
-    return not enumerate_rainbow_cliques(G, k, limit=1)
+    pairs = [tuple(sorted(part)) for part in cert.parts if len(part) == 2]
+    return not any(enumerate_rainbow_cliques(G, k, limit=1, through=pair)
+                   for pair in pairs[1:])
+
+
+def intra_part_color(G: EdgeColoredGraph,
+                     parts: tuple[tuple[int, ...], ...]) -> Optional[int]:
+    """The one color of the edges inside the parts, when no edge between
+    parts has it; None when they have several colors, or none, or share
+    theirs with a cross edge."""
+    part_of = {v: idx for idx, part in enumerate(parts) for v in part}
+    intra, cross = set(), set()
+    for (u, v), color in G.edges.items():
+        (intra if part_of[u] == part_of[v] else cross).add(color)
+    return next(iter(intra)) if len(intra) == 1 and not intra & cross else None

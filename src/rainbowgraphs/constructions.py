@@ -181,6 +181,14 @@ def build_gk(n: int, k: int) -> LabeledConstruction:
     )
 
 
+def check_hk_order(n: int, k: int) -> None:
+    """The clique-extremal class H_k is defined for 4 <= k <= n."""
+    if k < 4:
+        raise GraphError(f"k={k} must be at least 4")
+    if n < k:
+        raise GraphError(f"n < k (n={n}, k={k})")
+
+
 def build_hnk(n: int, k: int) -> LabeledConstruction:
     """Complete graph carrying a rainbow balanced (k-2)-partite subgraph on
     colors 0..t-1 with every intra-part edge in one further color t.
@@ -188,10 +196,7 @@ def build_hnk(n: int, k: int) -> LabeledConstruction:
     m + c = C(n,2) + t + 1, one below the threshold that forces a rainbow
     k-clique, and the graph contains none (checked on build for n <= 12).
     """
-    if k < 4:
-        raise GraphError(f"k={k} must be at least 4")
-    if n < k:
-        raise GraphError(f"n < k (n={n}, k={k})")
+    check_hk_order(n, k)
     turan = turan_graph(n, k - 2, rainbow=True)
     t = turan.graph.m
     edges = dict(turan.graph.edges)

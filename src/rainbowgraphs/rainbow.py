@@ -53,6 +53,7 @@ def count_rainbow_triangles(G: EdgeColoredGraph) -> int:
 
 def enumerate_rainbow_cliques(
     G: EdgeColoredGraph, k: int, limit: int | None = None,
+    through: tuple[int, int] | None = None,
 ) -> list[tuple[int, ...]]:
     """Rainbow k-cliques (all C(k,2) edges present, colors pairwise distinct).
 
@@ -67,22 +68,18 @@ def enumerate_rainbow_cliques(
     the search stops after that many cliques, so existence checks stay
     cheap.  A graph with fewer than C(k,2) colors has none, and is not
     searched.
+
+    With ``through`` = (u, v), an edge of G with u < v, only the cliques
+    containing it are searched: the search starts from the clique {u, v},
+    whose candidates are the common neighbours z with colors to u and v
+    that differ from each other and from uv's.  Such a clique comes out
+    as u, v and then its other vertices ascending.
     """
-    return _rainbow_cliques(G, k, limit)
-
-
-def _rainbow_cliques(
-    G: EdgeColoredGraph, k: int, limit: int | None,
-    through: tuple[int, int] | None = None,
-) -> list[tuple[int, ...]]:
-    """``enumerate_rainbow_cliques``, or with ``through`` = (u, v), an edge
-    of G, only the cliques containing it: the search then starts from the
-    clique {u, v}, whose candidates are the common neighbours z with
-    colors to u and v that differ from each other and from uv's.  Such a
-    clique comes out as u, v and then its other vertices ascending."""
     _check_enumeration_size(G)
     if k < 3 or k > G.n:
         raise GraphError(f"clique size {k} outside supported range 3..n={G.n}")
+    if through is not None and through not in G.edges:
+        raise GraphError(f"through={through} is not an edge (u, v), u < v, of G")
     if (limit is not None and limit <= 0) or G.c < comb(k, 2):
         return []
     n = G.n

@@ -62,6 +62,7 @@ from typing import Callable
 
 from .characterize import (
     find_rainbow_spanning_turan,
+    intra_part_color,
     is_in_gk,
     is_in_hk,
     validate_gk_certificate,
@@ -81,7 +82,6 @@ from .graphs import (
     stats,
 )
 from .rainbow import (
-    _rainbow_cliques,
     count_rainbow_triangles,
     enumerate_rainbow_cliques,
     list_rainbow_triangles,
@@ -925,8 +925,9 @@ def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
     recoloring H of G's edge uv has one exactly when one contains uv, so
     only the cliques through uv are searched.  Were a G with a rainbow
     k-clique passed in, H could keep it; the checks still fail closed,
-    since T6's validator searches every sample in full, and L3 and L4
-    search in full before they report a failure."""
+    since T6's validator decides clique-freeness exactly from the parts
+    it checks, and L3 and L4 search in full before they report a
+    failure."""
     all_edges = sorted(G.edges)
     palette = sorted(G.colors)
     fresh = palette[-1] + 1
@@ -943,7 +944,7 @@ def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
         if new == old or (count[old] == 1) != (new == fresh):
             continue
         H = _recolored(G, (u, v), new)
-        if not _rainbow_cliques(H, k, 1, (u, v)):
+        if not enumerate_rainbow_cliques(H, k, limit=1, through=(u, v)):
             return H
     return None
 
@@ -1193,23 +1194,11 @@ def _l3(G, params, notes):
     if G.n // q < 2 or not _extremal(G, k):
         return OUTSIDE
     parts = find_rainbow_spanning_turan(G, q)
-    if parts is not None and _intra_monochromatic_fresh(G, parts):
+    if parts is not None and intra_part_color(G, parts) is not None:
         return None
     if parts is None or enumerate_rainbow_cliques(G, k, limit=1):
         return OUTSIDE
     return "intra-part edges not one fresh color"
-
-
-def _intra_monochromatic_fresh(G, parts) -> bool:
-    part_of = {}
-    for idx, part in enumerate(parts):
-        for v in part:
-            part_of[v] = idx
-    intra = set()
-    cross = set()
-    for (u, v), color in G.edges.items():
-        (intra if part_of[u] == part_of[v] else cross).add(color)
-    return len(intra) == 1 and not intra & cross
 
 
 def _l2(D, params, notes):
@@ -1466,9 +1455,5 @@ def find_tightness_witness(theorem: str, n: int,
     if key == "T5":
         if k is None:
             raise GraphError("T5 witness needs k")
-        G = build_hnk(n, k).graph
-        assert G.m + G.c == comb(n, 2) + turan_number(n, k - 2) + 1
-        if n <= 12:
-            assert not enumerate_rainbow_cliques(G, k, limit=1)
-        return G
+        return build_hnk(n, k).graph
     raise GraphError(f"no tightness witness defined for {theorem!r}")

@@ -304,3 +304,38 @@ def gk_certificate_referee(G, k, cert):
         stack.append(node.high)
         stack.append(node.low)
     return True
+
+
+def hk_certificate_referee(G, k, cert):
+    """``validate_hk_certificate`` as first written: balanced spanning
+    parts, rainbow cross edges, c = t + 1 and the case's condition, then a
+    search of every k-subset for a rainbow k-clique.  The library must
+    give the same verdict."""
+    from rainbowgraphs.graphs import is_complete
+
+    q = k - 2
+    flat = sorted(v for part in cert.parts for v in part)
+    if flat != list(range(G.n)) or not is_complete(G):
+        return False
+    sizes = sorted((len(p) for p in cert.parts), reverse=True)
+    if sizes != [G.n // q + (i < G.n % q) for i in range(q)]:
+        return False
+    t = comb(G.n, 2) - sum(comb(s, 2) for s in sizes)
+    part_of = {v: idx for idx, part in enumerate(cert.parts) for v in part}
+    cross = [col for (u, v), col in G.edges.items() if part_of[u] != part_of[v]]
+    if len(set(cross)) != len(cross):
+        return False
+    if cert.color_count != G.c or G.c != t + 1:
+        return False
+    if cert.case == "I":
+        intra = [col for (u, v), col in G.edges.items() if part_of[u] == part_of[v]]
+        if cert.mono_color is None or set(intra) != {cert.mono_color}:
+            return False
+        if cert.mono_color in cross:
+            return False
+    elif cert.case == "II":
+        if G.n // q != 1:
+            return False
+    else:
+        return False
+    return not brute_rainbow_cliques(G, k)

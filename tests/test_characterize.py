@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from rainbowgraphs.characterize import (
+    HkCertificate,
     find_rainbow_spanning_turan,
     is_in_gk,
     is_in_hk,
@@ -23,8 +24,14 @@ from rainbowgraphs.constructions import (
 )
 from rainbowgraphs.graphs import EdgeColoredGraph, GraphError
 from rainbowgraphs.rainbow import count_rainbow_triangles
+from rainbowgraphs.verify import enumerate_colorings, sample_clique_free_extremal
 
-from _oracles import gk_certificate_referee, gk_referee
+from _oracles import (
+    brute_rainbow_cliques,
+    gk_certificate_referee,
+    gk_referee,
+    hk_certificate_referee,
+)
 
 
 def recolor(G, e, color):
@@ -390,6 +397,90 @@ class TestIsInHk:
                           for (u, v), c in G.edges.items()])
             cert = is_in_hk(H, 7)
             assert cert is not None and cert.case == "I"
+
+
+def _hk_members(rng):
+    """(graph, k) for members of every origin: build_hnk at k = 6, 7 and
+    n <= 12, the case-II figure, every extremal coloring of K_6 at k = 6,
+    and sampler draws of both cases, plain and mutated."""
+    members = [(build_hnk(n, k).graph, k) for k in (6, 7) for n in range(k, 13)]
+    members.append((build_case2_figure().graph, 7))
+    members.extend((G, 6) for G in enumerate_colorings(6, turan_number(6, 4) + 1))
+    tags = set()
+    for n, k in ((8, 6), (9, 7)):
+        for _ in range(30):
+            G, tag = sample_clique_free_extremal(n, k, rng)
+            tags.add(tag)
+            members.append((G, k))
+    assert tags == {"case1", "case1+mutated", "case2", "case2+mutated"}
+    return members
+
+
+def _corrupted(cert, G, rng):
+    """The certificate with one field wrong: case tag, a vertex moved or
+    swapped between parts, mono_color, color_count."""
+    out = [dataclasses.replace(cert, case=case)
+           for case in ("I", "II", "III") if case != cert.case]
+    a, b = rng.sample(range(len(cert.parts)), 2)
+    moved = [list(p) for p in cert.parts]
+    moved[b].append(moved[a].pop())
+    swapped = [list(p) for p in cert.parts]
+    swapped[a][0], swapped[b][0] = swapped[b][0], swapped[a][0]
+    for bad in (moved, swapped):
+        out.append(dataclasses.replace(
+            cert, parts=tuple(tuple(sorted(p)) for p in bad if p)))
+    for color in (None, rng.choice(sorted(G.colors)), max(G.colors) + 1):
+        if color != cert.mono_color:
+            out.append(dataclasses.replace(cert, mono_color=color))
+    for delta in (-1, 1):
+        out.append(dataclasses.replace(cert, color_count=cert.color_count + delta))
+    return out
+
+
+class TestHkValidator:
+    def test_matches_the_full_search_referee(self):
+        # The validator decides clique-freeness from the certificate's
+        # parts; the referee searches every k-subset.  Recoloring a pair
+        # inside a case-II part keeps the structure whole, so there only
+        # the anchored searches can reject.
+        rng = random.Random(1601)
+        verdicts = set()
+        decided_by_search = 0
+        for G, k in _hk_members(rng):
+            cert = is_in_hk(G, k)
+            assert cert is not None
+            inputs = [(G, cert)] + [(G, bad) for bad in _corrupted(cert, G, rng)]
+            palette = sorted(G.colors) + [max(G.colors) + 1]
+            for _ in range(4):
+                H = recolor(G, rng.choice(sorted(G.edges)), rng.choice(palette))
+                inputs.append((H, cert))
+                other = is_in_hk(H, k)
+                if other is not None:
+                    inputs.append((H, other))
+            if cert.case == "II":
+                for pair in (p for p in cert.parts if len(p) == 2):
+                    for color in palette:
+                        H = recolor(G, pair, color)
+                        if H.c == G.c:
+                            inputs.append((H, cert))
+                            decided_by_search += bool(brute_rainbow_cliques(H, k))
+            for H, C in inputs:
+                want = hk_certificate_referee(H, k, C)
+                assert validate_hk_certificate(H, k, C) == want, (H.edges, C)
+                verdicts.add(want)
+        assert verdicts == {False, True}
+        assert decided_by_search
+
+    def test_fewer_vertices_than_k_rejected(self):
+        # A case-I certificate at n = 5 < k = 6 meets every structural
+        # condition: parts 2,1,1,1, nine rainbow cross edges and a tenth
+        # color on the one intra pair, 0 1.
+        G = EdgeColoredGraph(5, [(u, v, i) for i, (u, v) in
+                                 enumerate(combinations(range(5), 2))])
+        cert = HkCertificate("I", 6, ((0, 1), (2,), (3,), (4,)), 0, G.c)
+        assert G.c == turan_number(5, 4) + 1
+        with pytest.raises(GraphError, match="n < k"):
+            validate_hk_certificate(G, 6, cert)
 
 
 class TestRainbowSpanningTuran:

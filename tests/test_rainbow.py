@@ -4,9 +4,8 @@ from itertools import combinations
 import pytest
 
 from rainbowgraphs.constructions import build_gk, build_hnk
-from rainbowgraphs.graphs import EdgeColoredGraph, GraphError
+from rainbowgraphs.graphs import EdgeColoredGraph, GraphError, delete_edge
 from rainbowgraphs.rainbow import (
-    _rainbow_cliques,
     count_rainbow_triangles,
     enumerate_rainbow_cliques,
     guaranteed_cliques_mc,
@@ -149,9 +148,9 @@ class TestCliqueEnumeration:
                 want = [(u, v, *(z for z in clique if z not in (u, v)))
                         for clique in brute_rainbow_cliques(G, k)
                         if u in clique and v in clique]
-                got = _rainbow_cliques(G, k, None, (u, v))
+                got = enumerate_rainbow_cliques(G, k, through=(u, v))
                 assert got == want
-                assert _rainbow_cliques(G, k, 1, (u, v)) == want[:1]
+                assert enumerate_rainbow_cliques(G, k, limit=1, through=(u, v)) == want[:1]
                 found += bool(want)
                 absent += not want
         assert found and absent
@@ -162,6 +161,15 @@ class TestCliqueEnumeration:
             enumerate_rainbow_cliques(G, 2)
         with pytest.raises(GraphError):
             enumerate_rainbow_cliques(G, 6)
+        # A reversed pair or a non-edge would seed a clique that is not one.
+        H = EdgeColoredGraph(4, [(0, 1, 0), (0, 2, 0), (1, 2, 1), (0, 3, 2),
+                                 (1, 3, 3), (2, 3, 4)])
+        assert enumerate_rainbow_cliques(H, 3, through=(0, 1)) == [(0, 1, 3)]
+        for through in ((1, 0), (0, 4), (3, 3)):
+            with pytest.raises(GraphError, match="not an edge"):
+                enumerate_rainbow_cliques(H, 3, through=through)
+        with pytest.raises(GraphError, match="not an edge"):
+            enumerate_rainbow_cliques(delete_edge(H, 0, 1), 3, through=(0, 1))
 
 
 class TestGuaranteeFormulas:

@@ -18,7 +18,6 @@ from rainbowgraphs.graphs import (
 )
 from rainbowgraphs import verify
 from rainbowgraphs.rainbow import (
-    _rainbow_cliques,
     count_rainbow_triangles,
     enumerate_rainbow_cliques,
 )
@@ -774,7 +773,7 @@ class TestSampler:
                 u, v = rng.choice(sorted(G.edges))
                 H = verify._recolored(G, (u, v), rng.choice(palette))
                 want = bool(brute_rainbow_cliques(H, k))
-                assert bool(_rainbow_cliques(H, k, 1, (u, v))) == want
+                assert bool(enumerate_rainbow_cliques(H, k, limit=1, through=(u, v))) == want
                 answers.add(want)
         assert answers == {False, True}
 

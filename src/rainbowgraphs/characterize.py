@@ -456,7 +456,7 @@ def validate_hk_certificate(G: EdgeColoredGraph, k: int, cert: HkCertificate) ->
     cross = [col for (u, v), col in G.edges.items() if part_of[u] != part_of[v]]
     if len(set(cross)) != len(cross):
         return False
-    if cert.color_count != G.c or G.c != t + 1:
+    if cert.k != k or cert.color_count != G.c or G.c != t + 1:
         return False
     if cert.case == "I":
         return (cert.mono_color is not None

@@ -97,7 +97,8 @@ def cmd_generate(args) -> int:
     elif args.kind == "turan":
         built = constructions.turan_graph(args.n, args.parts, args.rainbow)
     elif args.kind == "case2":
-        built = constructions.build_case2_figure(args.n or 8, args.k or 7)
+        built = constructions.build_case2_figure(
+            8 if args.n is None else args.n, 7 if args.k is None else args.k)
     else:  # recolored-g1
         G = verify.recolor_witness_colordeg(args.n)
         built = constructions.LabeledConstruction(

@@ -167,7 +167,7 @@ def build_gk(n: int, k: int) -> LabeledConstruction:
             join_colors.append(None)
     G = EdgeColoredGraph(n, edges)
     assert G.m == comb(n, 2)
-    assert G.c == n + k - 1 if n >= 1 else True
+    assert G.c == n + k - 1
     if n <= _BUILD_CHECK_MAX_N:
         assert count_rainbow_triangles(G) == k
     return LabeledConstruction(

@@ -16,10 +16,10 @@ from math import comb
 from .graphs import MAX_ENUMERATION_N, EdgeColoredGraph, GraphError
 
 
-def _check_enumeration_size(G: EdgeColoredGraph) -> None:
-    if G.n > MAX_ENUMERATION_N:
+def _check_enumeration_size(n: int) -> None:
+    if n > MAX_ENUMERATION_N:
         raise GraphError(
-            f"enumeration paths support n <= {MAX_ENUMERATION_N}, got n={G.n}")
+            f"enumeration paths support n <= {MAX_ENUMERATION_N}, got n={n}")
 
 
 def list_rainbow_triangles(G: EdgeColoredGraph) -> list[tuple[int, int, int]]:
@@ -28,7 +28,7 @@ def list_rainbow_triangles(G: EdgeColoredGraph) -> list[tuple[int, int, int]]:
     Direct triple enumeration with bitset neighborhood intersection; the
     output is sorted lexicographically.
     """
-    _check_enumeration_size(G)
+    _check_enumeration_size(G.n)
     out = []
     edges = G.edges
     adj = G.adj
@@ -75,7 +75,7 @@ def enumerate_rainbow_cliques(
     that differ from each other and from uv's.  Such a clique comes out
     as u, v and then its other vertices ascending.
     """
-    _check_enumeration_size(G)
+    _check_enumeration_size(G.n)
     if k < 3 or k > G.n:
         raise GraphError(f"clique size {k} outside supported range 3..n={G.n}")
     if through is not None and through not in G.edges:

@@ -28,7 +28,6 @@ class AssociatedColoring:
 
     graph: EdgeColoredGraph
     digraph: OrientedGraph
-    arc_colors: dict[tuple[int, int], int]
     omega: tuple[int, ...]
 
     @property
@@ -85,7 +84,6 @@ def associated_colored_graph(D: OrientedGraph) -> AssociatedColoring:
     directed triangles of D are exactly the rainbow triangles.
     """
     color = 0
-    arc_colors: dict[tuple[int, int], int] = {}
     edges: dict[tuple[int, int], int] = {}
     omega = []
     for v in range(D.n):
@@ -97,15 +95,13 @@ def associated_colored_graph(D: OrientedGraph) -> AssociatedColoring:
                 bit = rest & -rest
                 x = bit.bit_length() - 1
                 rest ^= bit
-                arc_colors[(v, x)] = color
                 edges[(v, x) if v < x else (x, v)] = color
             color += 1
     # The pairs are arcs of D and the colors a counter, so the graph needs
     # no check beyond the counts below.
     G = EdgeColoredGraph._from_checked(D.n, edges)
     assert G.m == D.a and G.c == sum(omega)
-    return AssociatedColoring(graph=G, digraph=D, arc_colors=arc_colors,
-                              omega=tuple(omega))
+    return AssociatedColoring(graph=G, digraph=D, omega=tuple(omega))
 
 
 def guaranteed_directed_triangles(n: int, a: int, omega_sum: int) -> int:

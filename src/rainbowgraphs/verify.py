@@ -35,9 +35,9 @@ degree sum) and rainbow triangle count t: their statements apply it to a
 graph, and their scans read slot arrays, never graphs, and look each
 string up in ``_verdicts``, the rule's table per (n, m).  Every sweep
 reads t from ``_rgs_blocks``, which counts it as each slot closes
-triangles.  T1, T2, L1 and T3 prune a prefix whose t exceeds
-``_ceiling``, the most any entry (for T3, its premise t = k) allows up
-to the most colors the prefix can reach.  T3 certifies only its premise
+triangles.  T1, T2 and L1 prune a prefix whose t exceeds ``_ceiling``,
+the most any entry allows up to the most colors the prefix can reach.
+T3 prunes past its premise's t = k and certifies only its premise
 strings.  T4 floors the colors by its color-degree sum, steps the groups
 of blocks that share all but the last two slots, and skips those whose
 sum cannot reach its table.
@@ -82,6 +82,7 @@ from .graphs import (
     stats,
 )
 from .rainbow import (
+    _check_enumeration_size,
     count_rainbow_triangles,
     enumerate_rainbow_cliques,
     list_rainbow_triangles,
@@ -479,11 +480,7 @@ def _verdicts(name: str, n: int, m: int, k_max: int | None):
 def _ceiling(name: str, n: int, m: int, k_max: int | None):
     """Per c = 0..m, the largest t of a ``_verdicts`` entry at m + c or
     below, or -1: the most rainbow triangles a coloring of m edges of K_n
-    with at most c colors can have and be judged.  For T3 (``k_max`` = k)
-    it is k from its exact n + k - 1 colors on."""
-    if name == "T3":
-        return tuple(k_max if c >= n + k_max - 1 else -1
-                     for c in range(m + 1))
+    with at most c colors can have and be judged."""
     tops = accumulate((max((t for t, e in enumerate(row) if e), default=-1)
                        for row in _verdicts(name, n, m, k_max)[1]), max)
     return tuple(islice(tops, m, 2 * m + 1))
@@ -592,8 +589,8 @@ def _t3_scan(name: str, grid: dict, pieces) -> dict:
     for _n, mask, prefix in pieces:
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
-        for a, _total, t_count in _rgs_totals(m, closers, _ceiling(
-                name, n, m, k), out, prefix, exact=n + k - 1):
+        for a, _total, t_count in _rgs_totals(m, closers, [k] * (m + 1),
+                                              out, prefix, exact=n + k - 1):
             if t_count != k:
                 continue
             G = _graph_from_colors(n, pairs, a)
@@ -794,10 +791,9 @@ def _merge_scan(report: VerificationReport, part: dict) -> None:
 # --------------------------------------------------------------------------
 
 
-def random_oriented_graph(n: int, rng: Random, tournament: bool = False,
-                          density: float | None = None) -> OrientedGraph:
-    if density is None:
-        density = 1.0 if tournament else rng.uniform(0.2, 0.95)
+def random_oriented_graph(n: int, rng: Random,
+                          tournament: bool = False) -> OrientedGraph:
+    density = 1.0 if tournament else rng.uniform(0.2, 0.95)
     arcs = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -842,17 +838,13 @@ def _random_exact_colors(count: int, c: int, rng: Random) -> list[int]:
     return colors
 
 
-def _random_balanced_parts(n: int, q: int, rng: Random) -> list[list[int]]:
-    verts = list(range(n))
-    rng.shuffle(verts)
-    return [sorted(verts[i] for i in part)
-            for part in TuranPartition.balanced(n, q).parts()]
-
-
 def _random_labels(n: int, q: int, rng: Random):
     """Random balanced q parts, a distinct random color per cross pair (in
     pair order) and one more: returns (parts, cross colors, fresh color)."""
-    parts = _random_balanced_parts(n, q, rng)
+    verts = list(range(n))
+    rng.shuffle(verts)
+    parts = [sorted(verts[i] for i in part)
+             for part in TuranPartition.balanced(n, q).parts()]
     part_of = {v: idx for idx, part in enumerate(parts) for v in part}
     labels = iter(rng.sample(range(4 * comb(n, 2) + 8), turan_number(n, q) + 1))
     cross = {(u, v): next(labels) for u in range(n) for v in range(u + 1, n)
@@ -1302,6 +1294,10 @@ def _run_sweep(name: str, check: Check, grid: dict,
 
 
 def _run_sampled(name: str, check: Check, grid: dict) -> VerificationReport:
+    """A grid whose n reaches past the searches' cap is refused before
+    the first draw, so that no seed decides whether the run fails."""
+    _check_enumeration_size(max([grid.get("n_max", 0)] + [
+        n for n, _k in grid.get("pairs", ())]))
     report = VerificationReport(name, dict(grid), seed=grid["seed"])
     rng = Random(grid["seed"])
     for obj, params in check.samples(grid, rng, report.notes):
@@ -1326,43 +1322,32 @@ def _lookup(theorem: str) -> Check:
     return check
 
 
-def _shape(default, floor: int | None) -> str:
+def _grid_mismatch(default, val, floor: int | None) -> str | None:
+    """None when ``val`` has the shape of ``default``, an integer (not a
+    bool), a list of integers, or a list of integer pairs (n, k), with
+    every integer at least ``floor`` (if any) and n >= k in each pair;
+    else the text naming that shape."""
+    def ints(items):
+        return all(isinstance(x, int) and not isinstance(x, bool)
+                   and (floor is None or x >= floor) for x in items)
+
     at_least = "" if floor is None else f" >= {floor}"
     if not isinstance(default, tuple):
-        return f"an integer{at_least}"
-    if isinstance(default[0], tuple):
-        return f"a list of integer pairs (n, k) with n >= k{at_least}"
-    return f"a list of integers{at_least}"
-
-
-def _fits(default, val, pair=False) -> bool:
-    """Does ``val`` have the shape of ``default``: an integer (not a bool),
-    or a list or tuple whose items fit the default's first item, and a
-    pair's length?"""
-    if not isinstance(default, tuple):
-        return isinstance(val, int) and not isinstance(val, bool)
-    return (isinstance(val, (list, tuple))
-            and (not pair or len(val) == len(default))
-            and all(_fits(default[0], x, True) for x in val))
-
-
-def _in_range(default, val, floor: int | None) -> bool:
-    """Is every integer of ``val``, which fits ``default``, at least
-    ``floor`` (if any), with n >= k in each pair (n, k)?"""
-    if floor is None:
-        return True
-    if not isinstance(default, tuple):
-        return val >= floor
-    if isinstance(default[0], tuple):
-        return all(n >= k >= floor for n, k in val)
-    return all(x >= floor for x in val)
+        return None if ints([val]) else f"an integer{at_least}"
+    listed = isinstance(val, (list, tuple))
+    if not isinstance(default[0], tuple):
+        return None if listed and ints(val) else f"a list of integers{at_least}"
+    if listed and all(isinstance(p, (list, tuple)) and len(p) == 2
+                      and ints(p) and p[0] >= p[1] for p in val):
+        return None
+    return f"a list of integer pairs (n, k) with n >= k{at_least}"
 
 
 def check_grid(theorem: str, grid: dict) -> None:
     """Raise GraphError unless ``grid`` can override the named check's
     default grid: every key is a default key or ``seed``, every value has
-    the shape of its default (see ``_fits``), and every value but the seed
-    is in its key's range (see ``Check``)."""
+    the shape of its default, and every value but the seed is in its key's
+    range (see ``Check`` and ``_grid_mismatch``)."""
     key = theorem.upper()
     check = _lookup(key)
     defaults = {"seed": DEFAULT_SEED, **check.grid}
@@ -1371,11 +1356,11 @@ def check_grid(theorem: str, grid: dict) -> None:
             raise GraphError(
                 f"unknown {key} grid key {name!r}; "
                 f"expected one of {', '.join(sorted(defaults))}")
-        default = defaults[name]
         floor = None if name == "seed" else check.floors.get(name, 0)
-        if not (_fits(default, val) and _in_range(default, val, floor)):
-            raise GraphError(f"{key} grid key {name!r} must be "
-                             f"{_shape(default, floor)}, got {val!r}")
+        shape = _grid_mismatch(defaults[name], val, floor)
+        if shape is not None:
+            raise GraphError(
+                f"{key} grid key {name!r} must be {shape}, got {val!r}")
 
 
 def check_jobs(jobs) -> None:

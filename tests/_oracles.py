@@ -325,7 +325,7 @@ def hk_certificate_referee(G, k, cert):
     cross = [col for (u, v), col in G.edges.items() if part_of[u] != part_of[v]]
     if len(set(cross)) != len(cross):
         return False
-    if cert.color_count != G.c or G.c != t + 1:
+    if cert.k != k or cert.color_count != G.c or G.c != t + 1:
         return False
     if cert.case == "I":
         intra = [col for (u, v), col in G.edges.items() if part_of[u] == part_of[v]]
@@ -339,3 +339,36 @@ def hk_certificate_referee(G, k, cert):
     else:
         return False
     return not brute_rainbow_cliques(G, k)
+
+
+def grid_value_referee(default, val, floor):
+    """``check_grid``'s test of one grid value as first written: does
+    ``val`` fit the shape of ``default`` (an integer, not a bool, or a
+    list or tuple of items fitting the default's first item, a pair's
+    length included), and is every integer at least ``floor`` (if any),
+    with n >= k in each pair (n, k)?  None if so, else the text naming
+    the expected shape."""
+    def fits(default, val, pair=False):
+        if not isinstance(default, tuple):
+            return isinstance(val, int) and not isinstance(val, bool)
+        return (isinstance(val, (list, tuple))
+                and (not pair or len(val) == len(default))
+                and all(fits(default[0], x, True) for x in val))
+
+    def in_range():
+        if floor is None:
+            return True
+        if not isinstance(default, tuple):
+            return val >= floor
+        if isinstance(default[0], tuple):
+            return all(n >= k >= floor for n, k in val)
+        return all(x >= floor for x in val)
+
+    if fits(default, val) and in_range():
+        return None
+    at_least = "" if floor is None else f" >= {floor}"
+    if not isinstance(default, tuple):
+        return f"an integer{at_least}"
+    if isinstance(default[0], tuple):
+        return f"a list of integer pairs (n, k) with n >= k{at_least}"
+    return f"a list of integers{at_least}"

@@ -471,6 +471,19 @@ class TestHkValidator:
         assert verdicts == {False, True}
         assert decided_by_search
 
+    def test_certificate_naming_another_k_rejected(self):
+        # One case-I and one case-II member: each certificate holds for
+        # its own k and, with every other field kept, for no other k.
+        for G, k, case in ((build_hnk(8, 6).graph, 6, "I"),
+                           (build_case2_figure().graph, 7, "II")):
+            cert = is_in_hk(G, k)
+            assert cert.case == case and cert.k == k
+            assert validate_hk_certificate(G, k, cert)
+            assert hk_certificate_referee(G, k, cert)
+            bad = dataclasses.replace(cert, k=k + 1)
+            assert not validate_hk_certificate(G, k, bad)
+            assert not hk_certificate_referee(G, k, bad)
+
     def test_fewer_vertices_than_k_rejected(self):
         # A case-I certificate at n = 5 < k = 6 meets every structural
         # condition: parts 2,1,1,1, nine rainbow cross edges and a tenth

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rainbowgraphs import cli
-from rainbowgraphs.constructions import build_gk, build_hnk
+from rainbowgraphs.constructions import build_case2_figure, build_gk, build_hnk
 from rainbowgraphs.graphs import (
     EdgeColoredGraph,
     format_edgelist,
@@ -73,6 +73,17 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("rainbowgraphs: error: vertex count ")
         assert err.count("\n") == 1
+
+    def test_case2_zero_flags_exit_2(self, capsys):
+        # Zero is a given value, not a missing flag: only the bare command
+        # builds the (8, 7) figure.
+        assert run(["generate", "case2", "--n", "0", "--k", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "rainbowgraphs: error: only the (n, k) = (8, 7) instance is "
+            "defined, got (0, 0)\n")
+        assert run(["generate", "case2"]) == 0
+        assert capsys.readouterr().out == format_edgelist(
+            build_case2_figure().graph)
 
     def test_recolored_g1(self, tmp_path):
         out = tmp_path / "w.edges"
@@ -399,6 +410,14 @@ class TestVerifyRejections:
             assert run(["verify", "T1", "--jobs", jobs]) == 1
             err = capsys.readouterr().err
             assert "--jobs" in err and "Traceback" not in err
+
+    def test_sampled_n_past_the_cap_exit_2(self, capsys):
+        # Seed 3 draws a case-I sample, whose validation searches nothing.
+        grid = '{"pairs": [[65, 6]], "samples": 1, "seed": 3}'
+        assert run(["verify", "T6", "--grid", grid]) == 2
+        assert capsys.readouterr().err == (
+            "rainbowgraphs: error: enumeration paths support n <= 64, "
+            "got n=65\n")
 
     def test_exact_sweep_cap_exit_2(self, capsys):
         assert run(["verify", "T3", "--grid", '{"n": 60, "k": 1}']) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import random
@@ -6,6 +7,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rainbowgraphs.characterize import is_in_hk
 from rainbowgraphs.constructions import build_gk, turan_number
@@ -47,6 +50,7 @@ from _oracles import (
     brute_rainbow_triangles,
     gk_count,
     gk_referee,
+    grid_value_referee,
     partition_string,
     set_partitions,
     stirling_table,
@@ -408,10 +412,10 @@ class TestTriangleCeiling:
         for n in range(6):
             mask = (1 << comb(n, 2)) - 1
             for k in range(3):
+                # T3's scan passes k throughout; _rgs_totals floors it at
+                # its exact n + k - 1 colors.
                 exact = n + k - 1
-                ceiling = verify._ceiling("T3", n, comb(n, 2), k)
-                assert ceiling == tuple(k if c >= exact else -1
-                                        for c in range(comb(n, 2) + 1))
+                ceiling = [k] * (comb(n, 2) + 1)
                 self._check(_judged_strings(n, mask, exact),
                             _yielded(n, mask, ceiling, exact),
                             lambda rows: {row for row in rows
@@ -1091,6 +1095,20 @@ class TestPlanner:
                     assert all(a[:len(prefix)] == prefix for a in strings)
 
 
+_GRID_TARGETS = [(name, key) for name, check in verify.CHECKS.items()
+                 for key in dict.fromkeys(("seed", *check.grid))]
+_GRID_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-3, 12),
+    st.integers(-10 ** 40, 10 ** 40), st.floats(), st.text(max_size=3))
+_GRID_VALUES = st.one_of(
+    st.recursive(_GRID_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                 max_leaves=8),
+    st.lists(st.lists(st.integers(-2, 12) | st.booleans(), min_size=1,
+                      max_size=3), max_size=4),
+    st.lists(st.lists(st.integers(3, 12), min_size=1, max_size=3),
+             max_size=3))
+
+
 class TestGridShapes:
     def test_malformed_tuple_keys_rejected(self):
         for check, grid, match in (
@@ -1111,6 +1129,29 @@ class TestGridShapes:
         check_grid("T6", {"pairs": ((8, 6), [9, 7])})
         check_grid("P1", {"k_values": (4,), "ell_values": [1, 2]})
         check_grid("L4", {"pairs": []})
+
+    @settings(max_examples=400, deadline=None)
+    @given(target=st.sampled_from(_GRID_TARGETS), val=_GRID_VALUES)
+    @example(target=("T6", "pairs"), val=[[9, 7], (6, 6)])
+    @example(target=("L3", "pairs"), val=[[8, 6, 6]])
+    @example(target=("L4", "pairs"), val=[[6, 7]])
+    @example(target=("P1", "ell_values"), val=(1, 10 ** 40))
+    @example(target=("T1", "seed"), val=-10 ** 40)
+    def test_check_grid_agrees_with_the_referee(self, target, val):
+        # check_grid raises exactly when the three-pass referee rejects
+        # the value, with the shape text the referee names.
+        name, key = target
+        check = verify.CHECKS[name]
+        default = {"seed": verify.DEFAULT_SEED, **check.grid}[key]
+        floor = None if key == "seed" else check.floors.get(key, 0)
+        shape = grid_value_referee(default, val, floor)
+        if shape is None:
+            check_grid(name, {key: val})
+            return
+        with pytest.raises(GraphError) as err:
+            check_grid(name, {key: val})
+        assert str(err.value) == (
+            f"{name} grid key {key!r} must be {shape}, got {val!r}")
 
 
 class TestGridRanges:
@@ -1144,6 +1185,39 @@ class TestGridRanges:
         # C(8,2) - t(8,6) = 2: no incomplete coloring has t+2 colors.
         with pytest.raises(GraphError, match="L5 needs"):
             verify_theorem("L5", {"pairs": [[8, 8]], "samples": 1})
+
+
+_SIZED_GRIDS = {
+    "T6": lambda n: {"pairs": [[n, 6]], "samples": 1},
+    "L2": lambda n: {"n_max": n, "count": 1},
+    "P1": lambda n: {"k_values": [4], "ell_values": [1], "n_max": n,
+                     "samples": 1},
+}
+
+
+class TestSampledSizeCap:
+    """Past n = 64 the clique and triangle searches refuse a graph, so a
+    sampled grid reaching past it is refused before the first draw, and
+    no seed decides whether the run fails."""
+
+    @pytest.mark.parametrize("name", sorted(_SIZED_GRIDS))
+    def test_past_the_cap_refused_at_every_seed(self, monkeypatch, name):
+        def no_draws(grid, rng, notes):
+            raise AssertionError("drew a sample")
+            yield
+
+        monkeypatch.setitem(verify.CHECKS, name, dataclasses.replace(
+            verify.CHECKS[name], samples=no_draws))
+        for seed in range(6):
+            with pytest.raises(GraphError, match=(
+                    r"^enumeration paths support n <= 64, got n=65$")):
+                verify_theorem(name, dict(_SIZED_GRIDS[name](65), seed=seed))
+
+    @pytest.mark.parametrize("name", sorted(_SIZED_GRIDS))
+    def test_at_the_cap_runs(self, name):
+        for seed in range(6):
+            assert verify_theorem(
+                name, dict(_SIZED_GRIDS[name](64), seed=seed)).ok
 
 
 class TestCapsBeforeEstimates:

@@ -17,14 +17,11 @@ import sys
 from math import comb
 from pathlib import Path
 
-from . import characterize, constructions, rainbow, transform, verify
+from . import characterize, constructions, graphs, rainbow, transform, verify
 from .graphs import (
     EdgeColoredGraph,
     FormatError,
     GraphError,
-    format_dot,
-    format_edgelist,
-    format_json,
     parse_graph,
     stats,
 )
@@ -85,8 +82,10 @@ def _load_graph(path: str) -> EdgeColoredGraph:
     return parse_graph(_read_text(path))
 
 
-_FORMATS = {"edgelist": format_edgelist, "json": format_json,
-            "dot": format_dot}
+def _format(kind: str, G: EdgeColoredGraph) -> str:
+    """``G`` as text through ``graphs.format_<kind>``, looked up when
+    called, so that a rebinding of the name (a tracer's wrapper) sees it."""
+    return getattr(graphs, f"format_{kind}")(G)
 
 
 def cmd_generate(args) -> int:
@@ -104,7 +103,7 @@ def cmd_generate(args) -> int:
         built = constructions.LabeledConstruction(
             graph=G, name="recolored-g1", params={"n": args.n},
             structure={})
-    outputs = [(args.out, _FORMATS[args.format](built.graph))]
+    outputs = [(args.out, _format(args.format, built.graph))]
     meta_out = args.meta_out
     if meta_out is None and args.out is not None:
         meta_out = args.out + ".meta.json"
@@ -198,7 +197,7 @@ def cmd_transform(args) -> int:
     if args.action == "associate":
         D = transform.parse_digraph(_read_text(args.input))
         assoc = transform.associated_colored_graph(D)
-        outputs = [(args.out, _FORMATS[args.format](assoc.graph))]
+        outputs = [(args.out, _format(args.format, assoc.graph))]
         if args.report is not None:
             payload = {"a": D.a, "omega": list(assoc.omega),
                        "omega_sum": assoc.omega_sum}
@@ -216,7 +215,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    _write_text((args.out, _FORMATS[args.to](_load_graph(args.input))))
+    _write_text((args.out, _format(args.to, _load_graph(args.input))))
     return EXIT_OK
 
 

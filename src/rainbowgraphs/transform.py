@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeColoredGraph, FormatError, GraphError, OrientedGraph, edge_key
+from .graphs import (EdgeColoredGraph, FormatError, GraphError, OrientedGraph,
+                     _check_vertex_count, _collector_paused, edge_key)
 from .rainbow import guaranteed_triangles_mc, list_rainbow_triangles
 
 
@@ -229,6 +230,7 @@ def format_digraph(D: OrientedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_collector_paused
 def parse_digraph(text: str) -> OrientedGraph:
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
@@ -247,6 +249,7 @@ def parse_digraph(text: str) -> OrientedGraph:
                 raise FormatError("header must contain two integers", lineno) from None
             if n < 0 or a < 0:
                 raise FormatError("header values must be non-negative", lineno)
+            _check_vertex_count(n)
             header = (n, a)
             continue
         n, a = header

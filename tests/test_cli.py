@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rainbowgraphs import cli
+from rainbowgraphs import cli, graphs
 from rainbowgraphs.constructions import build_case2_figure, build_gk, build_hnk
 from rainbowgraphs.graphs import (
     EdgeColoredGraph,
@@ -226,6 +226,35 @@ class TestConvert:
         colors = {line.split('color="')[1].split('"')[0]
                   for line in dot.splitlines() if "--" in line}
         assert len(colors) == 3
+
+    def test_formatter_looked_up_when_called(self, tmp_path, monkeypatch, capsys):
+        """generate, transform and convert call ``graphs.format_<kind>`` as
+        bound when they run, so a wrapper patched over it sees the call."""
+        calls = []
+        for kind in ("edgelist", "json", "dot"):
+            fn = getattr(graphs, f"format_{kind}")
+            monkeypatch.setattr(graphs, f"format_{kind}",
+                                lambda G, fn=fn, kind=kind: calls.append(kind) or fn(G))
+        src = tmp_path / "k3.edges"
+        src.write_text("3 3\n0 1 0\n0 2 2\n1 2 1\n")
+        arcs = tmp_path / "p3.arcs"
+        arcs.write_text("3 2\n0 1\n1 2\n")
+        for kind in ("edgelist", "json", "dot"):
+            assert run(["convert", str(src), "--to", kind]) == 0
+        assert run(["generate", "gk", "--n", "3", "--k", "1", "--format", "json"]) == 0
+        assert run(["transform", "associate", str(arcs)]) == 0
+        assert calls == ["edgelist", "json", "dot", "json", "edgelist"]
+
+    def test_oversized_header_exit_2(self, tmp_path, capsys):
+        """A header past the vertex cap over a malformed body is the
+        precondition error of the header, not the parse error of the body."""
+        src = tmp_path / "big.edges"
+        src.write_text("5000 1\n0 x\n")
+        assert run(["convert", str(src), "--to", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("rainbowgraphs: error: vertex count 5000 "
+                                "outside supported range 0..4096\n")
 
     def test_bool_color_exit_1(self, tmp_path, capsys):
         src = tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from pathlib import Path
@@ -21,6 +22,7 @@ from rainbowgraphs.graphs import (
     stats,
 )
 from rainbowgraphs.rainbow import count_rainbow_triangles
+from rainbowgraphs.transform import parse_digraph
 
 from _oracles import random_colored_graph
 
@@ -220,6 +222,12 @@ class TestFormats:
         assert parse_graph(format_edgelist(G)) == G
         assert parse_graph(format_json(G)) == G
 
+    def test_oversized_header_rejected_before_the_body(self):
+        """n past the cap fails at the header, before the malformed line
+        after it is read."""
+        with pytest.raises(GraphError, match=r"^vertex count 5000 outside supported range 0\.\.4096$"):
+            parse_edgelist("5000 1\n0 x\n")
+
     def test_dot_export(self):
         dot = format_dot(rainbow_k3())
         assert dot.startswith("graph G {")
@@ -259,3 +267,71 @@ def test_golden_error_table():
     for case in json.loads(GOLDEN_ERRORS.read_text()):
         expected = {k: v for k, v in case.items() if k not in ("call", "input")}
         assert _outcome(case["call"], case["input"]) == expected, case
+
+
+class _SpyText(str):
+    """Text that records whether the collector is on when it is read: the
+    line parsers split it into lines, and ``json.loads`` first checks it
+    for a byte-order mark."""
+
+    def __new__(cls, text, seen):
+        self = super().__new__(cls, text)
+        self.seen = seen
+        return self
+
+    def splitlines(self, *args):
+        self.seen.append(gc.isenabled())
+        return super().splitlines(*args)
+
+    def startswith(self, *args):
+        self.seen.append(gc.isenabled())
+        return super().startswith(*args)
+
+
+class _SpyGraph:
+    """A stand-in graph that records whether the collector is on when a
+    formatter reads its edges, and raises GraphError there if ``fail``."""
+
+    def __init__(self, seen, fail):
+        self.G, self.seen, self.fail = rainbow_k3(), seen, fail
+        self.n, self.m = self.G.n, self.G.m
+
+    @property
+    def edges(self):
+        self.seen.append(gc.isenabled())
+        if self.fail:
+            raise GraphError("edges unavailable")
+        return self.G.edges
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("fn, good, bad", [
+    pytest.param(parse_edgelist, "3 1\n0 1 2\n", "3 1\n0 x 0\n", id="parse_edgelist"),
+    pytest.param(parse_json, '{"n": 3, "edges": [[0, 1, 2]]}',
+                 '{"n": 3, "edges": [[1, 0, 0]]}', id="parse_json"),
+    pytest.param(parse_digraph, "3 1\n0 1\n", "3 1\n0 0\n", id="parse_digraph"),
+    *(pytest.param(fn, None, None, id=fn.__name__)
+      for fn in (format_edgelist, format_json, format_dot)),
+])
+def test_text_functions_pause_the_collector(fn, good, bad, caller_enabled):
+    """The collector is off while a text function reads its input, and
+    afterwards as the caller had it: after a return, after a FormatError
+    or GraphError, and off when the caller turned it off."""
+    assert fn.__module__ == fn.__wrapped__.__module__
+    assert fn.__wrapped__.__name__ == fn.__name__
+    seen = []
+    if good is None:
+        good, bad = _SpyGraph(seen, False), _SpyGraph(seen, True)
+    else:
+        good, bad = _SpyText(good, seen), _SpyText(bad, seen)
+    was_enabled = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        fn(good)
+        assert gc.isenabled() is caller_enabled
+        with pytest.raises((FormatError, GraphError)):
+            fn(bad)
+        assert gc.isenabled() is caller_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(seen) >= 2 and not any(seen)

@@ -327,3 +327,7 @@ class TestDigraphFormat:
     def test_line_numbers(self):
         with pytest.raises(FormatError, match="line 3"):
             parse_digraph("3 2\n0 1\n0 9\n")
+
+    def test_oversized_header_rejected_before_the_body(self):
+        with pytest.raises(GraphError, match=r"^vertex count 5000 outside supported range 0\.\.4096$"):
+            parse_digraph("5000 1\n0 0\n")

@@ -265,9 +265,19 @@ def find_rainbow_spanning_turan(
     each edge from v to p's members, and a placement that closes more
     colors than the budget has left holds no partition below it and is
     skipped.  This only cuts empty subtrees, so the placements are tried
-    in the same order and the same first partition is returned.  The
-    search keeps its own stack, one frame per placed vertex, so its depth
-    is not bounded by the interpreter's.
+    in the same order and the same first partition is returned.
+
+    Once a placement spends the budget down to 0 it stays 0 below, and an
+    edge of a color used once, put inside a part, would close that color.
+    So a started part can take only later vertices joined to each of its
+    members in repeated colors: a placement that leaves the budget at 0
+    and some part with fewer such candidates than it still needs (see
+    ``_part_starved``) is refused like one that breaks the budget.  That
+    too cuts only empty subtrees.  The per-vertex masks of repeated-color
+    neighbours are built when the budget first reaches 0, so a search
+    that never gets there does not pay for them.  The search keeps its
+    own stack, one frame per placed vertex, so its depth is not bounded
+    by the interpreter's.
     """
     if not is_complete(G):
         raise GraphError("rainbow spanning multipartite search needs a complete graph")
@@ -302,6 +312,8 @@ def find_rainbow_spanning_turan(
                 dup_groups[b].append(mask)
         # Latest endpoint first, so propagation stops at the placed ones.
         repeated[color] = sorted(((b, 1 << a) for a, b in pairs), reverse=True)
+    # Per vertex, its neighbours in repeated colors; built on first need.
+    rep: Optional[list[int]] = None
     conflict = [0] * n
     part_mask = [0] * parts
     fill = [0] * parts
@@ -338,7 +350,16 @@ def find_rainbow_spanning_turan(
                     left[color] -= 1
                     if not left[color]:
                         closing += 1
-                if closing > budget:
+                starved = False
+                if closing == budget and v + 1 < n:
+                    if rep is None:
+                        rep = [0] * n
+                        for pairs in repeated.values():
+                            for b, a_bit in pairs:
+                                rep[b] |= a_bit
+                                rep[a_bit.bit_length() - 1] |= 1 << b
+                    starved = _part_starved(part_mask, fill, sizes, rep, p, v)
+                if closing > budget or starved:
                     for color in mate_colors:
                         left[color] += 1
                     continue
@@ -372,6 +393,28 @@ def find_rainbow_spanning_turan(
             fill[p] -= 1
             start = p + 1
     return tuple(tuple(_bits(mask)) for mask in part_mask)
+
+
+def _part_starved(part_mask: list[int], fill: list[int], sizes: tuple[int, ...],
+                  rep: list[int], p: int, v: int) -> bool:
+    """Whether, with v placed in part p, some started part that is not full
+    has fewer candidates than places left: the vertices after v joined to
+    each of its members by ``rep``, their repeated-color neighbours."""
+    for q, members in enumerate(part_mask):
+        need = sizes[q] - fill[q]
+        if q == p:
+            members |= 1 << v
+            need -= 1
+        if not members or not need:
+            continue
+        candidates = -1 << (v + 1)
+        while members:
+            bit = members & -members
+            members ^= bit
+            candidates &= rep[bit.bit_length() - 1]
+        if candidates.bit_count() < need:
+            return True
+    return False
 
 
 def _case_one(G: EdgeColoredGraph, k: int, q: int, t: int) -> Optional[HkCertificate]:

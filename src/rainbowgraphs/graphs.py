@@ -258,8 +258,6 @@ class OrientedGraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         _check_vertex_count(n)
         arc_set: set[tuple[int, int]] = set()
-        out_adj = [0] * n
-        in_adj = [0] * n
         for u, v in arcs:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -270,10 +268,25 @@ class OrientedGraph:
             if (v, u) in arc_set:
                 raise GraphError(f"digon between {u} and {v}")
             arc_set.add((u, v))
+        self._set(n, arc_set)
+
+    @classmethod
+    def _from_checked(cls, n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:
+        """The digraph of ``arcs``, distinct pairs of distinct vertices in
+        0..n-1 with no pair in both directions; only n is checked."""
+        _check_vertex_count(n)
+        D = cls.__new__(cls)
+        D._set(n, arcs)
+        return D
+
+    def _set(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
+        self.arcs = arcs = frozenset(arcs)
+        out_adj = [0] * n
+        in_adj = [0] * n
+        for u, v in arcs:
             out_adj[u] |= 1 << v
             in_adj[v] |= 1 << u
         self.n = n
-        self.arcs = frozenset(arc_set)
         self.out_adj = out_adj
         self.in_adj = in_adj
 

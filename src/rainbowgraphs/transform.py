@@ -233,8 +233,7 @@ def format_digraph(D: OrientedGraph) -> str:
 @_collector_paused
 def parse_digraph(text: str) -> OrientedGraph:
     header: tuple[int, int] | None = None
-    arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    arcs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -265,15 +264,15 @@ def parse_digraph(text: str) -> OrientedGraph:
             raise FormatError(f"vertex outside range 0..{n - 1}", lineno)
         if u == v:
             raise FormatError(f"self-loop at vertex {u}", lineno)
-        if (u, v) in seen:
+        if (u, v) in arcs:
             raise FormatError(f"duplicate arc ({u},{v})", lineno)
-        if (v, u) in seen:
+        if (v, u) in arcs:
             raise FormatError(f"digon between {u} and {v}", lineno)
-        seen.add((u, v))
-        arcs.append((u, v))
+        arcs.add((u, v))
     if header is None:
         raise FormatError("empty input, expected 'n a' header")
     n, a = header
     if len(arcs) != a:
         raise FormatError(f"declared a={a} arcs but found {len(arcs)}")
-    return OrientedGraph(n, arcs)
+    # Every arc passed the four checks above, so none is made again.
+    return OrientedGraph._from_checked(n, arcs)

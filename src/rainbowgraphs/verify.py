@@ -793,13 +793,16 @@ def _merge_scan(report: VerificationReport, part: dict) -> None:
 
 def random_oriented_graph(n: int, rng: Random,
                           tournament: bool = False) -> OrientedGraph:
+    """A random orientation of a random subset of K_n's pairs (all of them
+    for a tournament).  Each pair u < v gives at most one arc, so the
+    arcs are valid by construction and are not checked again."""
     density = 1.0 if tournament else rng.uniform(0.2, 0.95)
     arcs = []
     for u in range(n):
         for v in range(u + 1, n):
             if tournament or rng.random() < density:
                 arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-    return OrientedGraph(n, arcs)
+    return OrientedGraph._from_checked(n, arcs)
 
 
 def directed_triangles(D: OrientedGraph) -> list[tuple[int, int, int]]:
@@ -854,18 +857,21 @@ def _random_labels(n: int, q: int, rng: Random):
 
 def _random_case1(n: int, k: int, rng: Random):
     """Random relabeling of the one-extra-color completion: returns
-    (graph, parts, mono_color)."""
+    (graph, parts, mono_color).  The pairs u < v range over K_n and the
+    colors are ``rng.sample`` values, so the graph is not checked again."""
     parts, cross, fresh = _random_labels(n, k - 2, rng)
-    edges = [(u, v, cross.get((u, v), fresh))
-             for u in range(n) for v in range(u + 1, n)]
-    return EdgeColoredGraph(n, edges), parts, fresh
+    edges = {(u, v): cross.get((u, v), fresh)
+             for u in range(n) for v in range(u + 1, n)}
+    return EdgeColoredGraph._from_checked(n, edges), parts, fresh
 
 
 def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
     """Random variant with intra-pair edges reusing cross colors; only
     defined when all balanced parts have size at most 2.  Candidates are
     filtered by the rainbow-k-clique check, so every returned instance
-    genuinely satisfies the extremal premises."""
+    genuinely satisfies the extremal premises.  The cross pairs and the
+    pairs of the sorted parts have u < v, and the colors are cross colors
+    or the fresh one, so no candidate is checked again as a graph."""
     q = k - 2
     if n // q != 1 or n <= q:
         return None
@@ -891,9 +897,9 @@ def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
             intra_assign[tuple(p)] = cross_color[edge_key(x, z)]
         if not feasible:
             continue
-        edges = [(u, v, col) for (u, v), col in cross_color.items()]
-        edges.extend((p[0], p[1], col) for p, col in intra_assign.items())
-        G = EdgeColoredGraph(n, edges)
+        edges = dict(cross_color)
+        edges.update(intra_assign)
+        G = EdgeColoredGraph._from_checked(n, edges)
         if (G.c == len(cross_color) + 1
                 and not enumerate_rainbow_cliques(G, k, limit=1)):
             return G

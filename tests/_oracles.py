@@ -341,6 +341,120 @@ def hk_certificate_referee(G, k, cert):
     return not brute_rainbow_cliques(G, k)
 
 
+def turan_search_referee(G, parts):
+    """``find_rainbow_spanning_turan`` before its part-feasibility cut:
+    backtracking in index order with the conflict masks and the color
+    budget, trying each vertex in every part that takes it.  The library
+    must return the same first partition, or None where this does."""
+    from rainbowgraphs.characterize import _bits
+    from rainbowgraphs.constructions import TuranPartition, turan_number
+    from rainbowgraphs.graphs import GraphError, is_complete
+
+    if not is_complete(G):
+        raise GraphError("rainbow spanning multipartite search needs a complete graph")
+    sizes = TuranPartition.balanced(G.n, parts).sizes
+    n = G.n
+    # Colors that may lie wholly inside parts.
+    budget = G.c - turan_number(n, parts)
+    if budget < 0:
+        return None
+    edges = G.edges
+    first: dict[int, tuple[int, int]] = {}
+    repeated: dict[int, list[tuple[int, int]]] = {}
+    for pair, color in edges.items():
+        if color in first:
+            repeated.setdefault(color, [first[color]]).append(pair)
+        else:
+            first[color] = pair
+    # Per color, its edges not yet inside a part.
+    left = dict.fromkeys(first, 1)
+    # spread[v]: the earlier u whose color to v another edge repeats;
+    # dup_groups[v]: those among them sharing one color to v, two or more.
+    spread = [0] * n
+    dup_groups: list[list[int]] = [[] for _ in range(n)]
+    for color, pairs in repeated.items():
+        left[color] = len(pairs)
+        group: dict[int, int] = {}
+        for a, b in pairs:
+            group[b] = group.get(b, 0) | 1 << a
+        for b, mask in group.items():
+            spread[b] |= mask
+            if mask & (mask - 1):
+                dup_groups[b].append(mask)
+        # Latest endpoint first, so propagation stops at the placed ones.
+        repeated[color] = sorted(((b, 1 << a) for a, b in pairs), reverse=True)
+    conflict = [0] * n
+    part_mask = [0] * parts
+    fill = [0] * parts
+    # Per placed vertex: its part, the conflict bits it set, the colors of
+    # its edges into the part, the colors those closed, and the sizes of
+    # the empty parts tried for it.
+    frames: list[tuple[int, list[tuple[int, int]], list[int], int, set[int]]] = []
+    v, start, tried_empty_sizes = 0, 0, set()
+    while v < n:
+        placed = (1 << v) - 1
+        for p in range(start, parts):
+            if fill[p] == sizes[p]:
+                continue
+            if fill[p] == 0:
+                if sizes[p] in tried_empty_sizes:
+                    continue
+                tried_empty_sizes.add(sizes[p])
+            cross = placed ^ part_mask[p]
+            if conflict[v] & cross:
+                continue
+            for group in dup_groups[v]:
+                clash = group & cross
+                if clash & (clash - 1):
+                    break
+            else:
+                mates = part_mask[p]
+                mate_colors = []
+                closing = 0
+                while mates:
+                    bit = mates & -mates
+                    mates ^= bit
+                    color = edges[(bit.bit_length() - 1, v)]
+                    mate_colors.append(color)
+                    left[color] -= 1
+                    if not left[color]:
+                        closing += 1
+                if closing > budget:
+                    for color in mate_colors:
+                        left[color] += 1
+                    continue
+                budget -= closing
+                changes = []
+                rest = cross & spread[v]
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    for b, a_bit in repeated[edges[(bit.bit_length() - 1, v)]]:
+                        if b <= v:
+                            break
+                        conflict[b] |= a_bit
+                        changes.append((b, a_bit))
+                frames.append((p, changes, mate_colors, closing, tried_empty_sizes))
+                part_mask[p] |= 1 << v
+                fill[p] += 1
+                v, start, tried_empty_sizes = v + 1, 0, set()
+                break
+        else:
+            if not frames:
+                return None
+            v -= 1
+            p, changes, mate_colors, closing, tried_empty_sizes = frames.pop()
+            for b, a_bit in changes:
+                conflict[b] ^= a_bit
+            part_mask[p] ^= 1 << v
+            for color in mate_colors:
+                left[color] += 1
+            budget += closing
+            fill[p] -= 1
+            start = p + 1
+    return tuple(tuple(_bits(mask)) for mask in part_mask)
+
+
 def grid_value_referee(default, val, floor):
     """``check_grid``'s test of one grid value as first written: does
     ``val`` fit the shape of ``default`` (an integer, not a bool, or a

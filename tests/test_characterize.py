@@ -31,6 +31,7 @@ from _oracles import (
     gk_certificate_referee,
     gk_referee,
     hk_certificate_referee,
+    turan_search_referee,
 )
 
 
@@ -585,6 +586,36 @@ class TestRainbowSpanningTuran:
                         absent += want is None
                         below += c < t
         assert found and absent and below
+
+    def test_first_partition_matches_referee_past_brute_force(self, monkeypatch):
+        # At L3/L4/T6's pairs and at (12, 6) the brute force is too slow,
+        # so the search before its part-feasibility cut referees: the cut
+        # may only skip subtrees without a partition.  Recolored copies
+        # give graphs with no partition as well.
+        from rainbowgraphs import characterize
+        from rainbowgraphs.verify import _recolored
+        starved = []
+        part_starved = characterize._part_starved
+
+        def counting(*args):
+            starved.append(part_starved(*args))
+            return starved[-1]
+
+        monkeypatch.setattr(characterize, "_part_starved", counting)
+        rng = random.Random(73)
+        found = absent = 0
+        for n, k in ((9, 6), (10, 6), (9, 7), (10, 7), (12, 6)) * 12:
+            G = H = sample_clique_free_extremal(n, k, rng)[0]
+            for _ in range(rng.randint(1, 3)):
+                e = rng.choice(sorted(H.edges))
+                H = _recolored(H, e, rng.choice(sorted(H.colors) + [max(H.colors) + 1]))
+            for graph in (G, H):
+                want = turan_search_referee(graph, k - 2)
+                assert find_rainbow_spanning_turan(graph, k - 2) == want
+                found += want is not None
+                absent += want is None
+        assert found and absent
+        assert any(starved)
 
     def test_rainbow_k1100_without_recursion(self):
         # One search step per vertex, deeper than the default recursion limit.

@@ -331,3 +331,20 @@ class TestDigraphFormat:
     def test_oversized_header_rejected_before_the_body(self):
         with pytest.raises(GraphError, match=r"^vertex count 5000 outside supported range 0\.\.4096$"):
             parse_digraph("5000 1\n0 0\n")
+
+    def test_parsed_digraph_equals_validated_digraph(self):
+        # parse_digraph checks each arc itself and builds the digraph
+        # without the constructor's checks: the result must be what the
+        # validating constructor builds from the same arcs.
+        rng = random.Random(89)
+        for _ in range(60):
+            n = rng.randint(0, 14)
+            arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                    for u, v in combinations(range(n), 2) if rng.random() < 0.6]
+            rng.shuffle(arcs)
+            lines = [f"{n} {len(arcs)}"] + [f"{u} {v}" for u, v in arcs]
+            lines.insert(rng.randint(0, len(lines)), "# comment")
+            D = parse_digraph("\n".join(lines) + "\n")
+            want = OrientedGraph(n, arcs)
+            assert D == want
+            assert (D.out_adj, D.in_adj) == (want.out_adj, want.in_adj)

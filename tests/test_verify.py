@@ -15,6 +15,7 @@ from rainbowgraphs.constructions import build_gk, turan_number
 from rainbowgraphs.graphs import (
     EdgeColoredGraph,
     GraphError,
+    OrientedGraph,
     canonicalize_colors,
     is_complete,
     stats,
@@ -816,6 +817,52 @@ class TestSampler:
             assert rng.getstate() == ref_rng.getstate()
             kept += H is not None
         assert kept and built and all(gc == hc for gc, hc in built)
+
+
+class TestTrustedSamplerGraphs:
+    """The samplers build their graphs without the constructors' checks;
+    each graph must equal the one the validating constructor builds from
+    the same pairs or arcs, so no invalid graph passes unchecked."""
+
+    def test_case_samples_equal_validated_graphs(self, monkeypatch):
+        built = []
+        from_checked = EdgeColoredGraph._from_checked
+
+        def validated_too(cls, n, edges):
+            G = from_checked(n, edges)
+            want = EdgeColoredGraph(n, [(u, v, col) for (u, v), col in edges.items()])
+            assert G == want and list(G.edges) == list(want.edges)
+            assert G.adj == want.adj and G.colors == want.colors
+            built.append(G)
+            return G
+
+        monkeypatch.setattr(EdgeColoredGraph, "_from_checked", classmethod(validated_too))
+        rng = random.Random(79)
+        case2 = 0
+        for n, k in ((6, 5), (7, 6), (8, 6), (8, 7), (9, 7), (10, 7), (12, 6)) * 10:
+            assert verify._random_case1(n, k, rng)[0] is built[-1]
+            G = verify._random_case2(n, k, rng)
+            assert G is None or G is built[-1]
+            case2 += G is not None
+        assert case2
+
+    def test_random_oriented_graphs_equal_validated_digraphs(self, monkeypatch):
+        built = []
+        from_checked = OrientedGraph._from_checked
+
+        def validated_too(cls, n, arcs):
+            D = from_checked(n, arcs)
+            want = OrientedGraph(n, arcs)
+            assert D == want and (D.out_adj, D.in_adj) == (want.out_adj, want.in_adj)
+            built.append(D)
+            return D
+
+        monkeypatch.setattr(OrientedGraph, "_from_checked", classmethod(validated_too))
+        rng = random.Random(83)
+        for n in list(range(13)) * 4:
+            D = verify.random_oriented_graph(n, rng, tournament=rng.random() < 0.3)
+            assert D is built[-1]
+        assert len(built) == 52 and any(D.a for D in built)
 
 
 class TestMinimizer:

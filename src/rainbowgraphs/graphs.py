@@ -259,6 +259,8 @@ class OrientedGraph:
         _check_vertex_count(n)
         arc_set: set[tuple[int, int]] = set()
         for u, v in arcs:
+            if type(u) is not int or type(v) is not int:  # bools are not vertices
+                raise GraphError(f"arc ({u!r},{v!r}) has a vertex that is not an integer")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from math import comb
 
+from .constructions import check_hk_order, turan_number
 from .graphs import MAX_ENUMERATION_N, EdgeColoredGraph, GraphError
 
 
@@ -152,11 +153,6 @@ def guaranteed_cliques_mc(n: int, k: int, m: int, c: int) -> int:
     where t(n, q) is the edge count of the balanced complete q-partite
     graph on n vertices.
     """
-    if k < 4:
-        raise GraphError(f"clique size k={k} must be at least 4")
-    if n < k:
-        raise GraphError(f"n={n} smaller than clique size k={k}")
-    from .constructions import turan_number
-
+    check_hk_order(n, k)
     surplus = m + c - comb(n, 2) - turan_number(n, k - 2)
     return max(0, surplus // 2)

@@ -341,6 +341,52 @@ def hk_certificate_referee(G, k, cert):
     return not brute_rainbow_cliques(G, k)
 
 
+def case2_figure_referee():
+    """``build_case2_figure`` as first written: an exhaustive search over
+    which intra-pair edge takes the fresh color and which cross colors
+    to a singleton part the other two reuse, returning the first
+    assignment that leaves no rainbow 7-clique (found here by
+    ``brute_rainbow_cliques``).  The library's pinned figure must equal
+    it edge for edge, in insertion order, and in its structure."""
+    from rainbowgraphs.constructions import LabeledConstruction, turan_graph
+    from rainbowgraphs.graphs import EdgeColoredGraph
+
+    n, k = 8, 7
+    turan = turan_graph(n, k - 2, rainbow=True)
+    cross_colors = turan.graph.edges
+    parts = turan.structure["parts"]
+    pairs = [tuple(p) for p in parts if len(p) == 2]
+    singletons = [p[0] for p in parts if len(p) == 1]
+    fresh = turan.graph.m
+    candidates = {
+        pair: sorted(cross_colors[(min(x, s), max(x, s))]
+                     for x in pair for s in singletons)
+        for pair in pairs
+    }
+    for fresh_idx in range(len(pairs)):
+        others = [pair for idx, pair in enumerate(pairs) if idx != fresh_idx]
+        choices = [(c0, c1) for c0 in candidates[others[0]] for c1 in candidates[others[1]]]
+        for c0, c1 in choices:
+            intra = {pairs[fresh_idx]: fresh, others[0]: c0, others[1]: c1}
+            edges = [(u, v, col) for (u, v), col in cross_colors.items()]
+            edges.extend((pair[0], pair[1], col) for pair, col in intra.items())
+            G = EdgeColoredGraph(n, edges)
+            if brute_rainbow_cliques(G, k):
+                continue
+            return LabeledConstruction(
+                graph=G,
+                name="case2",
+                params={"n": n, "k": k},
+                structure={**turan.structure,
+                           "fresh_color": fresh,
+                           "fresh_pair": list(pairs[fresh_idx]),
+                           "reused_colors": {f"{p[0]},{p[1]}": c
+                                             for p, c in intra.items()
+                                             if c != fresh}},
+            )
+    return None
+
+
 def turan_search_referee(G, parts):
     """``find_rainbow_spanning_turan`` before its part-feasibility cut:
     backtracking in index order with the conflict masks and the color

@@ -19,6 +19,8 @@ from rainbowgraphs.rainbow import (
     list_rainbow_triangles,
 )
 
+from _oracles import case2_figure_referee
+
 
 def quadratic_form(n, k):
     # (k-1)/(2k) * (n^2 - i^2) + C(i,2), evaluated exactly.
@@ -42,6 +44,7 @@ class TestTuranArithmetic:
                 t = turan_number(n, k)
                 assert t == quadratic_form(n, k)
                 assert t == turan_graph(n, k).graph.m
+                assert t == turan_graph(n, k, rainbow=True).graph.m
 
     def test_diff_matches_subtraction(self):
         for n in range(1, 31):
@@ -123,11 +126,14 @@ class TestBuildGk:
             assert built.graph.c == n + k - 1
 
     def test_statistic_grid(self):
-        for k in range(0, 5):
-            for n in range(max(1, 3 * k), 13):
+        # Every (n, k) with 3k <= n <= 32: complete, n + k - 1 colors,
+        # m + c one below the threshold of k + 1, and exactly k triangles.
+        for k in range(0, 11):
+            for n in range(max(1, 3 * k), 33):
                 built = build_gk(n, k)
                 m, c, _ = stats(built.graph)
-                assert c == n + k - 1 or n == 1
+                assert m == comb(n, 2)
+                assert c == n + k - 1
                 assert m + c == comb(n + 1, 2) + k - 1
                 assert count_rainbow_triangles(built.graph) == k
 
@@ -178,12 +184,16 @@ class TestBuildHnk:
         assert enumerate_rainbow_cliques(built.graph, 6) == []
 
     def test_statistic_grid(self):
-        for k in range(4, 9):
+        # Every 4 <= k <= n <= 12: complete, t + 1 colors, and no rainbow
+        # k-clique.
+        for k in range(4, 13):
             for n in range(k, 13):
                 built = build_hnk(n, k)
                 m, c, _ = stats(built.graph)
                 t = turan_number(n, k - 2)
-                assert m + c == comb(n, 2) + t + 1
+                assert m == comb(n, 2)
+                assert c == t + 1
+                assert enumerate_rainbow_cliques(built.graph, k, limit=1) == []
 
     def test_mono_color_is_fresh(self):
         built = build_hnk(9, 6)
@@ -244,6 +254,13 @@ class TestCase2Figure:
 
     def test_deterministic(self):
         assert build_case2_figure().graph == build_case2_figure().graph
+
+    def test_pinned_assignment_is_the_searched_one(self):
+        built, searched = build_case2_figure(), case2_figure_referee()
+        assert built.graph.sorted_edges() == searched.graph.sorted_edges()
+        assert list(built.graph.edges.items()) == list(searched.graph.edges.items())
+        assert built.structure == searched.structure
+        assert built.metadata() == searched.metadata()
 
     def test_other_parameters_rejected(self):
         with pytest.raises(GraphError):

@@ -35,6 +35,12 @@ class TestOrientedGraph:
         with pytest.raises(GraphError, match="duplicate"):
             OrientedGraph(3, [(0, 1), (0, 1)])
 
+    def test_non_integer_vertices_rejected(self):
+        # True would pass as vertex 1 and be written back as "True".
+        for arc in ((True, 2), (0, False), (0.0, 1), ("a", 1), (None, 1)):
+            with pytest.raises(GraphError, match="not an integer"):
+                OrientedGraph(3, [arc])
+
     def test_arc_count(self):
         D = OrientedGraph(4, [(0, 1), (2, 3)])
         assert D.a == 2

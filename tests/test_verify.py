@@ -717,7 +717,7 @@ class TestWitnesses:
 
     def test_t4_witness(self):
         G = find_tightness_witness("T4", 8)
-        assert stats(G).profile.color_degree_sum >= comb(9, 2)
+        assert stats(G).profile.color_degree_sum == comb(9, 2)
         assert count_rainbow_triangles(G) == 1
 
     def test_unsupported(self):
@@ -884,6 +884,14 @@ class TestMinimizer:
                  "graph": {"n": G.n,
                            "edges": [[u, v, c] for u, v, c in G.sorted_edges()]}}
         assert not recheck_counterexample(entry)
+
+    def test_recheck_refuses_a_digraph_with_non_integer_vertices(self):
+        # JSON true is not vertex 1: the stored digraph is refused, not
+        # judged as the 3-cycle 1 -> 2 -> 0 -> 1.
+        entry = {"theorem": "L2", "params": {},
+                 "digraph": {"n": 3, "arcs": [[True, 2], [2, 0], [0, 1]]}}
+        with pytest.raises(GraphError, match="not an integer"):
+            recheck_counterexample(entry)
 
     def test_instance_predicates(self):
         G = build_gk(7, 1).graph

@@ -20,8 +20,9 @@ A statement judges one instance: it returns a failure detail, None when
 the instance holds, or OUTSIDE when it lies outside the premise.  It tests
 the cheap parts of the premise, then the conclusion, and searches for a
 premise's rainbow cliques only when the conclusion fails.  The sampled
-runner, the minimizer, ``recheck_counterexample`` and
-``instance_satisfies`` all judge through it.
+runner, T3's sweep, the minimizer, ``recheck_counterexample`` and
+``instance_satisfies`` all judge through it; ``_judge`` alone turns its
+verdicts into a run's counts.
 
 Sweeps enumerate colorings of K_n, of its edge subsets, or with exactly c
 colors, as restricted-growth strings over the edge slots: every coloring
@@ -37,14 +38,14 @@ string up in ``_verdicts``, the rule's table per (n, m).  Every sweep
 reads t from ``_rgs_blocks``, which counts it as each slot closes
 triangles.  T1, T2 and L1 prune a prefix whose t exceeds ``_ceiling``,
 the most any entry allows up to the most colors the prefix can reach.
-T3 prunes past its premise's t = k and certifies only its premise
-strings.  T4 floors the colors by its color-degree sum, steps the groups
-of blocks that share all but the last two slots, and skips those whose
-sum cannot reach its table.
+T3 prunes past its premise's t = k and judges only its premise strings.
+T4 floors the colors by its color-degree sum, steps the groups of blocks
+that share all but the last two slots, and skips those whose sum cannot
+reach its table.
 Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
-where the statement allows, and serialized so it re-fails on revalidation.
+where the statement allows, then serialized, so it re-fails on recheck.
 A report with no premise instance and no counterexample is VACUOUS.
 """
 
@@ -92,6 +93,7 @@ from .transform import associated_colored_graph
 DEFAULT_SEED = 0
 ENUMERATION_BUDGET = 10 ** 8
 OUTSIDE = False    # a statement's verdict on an instance outside its premise
+UNCERTIFIED = "certificate failed revalidation"    # a failure, not a premise
 
 
 class BudgetError(GraphError):
@@ -354,16 +356,6 @@ class VerificationReport:
         return "OK" if self.premise_instances else "VACUOUS"
 
 
-def _cex_entry(theorem: str, obj, params: dict, detail: str) -> dict:
-    entry = {"theorem": theorem, "params": dict(params), "detail": detail}
-    if isinstance(obj, OrientedGraph):
-        entry["digraph"] = {"n": obj.n,
-                            "arcs": [list(arc) for arc in sorted(obj.arcs)]}
-    else:
-        entry["graph"] = graph_to_json_obj(obj)
-    return entry
-
-
 def minimize_counterexample(G: EdgeColoredGraph, still_fails) -> EdgeColoredGraph:
     """Greedy vertex-then-edge deletion while the failure predicate holds,
     restarting from the last vertex after each deletion taken."""
@@ -377,30 +369,60 @@ def minimize_counterexample(G: EdgeColoredGraph, still_fails) -> EdgeColoredGrap
             return G
 
 
-def _minimized_entry(entry: dict) -> dict:
-    check = CHECKS[entry["theorem"]]
-    if not check.minimize:
-        return entry
-    G = graph_from_json_obj(entry["graph"])
-    params = entry["params"]
+def _cex_entry(theorem: str, obj, params: dict, detail: str) -> dict:
+    """The counterexample entry of ``obj``.  For a ``minimize`` check, a
+    graph the statement still fails on is first shrunk while it fails."""
+    check = CHECKS[theorem]
 
     def still_fails(H):
         return bool(check.statement(H, params, {}))
 
-    if still_fails(G):
-        entry = dict(entry, graph=graph_to_json_obj(
-            minimize_counterexample(G, still_fails)))
+    if check.minimize and still_fails(obj):
+        obj = minimize_counterexample(obj, still_fails)
+    entry = {"theorem": theorem, "params": dict(params), "detail": detail}
+    if isinstance(obj, OrientedGraph):
+        entry["digraph"] = {"n": obj.n,
+                            "arcs": [list(arc) for arc in sorted(obj.arcs)]}
+    else:
+        entry["graph"] = graph_to_json_obj(obj)
     return entry
 
 
+def _judge(out: dict, name: str, obj, params: dict) -> None:
+    """Judge one instance by the check's statement into the counts ``out``
+    of a scan or a sampled run: every verdict but OUTSIDE and UNCERTIFIED
+    is a premise instance, and every failure a counterexample.  An instance
+    outside the premise stops the run unless the check is ``vacuous``."""
+    check = CHECKS[name]
+    verdict = check.statement(obj, params, out["notes"])
+    if verdict is OUTSIDE:
+        if check.vacuous:
+            return
+        raise AssertionError(f"{name} judged an instance outside its premise")
+    out["premise"] += verdict != UNCERTIFIED
+    if verdict:
+        out["cex"].append(_cex_entry(name, obj, params, verdict))
+
+
 def recheck_counterexample(entry: dict) -> bool:
-    """True when the stored instance still violates its implication."""
-    if "digraph" in entry:
-        obj = OrientedGraph(entry["digraph"]["n"],
-                            [tuple(a) for a in entry["digraph"]["arcs"]])
+    """True when the stored instance still violates its implication.  An
+    entry without the instance its check judges (a ``digraph`` for L2, a
+    ``graph`` otherwise) or with a malformed one raises GraphError (a
+    malformed ``graph`` raises the loader's FormatError)."""
+    theorem = str(entry.get("theorem")).upper()
+    kind = "digraph" if theorem == "L2" else "graph"
+    obj = entry.get(kind)
+    if obj is None:
+        raise GraphError(f"a {theorem} counterexample needs a {kind!r} object")
+    if kind == "graph":
+        obj = graph_from_json_obj(obj)
     else:
-        obj = graph_from_json_obj(entry["graph"])
-    return not instance_satisfies(entry["theorem"], obj, entry.get("params", {}))
+        arcs = obj.get("arcs") if isinstance(obj, dict) else None
+        if not isinstance(arcs, list) or not all(
+                isinstance(arc, list) and len(arc) == 2 for arc in arcs):
+            raise GraphError("a digraph needs 'n' and 'arcs', a list of [u, v]")
+        obj = OrientedGraph(obj.get("n"), map(tuple, arcs))
+    return not instance_satisfies(theorem, obj, entry.get("params", {}))
 
 
 # --------------------------------------------------------------------------
@@ -575,40 +597,23 @@ def _rgs_totals(m: int, closers, ceiling, out: dict, prefix=(),
             yield a, m + used + (val == used), t + counts[val]
 
 
-def _t3_scan(name: str, grid: dict, pieces) -> dict:
+def _statement_scan(name: str, grid: dict, pieces) -> dict:
     """T3 on the strings with n + k - 1 colors, which all meet T2's
-    premise at k: only those with t = k, its premises, are certified;
-    the rest hold no certificate that revalidates.  A certificate failing
-    revalidation is a counterexample, not a premise; a premise without
-    one is a counterexample inside n >= 3k and an observation outside."""
+    premise at k: only those with t = k, its premises, are built and
+    judged by the statement; the rest hold no certificate that
+    revalidates.  Below n = 3k the out-of-range notes start empty."""
     n, k = grid["n"], grid["k"]
-    in_range = n >= 3 * k
     notes = {"accepted": 0}
+    if n < 3 * k:
+        notes.update(out_of_range_mismatches=0, out_of_range_examples=[])
     out = {"instances": 0, "premise": 0, "cex": [], "notes": notes}
-    observations = []
     for _n, mask, prefix in pieces:
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
         for a, _total, t_count in _rgs_totals(m, closers, [k] * (m + 1),
                                               out, prefix, exact=n + k - 1):
-            if t_count != k:
-                continue
-            G = _graph_from_colors(n, pairs, a)
-            cert = is_in_gk(G, k)
-            if cert is not None:
-                notes["accepted"] += 1
-                if not validate_gk_certificate(G, k, cert):
-                    out["cex"].append(_cex_entry(
-                        name, G, {"k": k}, "certificate failed revalidation"))
-                    continue
-            out["premise"] += 1
-            if cert is None:
-                entry = _cex_entry(name, G, {"k": k},
-                                   "premises hold but no certificate")
-                (out["cex"] if in_range else observations).append(entry)
-    if not in_range:
-        notes["out_of_range_mismatches"] = len(observations)
-        notes["out_of_range_examples"] = observations[:3]
+            if t_count == k:
+                _judge(out, name, _graph_from_colors(n, pairs, a), {"k": k})
     return out
 
 
@@ -776,7 +781,7 @@ def _merge_scan(report: VerificationReport, part: dict) -> None:
     notes keep their first three entries; integer notes add up."""
     report.instances += part["instances"]
     report.premise_instances += part["premise"]
-    report.counterexamples.extend(_minimized_entry(e) for e in part["cex"])
+    report.counterexamples.extend(part["cex"])
     report.witness_count += part.get("witness_count", 0)
     report.witnesses = (report.witnesses + part.get("witnesses", []))[:3]
     for key, val in part.get("notes", {}).items():
@@ -1098,19 +1103,29 @@ def _t2(G, params, notes):
 
 def _t3(G, params, notes):
     """Both directions inside n >= 3k, and every certificate revalidates.
-    The premise is T2's at k with exactly k rainbow triangles."""
+    The premise is T2's at k with exactly k rainbow triangles.  Certificates
+    are counted in ``accepted``; outside n >= 3k a premise without one
+    holds, and is counted and kept (the first three) as an observation."""
     k = params["k"]
     cert = is_in_gk(G, k)
-    if cert is not None and not validate_gk_certificate(G, k, cert):
-        return "certificate failed revalidation"
-    if G.n < 3 * k:
-        return OUTSIDE
+    if cert is not None:
+        notes["accepted"] = notes.get("accepted", 0) + 1
+        if not validate_gk_certificate(G, k, cert):
+            return UNCERTIFIED
     premise = (count_rainbow_triangles(G) == k
                and _forces(G.n, G.m, G.m + G.c, k, k) is None)
-    if premise and cert is None:
-        return "premises hold but no certificate"
-    if cert is not None and not premise:
-        return "certificate without the premises"
+    detail = ("premises hold but no certificate" if premise
+              else "certificate without the premises")
+    if premise == (cert is not None):
+        return None if premise else OUTSIDE
+    if G.n >= 3 * k:
+        return detail
+    if premise:
+        notes["out_of_range_mismatches"] = notes.get(
+            "out_of_range_mismatches", 0) + 1
+        examples = notes.setdefault("out_of_range_examples", [])
+        if len(examples) < 3:
+            examples.append(_cex_entry("T3", G, params, detail))
     return None if premise else OUTSIDE
 
 
@@ -1226,11 +1241,13 @@ class Check:
     overrides.  A sweep lists its units with ``tasks(grid)`` and runs
     ``scan(name, grid, pieces)`` on each task ``_plan`` cuts from them,
     judging by ``rule`` and ``witness`` (see ``_verdicts``); a sampled
-    check draws from ``samples(grid, rng, notes)``.  Counterexamples of a
-    ``minimize`` check are shrunk while the statement still fails.
-    Samples outside the premise stop the run unless ``vacuous``.  Every
-    integer of a grid value but the seed is at least 0, or at least its
-    key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
+    check draws from ``samples(grid, rng, notes)``.  T3's scan and the
+    sampled runner judge each instance by ``statement`` through
+    ``_judge``, where one outside the premise stops the run unless the
+    check is ``vacuous``.  Counterexamples of a ``minimize`` check are
+    shrunk while the statement still fails.  Every integer of a grid
+    value but the seed is at least 0, or at least its key's entry in
+    ``floors``; a pair (n, k) needs n >= k >= the floor."""
 
     grid: dict
     statement: Callable
@@ -1249,7 +1266,7 @@ CHECKS = {
                 rule=_forces, witness=_tight, minimize=True),
     "T2": Check({"n_max": 5, "k_max": 3}, _t2, _subgraph_colorings, _mc_scan,
                 rule=_forces, witness=_tight, minimize=True),
-    "T3": Check({"n": 5, "k": 1}, _t3, _exact_colorings, _t3_scan),
+    "T3": Check({"n": 5, "k": 1}, _t3, _exact_colorings, _statement_scan),
     "T4": Check({"n_max": 5, "k_max": 2}, _t4, _subgraph_colorings, _t4_scan,
                 rule=_forces_colordeg, minimize=True),
     "T5": Check({"k_values": (4, 5, 6), "n_max": 9, "samples": 200,
@@ -1304,20 +1321,13 @@ def _run_sampled(name: str, check: Check, grid: dict) -> VerificationReport:
     the first draw, so that no seed decides whether the run fails."""
     _check_enumeration_size(max([grid.get("n_max", 0)] + [
         n for n, _k in grid.get("pairs", ())]))
-    report = VerificationReport(name, dict(grid), seed=grid["seed"])
-    rng = Random(grid["seed"])
-    for obj, params in check.samples(grid, rng, report.notes):
-        report.instances += 1
-        verdict = check.statement(obj, params, report.notes)
-        if verdict is OUTSIDE:
-            if check.vacuous:
-                continue
-            raise AssertionError(f"{name} sampler emitted a non-premise instance")
-        report.premise_instances += 1
-        if verdict:
-            report.counterexamples.append(
-                _minimized_entry(_cex_entry(name, obj, params, verdict)))
-    return report
+    out = {"instances": 0, "premise": 0, "cex": [], "notes": {}}
+    for obj, params in check.samples(grid, Random(grid["seed"]), out["notes"]):
+        out["instances"] += 1
+        _judge(out, name, obj, params)
+    return VerificationReport(name, dict(grid), out["instances"],
+                              out["premise"], out["cex"],
+                              notes=out["notes"], seed=grid["seed"])
 
 
 def _lookup(theorem: str) -> Check:

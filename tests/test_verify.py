@@ -17,6 +17,9 @@ from rainbowgraphs.graphs import (
     GraphError,
     OrientedGraph,
     canonicalize_colors,
+    delete_edge,
+    delete_vertex,
+    graph_from_json_obj,
     is_complete,
     stats,
 )
@@ -695,6 +698,34 @@ class TestT3OutOfRange:
         assert report.ok
         assert "out_of_range_mismatches" in report.notes
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_premise_without_certificate_is_an_observation(self, monkeypatch,
+                                                           n):
+        # No grid the budget allows has a premise string below n = 3k, so
+        # the recognizer and the triangle count are faked: a complete K_n
+        # with n + 1 colors then meets T3's premise at k = 2 with no
+        # certificate (n = 5 is the last n below 3k).
+        monkeypatch.setattr(verify, "is_in_gk", lambda G, k: None)
+        monkeypatch.setattr(verify, "count_rainbow_triangles", lambda G: 2)
+        G = EdgeColoredGraph(n, [(u, v, min(i, n)) for i, (u, v) in
+                                 enumerate(combinations(range(n), 2))])
+        assert G.c == n + 1
+        out = verify._statement_scan("T3", {"n": n, "k": 2}, [])
+        assert out["notes"] == {"accepted": 0, "out_of_range_mismatches": 0,
+                                "out_of_range_examples": []}
+        for calls in range(1, 6):
+            verify._judge(out, "T3", G, {"k": 2})
+            assert (out["premise"], out["cex"]) == (calls, [])
+            assert out["notes"]["out_of_range_mismatches"] == calls
+            examples = out["notes"]["out_of_range_examples"]
+            assert len(examples) == min(calls, 3)
+        assert examples[0] == {
+            "theorem": "T3", "params": {"k": 2},
+            "detail": "premises hold but no certificate",
+            "graph": verify.graph_to_json_obj(G)}
+        assert out["notes"]["accepted"] == 0
+        assert instance_satisfies("T3", G, {"k": 2})
+
 
 class TestWitnesses:
     def test_t1_witness(self):
@@ -893,6 +924,23 @@ class TestMinimizer:
         with pytest.raises(GraphError, match="not an integer"):
             recheck_counterexample(entry)
 
+    @pytest.mark.parametrize("entry", [
+        {"theorem": "L2", "digraph": {"n": 3, "arcs": [[0, 1, 2]]}},
+        {"theorem": "L2", "digraph": {"n": 3, "arcs": [5]}},
+        {"theorem": "L2", "digraph": {"n": 3, "arcs": {"0": 1}}},
+        {"theorem": "L2", "digraph": [[0, 1]]},
+        {"theorem": "L2", "digraph": {"arcs": [[0, 1]]}},
+        {"theorem": "L2", "graph": {"n": 3, "edges": [[0, 1, 0]]}},
+        {"theorem": "L2", "params": {}},
+        {"theorem": "T1", "params": {}},
+        {"theorem": "T1", "digraph": {"n": 3, "arcs": [[0, 1]]}},
+    ], ids=["arc-of-three", "arc-not-a-list", "arcs-not-a-list",
+            "digraph-not-an-object", "digraph-without-n", "l2-as-graph",
+            "l2-without-instance", "t1-without-instance", "t1-as-digraph"])
+    def test_recheck_refuses_a_malformed_entry(self, entry):
+        with pytest.raises(GraphError):
+            recheck_counterexample(entry)
+
     def test_instance_predicates(self):
         G = build_gk(7, 1).graph
         assert instance_satisfies("T1", G, {})
@@ -985,6 +1033,28 @@ class TestRecheckUnderFaults:
         serial = verify_theorem(check, grid).counterexamples
         assert serial
         assert verify_theorem(check, grid, jobs=2).counterexamples == serial
+
+
+class TestMinimizedUnderFaults:
+    @pytest.mark.parametrize("case", sorted(
+        case for case, (check, _grid, _faults) in _FAULTS.items()
+        if verify.CHECKS[check].minimize))
+    def test_no_single_deletion_still_fails(self, monkeypatch, case):
+        # Every stored counterexample is already shrunk: no graph one
+        # vertex or one edge smaller fails the statement too.
+        check, grid, faults = _FAULTS[case]
+        for name, fake in faults.items():
+            monkeypatch.setattr(verify, name, fake)
+        if check == "T1":
+            grid = {"n_max": 4}    # at n <= 3 only K_3 fails, already minimal
+        report = verify_theorem(check, grid)
+        assert report.counterexamples
+        for entry in report.counterexamples:
+            G = graph_from_json_obj(entry["graph"])
+            smaller = [delete_vertex(G, v) for v in range(G.n)] + [
+                delete_edge(G, u, v) for u, v in G.edges]
+            assert not any(verify.CHECKS[check].statement(
+                H, entry["params"], {}) for H in smaller), entry
 
 
 class TestT3Faults:

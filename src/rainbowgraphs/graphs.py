@@ -14,6 +14,7 @@ import functools
 import gc
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 # Size cap for plain statistics and I/O paths.
@@ -74,13 +75,16 @@ class EdgeColoredGraph:
     def __init__(self, n: int, colored_edges: Iterable[tuple[int, int, int]] = ()):
         _check_vertex_count(n)
         edges: dict[tuple[int, int], int] = {}
+        # Every edge shares one int per vertex and per color, so the
+        # caller's own ints, such as a decoded JSON entry's, can be freed.
+        ids, shared = list(range(n)), {}
         for u, v, color in colored_edges:
             if type(u) is not int or type(v) is not int:  # bools are not vertices
                 raise GraphError(f"edge ({u!r},{v!r}) has a vertex that is not an integer")
             if 0 <= u < v < n:
-                key = (u, v)
+                key = (ids[u], ids[v])
             elif 0 <= v < u < n:
-                key = (v, u)
+                key = (ids[v], ids[u])
             elif u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             else:
@@ -90,7 +94,7 @@ class EdgeColoredGraph:
                     f"color {color!r} on edge ({u},{v}) is not a non-negative integer")
             if key in edges:
                 raise GraphError(f"duplicate edge pair {key}")
-            edges[key] = color
+            edges[key] = shared.setdefault(color, color)
         self._set(n, edges)
 
     @classmethod
@@ -349,13 +353,37 @@ def format_edgelist(G: EdgeColoredGraph) -> str:
     return "\n".join(lines)
 
 
+# The edge-list reader splits its text into lines a piece of about this
+# many characters at a time, so that the lines of one piece, not of the
+# whole text, are alive at once.
+_CHUNK = 1 << 20
+
+
+def _pieces(text: str):
+    """``text`` in consecutive pieces, each but the last cut just after
+    the first "\\n" at least ``_CHUNK`` characters past its start.
+    ``str.splitlines`` ends a line at every "\\n", the one of "\\r\\n"
+    too, so the pieces' lines are the text's lines."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _CHUNK) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
 @_collector_paused
 def parse_edgelist(text: str) -> EdgeColoredGraph:
     """One pass from lines to the validated ``edges`` dict, which becomes
-    the graph without a second check of its pairs."""
+    the graph without a second check of its pairs.  A vertex token
+    spelled ``str(i)`` is read from a table of the ints 0..n-1, and a
+    color token from a dict of those read before, so the edges share
+    their ints; any other spelling is read by ``int``, as are all three
+    tokens of a line with one such."""
     header: tuple[int, int] | None = None
     edges: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    colors: dict[str, int] = {}
+    lines = chain.from_iterable(map(str.splitlines, _pieces(text)))
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue
@@ -370,6 +398,7 @@ def parse_edgelist(text: str) -> EdgeColoredGraph:
                 raise FormatError("header values must be non-negative", lineno)
             _check_vertex_count(n)
             header = (n, m)
+            ids = {str(i): i for i in range(n)}
             continue
         count = len(edges)
         if count == m:
@@ -378,10 +407,13 @@ def parse_edgelist(text: str) -> EdgeColoredGraph:
             a, b, c = tokens
         except ValueError:
             raise FormatError("edge line must be 'u v color'", lineno) from None
-        try:
-            u, v, color = int(a), int(b), int(c)
-        except ValueError:
-            raise FormatError("edge line must contain three integers", lineno) from None
+        u, v, color = ids.get(a), ids.get(b), colors.get(c)
+        if u is None or v is None or color is None:
+            try:
+                u, v, color = int(a), int(b), int(c)
+            except ValueError:
+                raise FormatError("edge line must contain three integers", lineno) from None
+            color = colors.setdefault(c, color)
         if not 0 <= u < v < n:
             if not 0 <= u < n or not 0 <= v < n:
                 raise FormatError(f"vertex outside range 0..{n - 1}", lineno)
@@ -402,7 +434,9 @@ def graph_to_json_obj(G: EdgeColoredGraph) -> dict:
     return {"n": G.n, "edges": [[u, v, c] for (u, v), c in sorted(G.edges.items())]}
 
 
-def graph_from_json_obj(obj) -> EdgeColoredGraph:
+def _json_shape(obj) -> tuple[int, list]:
+    """``n`` and the ``edges`` list of a JSON graph object, once every
+    entry's shape is checked, before the constructor sees any."""
     if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
         raise FormatError("JSON graph must be an object with keys 'n' and 'edges'")
     n = obj["n"]
@@ -411,8 +445,6 @@ def graph_from_json_obj(obj) -> EdgeColoredGraph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise FormatError("'edges' must be a list")
-    # Every entry's shape is checked before the constructor sees any, so
-    # the constructor reads the entries themselves, not a copy.
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 3:
             raise FormatError(f"edge entry {entry!r} must be [u, v, color]")
@@ -421,10 +453,19 @@ def graph_from_json_obj(obj) -> EdgeColoredGraph:
             raise FormatError(f"edge entry {entry!r} must be [u, v, color]")
         if u >= v:
             raise FormatError(f"edge [{u},{v}] must satisfy u < v")
+    return n, edges
+
+
+def _json_build(n: int, entries: Iterable[list]) -> EdgeColoredGraph:
     try:
-        return EdgeColoredGraph(n, edges)
+        return EdgeColoredGraph(n, entries)
     except GraphError as exc:
         raise FormatError(str(exc)) from None
+
+
+def graph_from_json_obj(obj) -> EdgeColoredGraph:
+    """The graph of a JSON graph object, which is left as it was."""
+    return _json_build(*_json_shape(obj))
 
 
 @_collector_paused
@@ -446,7 +487,11 @@ def parse_json(text: str) -> EdgeColoredGraph:
         raise FormatError("JSON nested too deeply") from None
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise FormatError(str(exc)) from None
-    return graph_from_json_obj(obj)
+    # The decoded object is this function's own, so each entry is taken
+    # out of its list as the constructor reads it, and freed once read.
+    n, edges = _json_shape(obj)
+    edges.reverse()
+    return _json_build(n, (edges.pop() for _ in range(len(edges))))
 
 
 def parse_graph(text: str) -> EdgeColoredGraph:

@@ -127,6 +127,7 @@ def enumerate_rainbow_cliques(
         return False
 
     extend(start, used)
+    del extend  # it refers to itself: a cycle only the collector would free
     return results
 
 

@@ -408,7 +408,14 @@ def recheck_counterexample(entry: dict) -> bool:
     """True when the stored instance still violates its implication.  An
     entry without the instance its check judges (a ``digraph`` for L2, a
     ``graph`` otherwise) or with a malformed one raises GraphError (a
-    malformed ``graph`` raises the loader's FormatError)."""
+    malformed ``graph`` raises the loader's FormatError), as does an entry
+    that is not an object or whose ``params`` do not map names to ints."""
+    if not isinstance(entry, dict):
+        raise GraphError("a counterexample entry must be an object")
+    params = entry.get("params", {})
+    if not isinstance(params, dict) or not all(
+            type(val) is int for val in params.values()):
+        raise GraphError("a counterexample's 'params' must map names to integers")
     theorem = str(entry.get("theorem")).upper()
     kind = "digraph" if theorem == "L2" else "graph"
     obj = entry.get(kind)
@@ -422,7 +429,7 @@ def recheck_counterexample(entry: dict) -> bool:
                 isinstance(arc, list) and len(arc) == 2 for arc in arcs):
             raise GraphError("a digraph needs 'n' and 'arcs', a list of [u, v]")
         obj = OrientedGraph(obj.get("n"), map(tuple, arcs))
-    return not instance_satisfies(theorem, obj, entry.get("params", {}))
+    return not instance_satisfies(theorem, obj, params)
 
 
 # --------------------------------------------------------------------------
@@ -433,8 +440,9 @@ def recheck_counterexample(entry: dict) -> bool:
 
 
 def _forces(n, m, value, t, k=1, what="m+c"):
-    """T1, T2 and T4: ``value`` >= C(n+1,2)+k-1 gives k rainbow triangles."""
-    if value < comb(n + 1, 2) + k - 1:
+    """T1, T2 and T4: ``value`` >= C(n+1,2)+k-1 gives k rainbow triangles.
+    Order 0 lies outside every premise, though K_0 meets this one at k = 1."""
+    if n == 0 or value < comb(n + 1, 2) + k - 1:
         return OUTSIDE
     return None if t >= k else f"{what} forces {k} rainbow triangles, found {t}"
 
@@ -445,9 +453,10 @@ def _forces_colordeg(n, m, value, t, k=1):
 
 
 def _equality(n, m, value, t):
-    """L1: m+c >= C(n+1,2)+t-1 gives equality there and a complete graph."""
+    """L1: m+c >= C(n+1,2)+t-1 gives equality there and a complete graph.
+    Order 0 lies outside, as in ``_forces``."""
     thresh = comb(n + 1, 2) + t - 1
-    if value < thresh:
+    if n == 0 or value < thresh:
         return OUTSIDE
     if value == thresh and m == comb(n, 2):
         return None
@@ -1217,7 +1226,8 @@ def _l3(G, params, notes):
 def _l2(D, params, notes):
     """The associated coloring has m = a(D), c = the out-component sum, and
     D's directed triangles as its rainbow triangles; and
-    a(D) + that sum >= C(n+1,2)+k-1 gives k directed triangles."""
+    a(D) + that sum >= C(n+1,2)+k-1 gives k directed triangles.  Order 0
+    lies outside, as in ``_forces``."""
     assoc = associated_colored_graph(D)
     dir_tris = directed_triangles(D)
     detail = "associated-coloring identity or directed-triangle bound failed"
@@ -1225,7 +1235,7 @@ def _l2(D, params, notes):
             or dir_tris != list_rainbow_triangles(assoc.graph)):
         return detail
     k = D.a + assoc.omega_sum - comb(D.n + 1, 2) + 1
-    if k < 1:
+    if D.n == 0 or k < 1:
         return OUTSIDE
     return None if len(dir_tris) >= k else detail
 

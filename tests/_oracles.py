@@ -532,3 +532,55 @@ def grid_value_referee(default, val, floor):
     if isinstance(default[0], tuple):
         return f"a list of integer pairs (n, k) with n >= k{at_least}"
     return f"a list of integers{at_least}"
+
+
+def edgelist_referee(text):
+    """The edge-list reader as it was before it read its text a piece at a
+    time and shared its ints: the whole text split into lines at once, and
+    every token read by ``int``.  Same graph, edge order included, or the
+    same FormatError at the same line."""
+    from rainbowgraphs.graphs import EdgeColoredGraph, FormatError, _check_vertex_count
+
+    header: tuple[int, int] | None = None
+    edges: dict[tuple[int, int], int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if header is None:
+            if len(tokens) != 2:
+                raise FormatError("header must be 'n m'", lineno)
+            try:
+                n, m = map(int, tokens)
+            except ValueError:
+                raise FormatError("header must contain two integers", lineno) from None
+            if n < 0 or m < 0:
+                raise FormatError("header values must be non-negative", lineno)
+            _check_vertex_count(n)
+            header = (n, m)
+            continue
+        count = len(edges)
+        if count == m:
+            raise FormatError(f"more than the declared m={m} edge lines", lineno)
+        try:
+            a, b, c = tokens
+        except ValueError:
+            raise FormatError("edge line must be 'u v color'", lineno) from None
+        try:
+            u, v, color = int(a), int(b), int(c)
+        except ValueError:
+            raise FormatError("edge line must contain three integers", lineno) from None
+        if not 0 <= u < v < n:
+            if not 0 <= u < n or not 0 <= v < n:
+                raise FormatError(f"vertex outside range 0..{n - 1}", lineno)
+            raise FormatError("edges must satisfy u < v", lineno)
+        edges[u, v] = color
+        if len(edges) == count:
+            raise FormatError(f"duplicate edge pair ({u},{v})", lineno)
+        if color < 0:
+            raise FormatError("color must be non-negative", lineno)
+    if header is None:
+        raise FormatError("empty input, expected 'n m' header")
+    if len(edges) != m:
+        raise FormatError(f"declared m={m} edges but found {len(edges)}")
+    return EdgeColoredGraph._from_checked(n, edges)

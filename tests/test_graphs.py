@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import random
@@ -15,6 +16,7 @@ from rainbowgraphs.graphs import (
     format_dot,
     format_edgelist,
     format_json,
+    graph_from_json_obj,
     is_complete,
     parse_edgelist,
     parse_graph,
@@ -269,10 +271,46 @@ def test_golden_error_table():
         assert _outcome(case["call"], case["input"]) == expected, case
 
 
+def _shared_ints(G) -> bool:
+    """Does every edge of G share one int object per vertex and per color?"""
+    vertices, colors = {}, {}
+    return (all(vertices.setdefault(x, x) is x for key in G.edges for x in key)
+            and all(colors.setdefault(c, c) is c for c in G.edges.values()))
+
+
+def test_a_read_graph_shares_its_ints():
+    # Vertices and colors past 256, which the interpreter does not cache.
+    n = 300
+    G = EdgeColoredGraph(n, [(u, v, 1000 + (u * v) % 7)
+                             for u in range(n) for v in range(u + 1, n) if (u + v) % 5])
+    edgelist, text = format_edgelist(G), format_json(G)
+    for H in (parse_edgelist(edgelist), parse_json(text),
+              graph_from_json_obj(json.loads(text)),
+              EdgeColoredGraph(n, [(int(str(v)), int(str(u)), int(str(c)))
+                                   for u, v, c in G.sorted_edges()])):
+        assert H == G and _shared_ints(H)
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 300, "edges": [[0, 299, 1000], [5, 270, 1001], [1, 2, 1000]]},
+    {"n": 3, "edges": [[0, 1, 7], [0, 1, 8]]},
+    {"n": 3, "edges": [[0, 1, 7], [1, 5, 8]]},
+    {"n": 3, "edges": [[0, 1, 7], [1, 2]]},
+], ids=["graph", "duplicate-pair", "out-of-range", "short-entry"])
+def test_graph_from_json_obj_leaves_its_argument(obj):
+    before = copy.deepcopy(obj)
+    try:
+        graph_from_json_obj(obj)
+    except FormatError:
+        pass
+    assert obj == before
+
+
 class _SpyText(str):
     """Text that records whether the collector is on when it is read: the
-    line parsers split it into lines, and ``json.loads`` first checks it
-    for a byte-order mark."""
+    digraph parser splits it into lines, the edge-list parser finds its
+    piece ends and slices it, and ``json.loads`` first checks it for a
+    byte-order mark."""
 
     def __new__(cls, text, seen):
         self = super().__new__(cls, text)
@@ -282,6 +320,14 @@ class _SpyText(str):
     def splitlines(self, *args):
         self.seen.append(gc.isenabled())
         return super().splitlines(*args)
+
+    def find(self, *args):
+        self.seen.append(gc.isenabled())
+        return super().find(*args)
+
+    def __getitem__(self, key):
+        self.seen.append(gc.isenabled())
+        return super().__getitem__(key)
 
     def startswith(self, *args):
         self.seen.append(gc.isenabled())

@@ -1,23 +1,30 @@
 """Property tests of the graph file formats over random edge-colored
 graphs: round trips, adjacency masks, tolerance of comments and
-whitespace, and JSON text equal to the ``json`` module's.  Vertex counts
-reach 80, past a 64-bit word, and densities fall on both sides of the
-byte-row adjacency threshold."""
+whitespace, JSON text equal to the ``json`` module's, and the edge-list
+reader against its whole-text referee wherever its pieces are cut.
+Vertex counts reach 80, past a 64-bit word, and densities fall on both
+sides of the byte-row adjacency threshold."""
 
 import json
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rainbowgraphs import graphs
 from rainbowgraphs.graphs import (
     EdgeColoredGraph,
+    FormatError,
+    GraphError,
     format_edgelist,
     format_json,
     graph_to_json_obj,
     parse_edgelist,
     parse_json,
 )
+
+from _oracles import edgelist_referee
 
 
 @st.composite
@@ -105,3 +112,67 @@ def test_format_json_is_the_json_modules_text(n, keep, top, seed):
     G = EdgeColoredGraph(n, [(u, v, rng.randint(0, top)) for u in range(n)
                              for v in range(u + 1, n) if rng.random() < keep])
     assert format_json(G) == json.dumps(graph_to_json_obj(G)) + "\n"
+
+
+# Every separator ``str.splitlines`` knows, "\r\n" included.
+_LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029")
+# Vertex and color spellings: plain, signed, zero-led, non-ASCII digits,
+# out of range, and not integers at all.
+_TOKENS = ("0", "1", "2", "3", "4", "5", "6", "7", "+1", "+0", "-0", "01",
+           "007", "-1", "\u0663", "\uff12", "1_0", "9", "300", "x", "1.0",
+           "#3")
+
+
+@st.composite
+def edgelist_texts(draw):
+    """Edge-list-like text: a header, mostly well formed, then edge lines
+    of distinct pairs, some with odd tokens, among comments, blank and
+    whitespace lines and lines of the wrong length, each ended by any
+    line separator, the last one maybe not at all."""
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)
+                  if pairs else st.just([]))
+    m = draw(st.sampled_from((len(chosen),) * 4
+                             + (len(chosen) + 1, max(len(chosen) - 1, 0), 0)))
+    lines = [draw(st.sampled_from(
+        (f"{n} {m}",) * 6 + (f"+{n} {m}", f"0{n}\t {m}", f"{n}", f"{n} x")))]
+    for u, v in chosen:
+        while draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from((
+                "", " ", "\t", " \t ", "# 1 2 3", "#", "  #x", "0 1",
+                "0 1 2 3"))))
+        if draw(st.integers(0, 5)):
+            lines.append(f"{u} {v} {draw(st.integers(0, 300))}")
+        else:
+            lines.append(" ".join(draw(st.sampled_from((str(u), *_TOKENS)))
+                                  for _ in range(3)))
+    ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _reading(parse, text):
+    """The graph's n, edges in order and colors, or the error's type,
+    message and line."""
+    try:
+        G = parse(text)
+    except (FormatError, GraphError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return G.n, list(G.edges.items()), G.colors
+
+
+@settings(max_examples=400, deadline=None)
+@given(edgelist_texts(), st.integers(0, 24))
+@example("3 2\r\n0 1 5\r\n1 2 6\r\n", 9)
+@example("3 2\r\n0 1 5\r\n1 2 6", 8)
+@example("3 1\r\n\n0 1 5\n", 3)
+def test_edgelist_reader_is_its_referee_wherever_it_cuts(text, chunk):
+    """Pieces of ``chunk`` characters put cuts beside every separator,
+    "\\r\\n" too, and the reader still sees the referee's lines."""
+    want = _reading(edgelist_referee, text)
+    with mock.patch.object(graphs, "_CHUNK", chunk):
+        assert _reading(parse_edgelist, text) == want
+    assert _reading(parse_edgelist, text) == want

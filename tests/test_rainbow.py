@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -170,6 +171,23 @@ class TestCliqueEnumeration:
                 enumerate_rainbow_cliques(H, 3, through=through)
         with pytest.raises(GraphError, match="not an edge"):
             enumerate_rainbow_cliques(delete_edge(H, 0, 1), 3, through=(0, 1))
+
+    def test_leaves_nothing_for_the_collector(self):
+        # The recursive search refers to itself; it must not leave that
+        # cycle, and the color table it holds, to the cyclic collector.
+        G = build_hnk(12, 6).graph
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for k in (3, 4, 5, 6):
+                enumerate_rainbow_cliques(G, k)
+                enumerate_rainbow_cliques(G, k, limit=1)
+                enumerate_rainbow_cliques(G, k, through=(0, 11))
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestGuaranteeFormulas:

@@ -934,9 +934,15 @@ class TestMinimizer:
         {"theorem": "L2", "params": {}},
         {"theorem": "T1", "params": {}},
         {"theorem": "T1", "digraph": {"n": 3, "arcs": [[0, 1]]}},
+        [{"theorem": "T1", "graph": {"n": 3, "edges": []}}],
+        {"theorem": "T2", "params": 5, "graph": {"n": 3, "edges": []}},
+        {"theorem": "T3", "params": {"k": "x"}, "graph": {"n": 3, "edges": []}},
+        {"theorem": "T2", "params": {"k": True}, "graph": {"n": 3, "edges": []}},
     ], ids=["arc-of-three", "arc-not-a-list", "arcs-not-a-list",
             "digraph-not-an-object", "digraph-without-n", "l2-as-graph",
-            "l2-without-instance", "t1-without-instance", "t1-as-digraph"])
+            "l2-without-instance", "t1-without-instance", "t1-as-digraph",
+            "entry-not-an-object", "params-not-an-object", "k-not-an-integer",
+            "k-a-bool"])
     def test_recheck_refuses_a_malformed_entry(self, entry):
         with pytest.raises(GraphError):
             recheck_counterexample(entry)
@@ -948,6 +954,25 @@ class TestMinimizer:
         assert instance_satisfies("L1", G, {})
         mono = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
         assert instance_satisfies("T1", mono, {})  # premise fails, vacuous
+
+    @pytest.mark.parametrize("theorem, params", [
+        ("T1", {}), ("T2", {"k": 1}), ("T3", {"k": 1}), ("T4", {"k": 1}),
+        ("L1", {}), ("T5", {"k": 4}), ("P1", {"k": 4, "ell": 1}),
+        ("T6", {"k": 6}), ("L3", {"k": 6}), ("L5", {"k": 6}), ("L2", {}),
+    ])
+    def test_order_zero_lies_outside_every_premise(self, theorem, params):
+        # K_0 meets the m + c threshold C(1, 2) + k - 1 at k = 1 with no
+        # triangle; it is no counterexample, and its entry does not re-fail.
+        if theorem == "L2":
+            obj = OrientedGraph(0)
+            entry = {"theorem": theorem, "params": params,
+                     "digraph": {"n": 0, "arcs": []}}
+        else:
+            obj = EdgeColoredGraph(0)
+            entry = {"theorem": theorem, "params": params,
+                     "graph": {"n": 0, "edges": []}}
+        assert instance_satisfies(theorem, obj, params)
+        assert not recheck_counterexample(entry)
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"

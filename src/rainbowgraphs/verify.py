@@ -41,7 +41,13 @@ the most any entry allows up to the most colors the prefix can reach.
 T3 prunes past its premise's t = k and judges only its premise strings.
 T4 floors the colors by its color-degree sum, steps the groups of blocks
 that share all but the last two slots, and skips those whose sum cannot
-reach its table.
+reach its table.  From ``_settled``'s t on, every entry of a table
+depends on the statistic alone and holds, so T1 and T2 count the strings
+below a prefix that reaches it per color count by formula
+(``_by_colors``), and T4 reads its last values' entries there without
+counting the last slot's triangles.  A sweep reports the strings it
+looked up one by one (``judged``) and the premises it counted by formula
+(``settled``).
 Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
@@ -130,7 +136,7 @@ def bell_number(q: int) -> int:
     return sum(_stirling_row(q))
 
 
-def _rgs_blocks(slots, ceiling, prefix=(), closers=None):
+def _rgs_blocks(slots, ceiling, prefix=(), closers=None, settled=inf):
     """Yield the restricted-growth strings over ``slots`` >= 1 positions
     that ``ceiling`` allows, in lexicographic order, in blocks that share
     everything but the last position.
@@ -151,6 +157,13 @@ def _rgs_blocks(slots, ceiling, prefix=(), closers=None):
     the others, as it never falls with c) floor them, and as t never falls
     as a prefix grows, one whose t exceeds ``ceiling[c]``, for the most
     values c it can still reach, is pruned.
+
+    A prefix of ``i`` < slots - 1 positions whose t has reached
+    ``settled`` is not extended: it comes as one subtree ``(None, used,
+    slots - i, t)``, standing for every string that extends it and keeps
+    within the cap and the floor (``_by_colors`` counts them).  As t never
+    falls, each of those strings has at least ``settled`` triangles too.
+    A pinned last position is never cut, as it lies past every cut.
 
     The prefixes are stepped as in the successor loop of Knuth's Algorithm
     H (TAOCP 7.2.1.5): raise the rightmost position that can still grow,
@@ -190,7 +203,9 @@ def _rgs_blocks(slots, ceiling, prefix=(), closers=None):
     before[i], tris[i] = used, t
     v = 0    # the least value left to try at position i; 0 on entering it
     while True:
-        if i < last - 1:
+        if i < last and not v and tris[i] >= settled:
+            yield None, before[i], slots - i, tris[i]
+        elif i < last - 1:
             used, t = before[i], tris[i]
             if not v:
                 closing[i] = _last_slot_counts(a, used, closers[i])
@@ -322,16 +337,22 @@ class VerificationReport:
     notes: dict = field(default_factory=dict)
     seconds: float = 0.0
     seed: int | None = None
+    judged: int | None = None     # a sweep's strings looked up one by one
+    settled: int | None = None    # its premise instances counted by formula
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
 
     def to_dict(self) -> dict:
-        """The fields in order, with the grid's tuples as lists."""
-        return dict(asdict(self), grid={
+        """The fields in order, with the grid's tuples as lists; a sampled
+        report has no ``judged`` and ``settled``."""
+        out = dict(asdict(self), grid={
             key: list(val) if isinstance(val, tuple) else val
             for key, val in self.grid.items()})
+        if self.judged is None:
+            del out["judged"], out["settled"]
+        return out
 
     def table(self) -> str:
         lines = [f"check {self.theorem}  grid={self.grid}"]
@@ -342,6 +363,9 @@ class VerificationReport:
         lines.append(f"  counterexamples    : {len(self.counterexamples)}")
         lines.append(f"  tightness witnesses: {self.witness_count}"
                      f" ({len(self.witnesses)} stored)")
+        if self.judged is not None:
+            lines.append(f"  strings judged     : {self.judged}")
+            lines.append(f"  settled premises   : {self.settled}")
         for key, val in self.notes.items():
             lines.append(f"  {key}: {val}")
         lines.append(f"  wall clock         : {self.seconds:.2f} s")
@@ -404,12 +428,19 @@ def _judge(out: dict, name: str, obj, params: dict) -> None:
         out["cex"].append(_cex_entry(name, obj, params, verdict))
 
 
+# The statement param each grid key ranges over.
+_PARAM_OF_GRID_KEY = {"k": "k", "k_max": "k", "k_values": "k", "pairs": "k",
+                      "ell_values": "ell"}
+
+
 def recheck_counterexample(entry: dict) -> bool:
     """True when the stored instance still violates its implication.  An
     entry without the instance its check judges (a ``digraph`` for L2, a
     ``graph`` otherwise) or with a malformed one raises GraphError (a
     malformed ``graph`` raises the loader's FormatError), as does an entry
-    that is not an object or whose ``params`` do not map names to ints."""
+    that is not an object, names no check, or whose ``params`` do not map
+    names to ints, each param the check's grid ranges over (k, ell) given
+    and at least that grid key's floor."""
     if not isinstance(entry, dict):
         raise GraphError("a counterexample entry must be an object")
     params = entry.get("params", {})
@@ -417,6 +448,12 @@ def recheck_counterexample(entry: dict) -> bool:
             type(val) is int for val in params.values()):
         raise GraphError("a counterexample's 'params' must map names to integers")
     theorem = str(entry.get("theorem")).upper()
+    check = _lookup(theorem)
+    for key, param in _PARAM_OF_GRID_KEY.items():
+        floor = check.floors.get(key, 0)
+        if key in check.grid and params.get(param, floor - 1) < floor:
+            raise GraphError(f"a {theorem} counterexample needs the param "
+                             f"{param!r}, an integer >= {floor}")
     kind = "digraph" if theorem == "L2" else "graph"
     obj = entry.get(kind)
     if obj is None:
@@ -517,6 +554,37 @@ def _ceiling(name: str, n: int, m: int, k_max: int | None):
     return tuple(islice(tops, m, 2 * m + 1))
 
 
+@lru_cache(maxsize=None)
+def _settled(name: str, n: int, m: int, k_max: int | None) -> int:
+    """The least t < C(n,3) from which every row of the ``_verdicts``
+    table keeps one entry through t = C(n,3), with some premise and no
+    failure or witness among them, or C(n,3) + 1 if there is none: from
+    there on a coloring's entry depends on its statistic alone.  A column
+    must repeat to show it, so a table of one column settles nothing, and
+    one without an entry is left to ``_ceiling``.  L1's entries move with
+    t, so L1 never settles."""
+    table = _verdicts(name, n, m, k_max)[1]
+    top = comb(n, 3)
+    column = [row[top] for row in table]
+    if not any(column) or any(entry[1] or entry[2]
+                              for entry in column if entry):
+        return top + 1
+    t = top
+    while t and all(row[t - 1] == entry for row, entry in zip(table, column)):
+        t -= 1
+    return t if t < top else top + 1
+
+
+def _credit(out: dict, table, settled: int, bulk) -> None:
+    """Count the ``bulk[value]`` colorings with at least ``settled``
+    rainbow triangles, per statistic value, by their entry at ``settled``
+    (``_settled``): each entry there is a premise, held."""
+    credit = sum(count for count, row in zip(bulk, table)
+                 if count and row[settled])
+    out["premise"] += credit
+    out["settled"] += credit
+
+
 def _tally(out: dict, name: str, verdict, n: int, pairs, colors) -> None:
     """Count a coloring with a table entry; keep it if it fails, and as
     one of the first three witnesses."""
@@ -548,6 +616,16 @@ def _completions(slots: int, prefix: tuple[int, ...], exact=None) -> int:
     return sum(comb(free, j) * used ** (free - j)
                * (bell_number(j) if exact is None else stirling2(j, exact - used))
                for j in range(free + 1))
+
+
+@lru_cache(maxsize=None)
+def _by_colors(free: int, used: int) -> tuple[int, ...]:
+    """Per c = used..used+free, the strings filling ``free`` positions
+    after a prefix that uses ``used`` values, with c values in all:
+    ``_completions`` at exactly c."""
+    prefix = tuple(range(used))
+    return tuple(_completions(used + free, prefix, c)
+                 for c in range(used, used + free + 1))
 
 
 _TASKS_PER_WORKER = 8
@@ -582,13 +660,18 @@ def _plan(units, workers: int) -> list[list[tuple]]:
 
 
 def _rgs_totals(m: int, closers, ceiling, out: dict, prefix=(),
-                exact=None):
+                exact=None, settled=inf, bulk=None):
     """Yield ``(a, m + c, t)`` for colorings ``a`` of ``m`` slots extending
     ``prefix`` (with exactly ``exact`` colors, if given), with c colors and
     t rainbow triangles, each slot adding those it closes (``closers``),
     that ``ceiling`` does not prune (``_rgs_blocks``).  Every coloring is
     counted in ``out["instances"]``, exactly by ``_completions``.  ``a`` is
-    a shared buffer with its last slot already set."""
+    a shared buffer with its last slot already set.
+
+    A coloring with at least ``settled`` triangles once its first m - 1
+    slots are set is not yielded but counted in ``bulk[m + c]``: whole
+    settled subtrees of ``_rgs_blocks`` by ``_by_colors``, and blocks
+    whose t is settled by their last values."""
     out["instances"] += _completions(m, prefix, exact)
     if exact is not None:
         ceiling = [-1 if c < exact else top
@@ -599,11 +682,29 @@ def _rgs_totals(m: int, closers, ceiling, out: dict, prefix=(),
             yield a, 0, 0
         return
     last = m - 1
-    for a, used, values, t in _rgs_blocks(m, ceiling, prefix, closers):
-        counts = _last_slot_counts(a, used, closers[last])
-        for val in values:
-            a[last] = val
-            yield a, m + used + (val == used), t + counts[val]
+    need, cap = ceiling.count(-1), len(ceiling) - 1
+    for a, used, values, t in _rgs_blocks(m, ceiling, prefix, closers,
+                                          settled):
+        if a is None:
+            # A settled subtree: ``values`` is its number of free slots.
+            for c, count in enumerate(_by_colors(values, used), used):
+                if need <= c <= cap:
+                    bulk[m + c] += count
+        elif t >= settled:
+            fresh = used in values
+            bulk[m + used] += len(values) - fresh
+            bulk[m + used + 1] += fresh
+        else:
+            counts = _last_slot_counts(a, used, closers[last])
+            for val in values:
+                a[last] = val
+                yield a, m + used + (val == used), t + counts[val]
+
+
+def _scan_out() -> dict:
+    """The empty counts of a scan task, which ``_merge_scan`` adds up."""
+    return {"instances": 0, "premise": 0, "cex": [], "witness_count": 0,
+            "witnesses": [], "judged": 0, "settled": 0}
 
 
 def _statement_scan(name: str, grid: dict, pieces) -> dict:
@@ -615,12 +716,13 @@ def _statement_scan(name: str, grid: dict, pieces) -> dict:
     notes = {"accepted": 0}
     if n < 3 * k:
         notes.update(out_of_range_mismatches=0, out_of_range_examples=[])
-    out = {"instances": 0, "premise": 0, "cex": [], "notes": notes}
+    out = dict(_scan_out(), notes=notes)
     for _n, mask, prefix in pieces:
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
         for a, _total, t_count in _rgs_totals(m, closers, [k] * (m + 1),
                                               out, prefix, exact=n + k - 1):
+            out["judged"] += 1
             if t_count == k:
                 _judge(out, name, _graph_from_colors(n, pairs, a), {"k": k})
     return out
@@ -640,24 +742,27 @@ def _subset_tables(n: int, mask: int):
 
 def _mc_scan(name: str, grid: dict, pieces) -> dict:
     """T1, T2 and L1: each coloring judged by its m + c and its rainbow
-    triangle count, through the check's verdict table."""
-    out = {"instances": 0, "premise": 0, "cex": [],
-           "witness_count": 0, "witnesses": []}
+    triangle count, through the check's verdict table; those settled
+    (``_settled``) before their last slot are counted per m + c."""
+    out = _scan_out()
     for n, mask, prefix in pieces:
         pairs, closers = _subset_tables(n, mask)
         m, k_max = len(pairs), grid.get("k_max")
         table = _verdicts(name, n, m, k_max)[1]
+        settled = _settled(name, n, m, k_max)
+        bulk = [0] * (2 * m + 1)
         for a, total, t_count in _rgs_totals(m, closers, _ceiling(
-                name, n, m, k_max), out, prefix):
+                name, n, m, k_max), out, prefix, settled=settled, bulk=bulk):
+            out["judged"] += 1
             verdict = table[total][t_count]
             if verdict is not None:
                 _tally(out, name, verdict, n, pairs, a)
+        _credit(out, table, settled, bulk)
     return out
 
 
 def _t4_scan(name: str, grid: dict, pieces) -> dict:
-    out = {"instances": 0, "premise": 0, "cex": [],
-           "witness_count": 0, "witnesses": []}
+    out = _scan_out()
     for n, mask, prefix in pieces:
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
@@ -666,6 +771,8 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
         floor = _color_degree_floor(n, pairs, lowest)
         if floor is None:
             continue
+        settled = _settled(name, n, m, grid["k_max"])
+        bulk = [0] * (2 * m + 1)
         # The kernel steps the first m - 1 slots in groups that share all
         # but slot m - 2, edge pq, with the group's triangle count t; the
         # last slot is edge xy.  Slot m - 2 adds its triangles once per
@@ -709,12 +816,22 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
                     y_cols = y_cols | {v2}
                 used = used2 + (v2 == used2)
                 t = t2 + counts2[v2]
+                values = range(0 if used >= floor else used, used + 1)
+                if t >= settled:
+                    # Settled: a last value's entry is its sum's at t =
+                    # settled, counted in bulk.
+                    for val in values:
+                        bulk[base + (val not in x_cols)
+                             + (val not in y_cols)] += 1
+                    continue
+                out["judged"] += len(values)
                 counts = _last_slot_counts(a, used, closers[last])
-                for val in range(0 if used >= floor else used, used + 1):
+                for val in values:
                     sum_dc = base + (val not in x_cols) + (val not in y_cols)
                     verdict = table[sum_dc][t + counts[val]]
                     if verdict is not None:
                         _tally(out, name, verdict, n, pairs, a + [val])
+        _credit(out, table, settled, bulk)
     return out
 
 
@@ -791,8 +908,10 @@ def _merge_scan(report: VerificationReport, part: dict) -> None:
     report.instances += part["instances"]
     report.premise_instances += part["premise"]
     report.counterexamples.extend(part["cex"])
-    report.witness_count += part.get("witness_count", 0)
-    report.witnesses = (report.witnesses + part.get("witnesses", []))[:3]
+    report.witness_count += part["witness_count"]
+    report.witnesses = (report.witnesses + part["witnesses"])[:3]
+    report.judged += part["judged"]
+    report.settled += part["settled"]
     for key, val in part.get("notes", {}).items():
         if isinstance(val, list):
             report.notes[key] = (report.notes.get(key, []) + val)[:3]
@@ -1199,7 +1318,7 @@ def _t6(G, params, notes):
 
 def _l4(G, params, notes):
     k = params["k"]
-    if not _extremal(G, k):
+    if G.n < k or not _extremal(G, k):
         return OUTSIDE
     if find_rainbow_spanning_turan(G, k - 2) is not None:
         return None
@@ -1311,7 +1430,7 @@ THEOREMS = tuple(CHECKS)
 
 def _run_sweep(name: str, check: Check, grid: dict,
                jobs: int) -> VerificationReport:
-    report = VerificationReport(name, dict(grid))
+    report = VerificationReport(name, dict(grid), judged=0, settled=0)
     workers = min(jobs, os.cpu_count() or 1)
     calls = [(name, grid, pieces)
              for pieces in _plan(check.tasks(grid), workers)]

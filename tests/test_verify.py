@@ -141,6 +141,65 @@ class TestRgsKernel:
         assert list(_rgs_blocks(3, [])) == []
         assert list(_rgs_iter(0, exact=-1)) == []
 
+    def test_by_colors_splits_the_completions(self):
+        # Summed over c, the strings per final color count are all the
+        # completions; per c they are the strings that _rgs_iter makes.
+        for free in range(11):
+            for used in range(7):
+                prefix = tuple(range(used))
+                counts = verify._by_colors(free, used)
+                assert len(counts) == free + 1
+                assert sum(counts) == verify._completions(used + free, prefix)
+                if free + used <= 7:
+                    for c, count in enumerate(counts, used):
+                        assert count == sum(1 for _a in _rgs_iter(
+                            used + free, c, prefix)), (free, used, c)
+
+    def test_settled_subtrees_stand_for_their_strings(self):
+        # With a settled t, _rgs_totals yields the strings whose first
+        # m - 1 slots close fewer triangles and counts the rest per m + c,
+        # from settled subtrees and settled blocks.  Those counts, within
+        # the floor and the cap, must be the strings with at least that t
+        # (the ceiling here cuts no t), also under pinned prefixes, one of
+        # them pinning the last slot.  K_5 less two edges, with eight
+        # slots, has cuts above the last two.
+        for n, mask in ((3, 0b111), (4, 0b111111), (5, 0b11111111)):
+            pairs, closers = verify._subset_tables(n, mask)
+            m = len(pairs)
+            rows = []
+            for a in _rgs_iter(m):
+                head = EdgeColoredGraph(n, [(u, v, c) for (u, v), c
+                                            in zip(pairs[:-1], a[:-1])])
+                rows.append((tuple(a), len(brute_rainbow_triangles(head))))
+            picks = (rows[0][0], rows[len(rows) // 3][0], rows[-1][0])
+            prefixes = [()] + [s[:d] for s in picks for d in (2, m - 1, m)]
+            for low, cap in ((0, m), (m // 2, m), (2, m - 2)):
+                ceiling = [-1] * low + [comb(n, 3)] * (cap + 1 - low)
+                for settled in range(comb(n, 3) + 1):
+                    for prefix in prefixes:
+                        kept = [(a, t) for a, t in rows
+                                if low <= len(set(a)) <= cap
+                                and a[:len(prefix)] == prefix]
+                        want = [0] * (2 * m + 1)
+                        for a, t in kept:
+                            want[m + len(set(a))] += t >= settled
+                        bulk = [0] * (2 * m + 1)
+                        yielded = [tuple(a) for a, _total, _t in
+                                   verify._rgs_totals(
+                                       m, closers, ceiling, {"instances": 0},
+                                       prefix, settled=settled, bulk=bulk)]
+                        where = (n, low, cap, settled, prefix)
+                        assert yielded == [a for a, t in kept
+                                           if t < settled], where
+                        assert bulk == want, where
+        # A subtree is cut only above the last slot, with t settled.
+        pairs, closers = verify._subset_tables(5, 0b11111111)
+        subtrees = [(used, free, t) for a, used, free, t in _rgs_blocks(
+            8, [9] * 9, (), closers, 1) if a is None]
+        assert subtrees and all(free >= 2 and t >= 1
+                                for _used, free, t in subtrees)
+        assert max(free for _used, free, _t in subtrees) == 3
+
     def test_invalid_prefix(self):
         for prefix in ((1,), (0, 2), (0, 0, 0, 0)):
             with pytest.raises(GraphError):
@@ -443,52 +502,214 @@ class TestTriangleCeiling:
                                   if table[row[1]][row[2]]})
 
     def test_default_grids_generate_only_these_strings(self, monkeypatch):
-        # Strings yielded to the scans on the default grids: the ceiling
-        # drops most of L1's and T3's, and none of T2's.
-        real = verify._rgs_totals
-        counts = []
+        # Strings yielded to the scans on the default grids, and settled
+        # subtrees counted by formula, apart: the ceiling drops most of
+        # L1's and T3's strings, which never settle; the settled cut drops
+        # all but 796 of T1's 103,649 and 9,735 of T2's 104,871.  Each
+        # yielded string is one the report counts as judged.
+        real_totals, real_blocks = verify._rgs_totals, verify._rgs_blocks
+        strings, subtrees = [], []
 
-        def counting(*args, **kwargs):
-            for row in real(*args, **kwargs):
-                counts[-1] += 1
+        def counting_totals(*args, **kwargs):
+            for row in real_totals(*args, **kwargs):
+                strings[-1] += 1
                 yield row
 
-        monkeypatch.setattr(verify, "_rgs_totals", counting)
+        def counting_blocks(*args, **kwargs):
+            for block in real_blocks(*args, **kwargs):
+                subtrees[-1] += block[0] is None
+                yield block
+
+        monkeypatch.setattr(verify, "_rgs_totals", counting_totals)
+        monkeypatch.setattr(verify, "_rgs_blocks", counting_blocks)
         got = {}
         for name in ("L1", "T3", "T1", "T2"):
-            counts.append(0)
-            verify_theorem(name)
-            got[name] = counts[-1]
-        assert got == {"L1": 12049, "T3": 703, "T1": 103649, "T2": 104871}
+            strings.append(0)
+            subtrees.append(0)
+            report = verify_theorem(name)
+            assert report.judged == strings[-1], name
+            got[name] = strings[-1], subtrees[-1]
+        assert got == {"L1": (12049, 0), "T3": (703, 0), "T1": (796, 560),
+                       "T2": (9735, 2447)}
+
+
+def _clear_tables():
+    for cached in (verify._verdicts, verify._ceiling, verify._settled):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty the cached tables before and after a test that swaps a rule."""
+    _clear_tables()
+    yield
+    _clear_tables()
+
+
+def _fault_rule(monkeypatch, name, rule):
+    """Judge ``name`` by ``rule`` until the test ends (``fresh_tables``)."""
+    _clear_tables()
+    monkeypatch.setitem(verify.CHECKS, name, dataclasses.replace(
+        verify.CHECKS[name], rule=rule))
+
+
+def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
+                               k_maxes):
+    """Run ``scan`` on each of ``masks`` (pairs (n, mask)) at each k_max and
+    hold its counts to a tally of every string of ``_rgs_iter`` by the
+    brute (statistic, rainbow triangle count) entry: the premises, the
+    witnesses (count and the first three) and the counterexamples must
+    agree, every string ``_tally`` sees must have that entry, in order,
+    and every string whose entry has a failure or a witness must be among
+    them."""
+    tallied = []
+    real = verify._tally
+    monkeypatch.setattr(
+        verify, "_tally", lambda out, name, verdict, n, pairs, colors: (
+            tallied.append((tuple(colors), verdict))
+            or real(out, name, verdict, n, pairs, colors)))
+    seen = {"settled": 0, "failure": 0, "witness": 0}
+    for n, mask in masks:
+        pairs, _closers = verify._subset_tables(n, mask)
+        rows = []
+        for a in _rgs_iter(len(pairs)):
+            G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, a)])
+            rows.append((tuple(a), G, value_of(G),
+                         len(brute_rainbow_triangles(G))))
+        for k_max in k_maxes:
+            table = verify._verdicts(name, n, len(pairs), k_max)[1]
+            entries = [(a, G, table[value][t]) for a, G, value, t in rows
+                       if table[value][t] is not None]
+            marked = [(a, entry) for a, _G, entry in entries
+                      if entry[1] or entry[2]]
+            tallied.clear()
+            out = scan(name, {"k_max": k_max}, [(n, mask, ())])
+            where = (name, n, mask, k_max)
+            rest = iter([(a, entry) for a, _G, entry in entries])
+            assert all(row in rest for row in tallied), where
+            assert [row for row in tallied if row[1][1] or row[1][2]] == \
+                marked, where
+            assert out["premise"] == sum(e[0] for _a, _G, e in entries), where
+            witnesses = [G for _a, G, e in entries if e[2]]
+            assert out["witness_count"] == len(witnesses), where
+            assert out["witnesses"] == [verify.graph_to_json_obj(G)
+                                        for G in witnesses[:3]], where
+            assert [(e["params"], e["detail"]) for e in out["cex"]] == [
+                e[1] for _a, _G, e in entries if e[1]], where
+            seen["settled"] += out["settled"]
+            seen["failure"] += len(out["cex"])
+            seen["witness"] += out["witness_count"]
+    return seen
+
+
+def _all_masks(n_max):
+    return [(n, mask) for n in range(1, n_max + 1)
+            for mask in range(1 << comb(n, 2))]
+
+
+def _color_degree_sum(G):
+    return stats(G).profile.color_degree_sum
+
+
+def _mc(G):
+    return G.m + G.c
 
 
 class TestT4Scan:
-    def test_tallies_exactly_the_judged_strings(self, monkeypatch):
+    def test_tallies_exactly_the_judged_strings(self, monkeypatch,
+                                                fresh_tables):
         # On every edge subset of K_n, 1 <= n <= 4 (the sweep starts at
-        # n = 1), each string whose brute (color-degree sum, rainbow
-        # triangle count) has a table entry is tallied once, in order,
-        # with that entry, and no other string is.
-        tallied = []
-        monkeypatch.setattr(
-            verify, "_tally", lambda out, name, verdict, n, pairs, colors:
-            tallied.append((tuple(colors), verdict)))
-        for n in range(1, 5):
-            for mask in range(1 << comb(n, 2)):
-                pairs, _closers = verify._subset_tables(n, mask)
-                judged = []
-                for a in _rgs_iter(len(pairs)):
-                    G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c
-                                             in zip(pairs, a)])
-                    judged.append((tuple(a),
-                                   stats(G).profile.color_degree_sum,
-                                   len(brute_rainbow_triangles(G))))
-                for k_max in range(4):
-                    table = verify._verdicts("T4", n, len(pairs), k_max)[1]
-                    want = [(a, table[value][t]) for a, value, t in judged
-                            if table[value][t] is not None]
-                    tallied.clear()
-                    verify._t4_scan("T4", {"k_max": k_max}, [(n, mask, ())])
-                    assert tallied == want, (n, mask, k_max)
+        # n = 1), the counts match a brute tally, with some settled by
+        # formula.  T4 has no witness and no coloring fails it, so a
+        # rule that asks one triangle more than T4 plants failures just
+        # below the column it settles at.
+        seen = _check_scan_by_brute_tally(
+            monkeypatch, verify._t4_scan, "T4", _color_degree_sum,
+            _all_masks(4), range(4))
+        assert seen["settled"] and not seen["failure"]
+        _fault_rule(monkeypatch, "T4", lambda n, m, value, t, k=1:
+                    verify._forces_colordeg(n, m, value, t - 1, k))
+        seen = _check_scan_by_brute_tally(
+            monkeypatch, verify._t4_scan, "T4", _color_degree_sum,
+            _all_masks(4), range(4))
+        assert seen["settled"] and seen["failure"]
+
+
+class TestSettledMcScan:
+    """``_mc_scan`` counts the colorings ``_settled`` decides by formula;
+    its counts must still be a brute tally's, and a failure or witness
+    entry keeps its column from settling."""
+
+    def test_counts_match_a_brute_tally(self, monkeypatch, fresh_tables):
+        complete = [(n, (1 << comb(n, 2)) - 1) for n in range(1, 5)]
+        seen = _check_scan_by_brute_tally(monkeypatch, verify._mc_scan, "T1",
+                                          _mc, complete, [None])
+        assert seen["settled"] and seen["witness"]
+        for name, k_maxes in (("T2", range(4)), ("L1", [None])):
+            _check_scan_by_brute_tally(monkeypatch, verify._mc_scan, name,
+                                       _mc, _all_masks(4), k_maxes)
+        # A rule asking one triangle more than T2 fails just below the
+        # column it settles at.
+        _fault_rule(monkeypatch, "T2", lambda n, m, value, t, k=1:
+                    verify._forces(n, m, value, t - 1, k))
+        seen = _check_scan_by_brute_tally(monkeypatch, verify._mc_scan, "T2",
+                                          _mc, _all_masks(4), range(4))
+        assert seen["settled"] and seen["failure"] and seen["witness"]
+
+    def test_settled_counts_read_off_the_tables(self):
+        # T1 settles at one triangle from K_4 on; T2 and T4 at k_max, or
+        # lower where m + c cannot reach the premise of k_max (K_4 less
+        # an edge reaches only k = 1); L1, whose entries move with t,
+        # and a table of one column (n < 3) never do.
+        settled = verify._settled
+        assert [settled("T1", n, comb(n, 2), None) for n in range(6)] == [
+            1, 1, 1, 2, 1, 1]
+        assert [settled("T2", 5, 10, k) for k in range(6)] == [
+            11, 1, 2, 3, 4, 5]
+        assert settled("T2", 4, 5, 3) == 1
+        assert settled("T4", 5, 10, 2) == 2
+        for n in range(6):
+            for m in range(comb(n, 2) + 1):
+                assert settled("L1", n, m, None) == comb(n, 3) + 1, (n, m)
+
+    def test_failure_at_the_last_count_is_still_found(self, monkeypatch):
+        # Premises at m + c >= 10 with t >= 1 on K_4 settle at t = 1; a
+        # failure planted at t = C(4,3) = 4 keeps every column open, and
+        # the one coloring there, six colors, is its counterexample.
+        n, m = 4, 6
+        table = [[None] * (comb(n, 3) + 1) for _ in range(2 * m + 1)]
+        for value in range(10, 2 * m + 1):
+            table[value][1:] = [(True, None, False)] * comb(n, 3)
+        monkeypatch.setattr(verify, "_verdicts", lambda *args: (10, table))
+        for cached in ("_ceiling", "_settled"):
+            monkeypatch.setattr(verify, cached,
+                                getattr(verify, cached).__wrapped__)
+        grid, pieces = {"k_max": 3}, [(n, (1 << m) - 1, ())]
+        assert verify._settled("T2", n, m, 3) == 1
+        held = verify._mc_scan("T2", grid, pieces)
+        assert held["cex"] == [] and held["settled"] > 0
+        table[12][4] = (True, ({"n": n}, "planted"), False)
+        assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
+        failed = verify._mc_scan("T2", grid, pieces)
+        assert [(e["detail"], e["graph"]) for e in failed["cex"]] == [
+            ("planted", verify.graph_to_json_obj(EdgeColoredGraph(
+                n, [(u, v, c) for c, (u, v)
+                    in enumerate(combinations(range(n), 2))])))]
+        assert (failed["premise"], failed["settled"]) == (held["premise"], 0)
+        # A failure repeated through the last two columns keeps them open
+        # too: all 15 five-colorings of K_4 fail (each has t = 3 or 4).
+        table[12][4] = table[12][3]
+        table[11][3:] = [(True, ({"n": n}, "planted"), False)] * 2
+        assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
+        failed = verify._mc_scan("T2", grid, pieces)
+        assert len(failed["cex"]) == stirling2(m, 5)
+        assert (failed["premise"], failed["settled"]) == (held["premise"], 0)
+        # So does a witness.
+        table[11][3:] = [(True, None, True)] * 2
+        assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
+        witnessed = verify._mc_scan("T2", grid, pieces)
+        assert (witnessed["cex"], witnessed["witness_count"]) == (
+            [], stirling2(m, 5))
 
 
 class TestGridAndBudget:
@@ -654,11 +875,15 @@ class TestVerifySmall:
 
     def test_default_sweeps_match_the_benchmark_reference(self):
         # The serial default-grid reports the benchmark gates on; only
-        # the wall clock may differ.
+        # the wall clock may differ, and the work counters, which the
+        # reference predates, are pinned here.
         reference = json.loads(EXPECTED_SWEEP.read_text())
+        counters = {"T1": (796, 72025), "T2": (9735, 95136), "T3": (703, 0),
+                    "T4": (13665, 168318), "L1": (12049, 0)}
         for check in ("T1", "T2", "T3", "T4", "L1"):
             got = verify_theorem(check).to_dict()
             got.pop("seconds")
+            assert (got.pop("judged"), got.pop("settled")) == counters[check]
             assert json.loads(json.dumps(got)) == reference[check], check
 
     @pytest.mark.parametrize("check", ["T2", "T4"])
@@ -896,6 +1121,14 @@ class TestTrustedSamplerGraphs:
         assert len(built) == 52 and any(D.a for D in built)
 
 
+_SHORT_PARAMS = [
+    ("T2", {}), ("T3", {}), ("T3", {"k": -1}), ("T4", {}), ("T5", {}),
+    ("T5", {"k": 3}), ("T6", {}), ("T6", {"k": 5}), ("L3", {}),
+    ("L3", {"k": 2}), ("L4", {}), ("L4", {"k": 5}), ("L5", {}),
+    ("L5", {"k": 3}), ("P1", {}), ("P1", {"k": 4}),
+    ("P1", {"k": 4, "ell": 0})]
+
+
 class TestMinimizer:
     def test_shrinks_to_a_triangle(self):
         G = build_gk(9, 1).graph
@@ -938,11 +1171,20 @@ class TestMinimizer:
         {"theorem": "T2", "params": 5, "graph": {"n": 3, "edges": []}},
         {"theorem": "T3", "params": {"k": "x"}, "graph": {"n": 3, "edges": []}},
         {"theorem": "T2", "params": {"k": True}, "graph": {"n": 3, "edges": []}},
+        {"theorem": "T9", "params": {}, "graph": {"n": 0, "edges": []}},
+    ] + [
+        # Each param a check's grid ranges over must be given, at least at
+        # that grid key's floor: k from k, k_max, k_values and pairs, ell
+        # from ell_values.
+        {"theorem": theorem, "params": params, "graph": {"n": 0, "edges": []}}
+        for theorem, params in _SHORT_PARAMS
     ], ids=["arc-of-three", "arc-not-a-list", "arcs-not-a-list",
             "digraph-not-an-object", "digraph-without-n", "l2-as-graph",
             "l2-without-instance", "t1-without-instance", "t1-as-digraph",
             "entry-not-an-object", "params-not-an-object", "k-not-an-integer",
-            "k-a-bool"])
+            "k-a-bool", "unknown-check"] + [
+        f"{theorem.lower()}-{'-'.join(f'{key}{val}' for key, val in params.items()) or 'no-params'}"
+        for theorem, params in _SHORT_PARAMS])
     def test_recheck_refuses_a_malformed_entry(self, entry):
         with pytest.raises(GraphError):
             recheck_counterexample(entry)
@@ -959,6 +1201,7 @@ class TestMinimizer:
         ("T1", {}), ("T2", {"k": 1}), ("T3", {"k": 1}), ("T4", {"k": 1}),
         ("L1", {}), ("T5", {"k": 4}), ("P1", {"k": 4, "ell": 1}),
         ("T6", {"k": 6}), ("L3", {"k": 6}), ("L5", {"k": 6}), ("L2", {}),
+        ("L4", {"k": 6}),
     ])
     def test_order_zero_lies_outside_every_premise(self, theorem, params):
         # K_0 meets the m + c threshold C(1, 2) + k - 1 at k = 1 with no

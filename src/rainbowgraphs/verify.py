@@ -27,14 +27,16 @@ verdicts into a run's counts.
 Sweeps enumerate colorings of K_n, of its edge subsets, or with exactly c
 colors, as restricted-growth strings over the edge slots: every coloring
 once up to renaming of colors (vertex symmetry is deliberately not
-quotiented; it affects speed only).  ``_plan`` cuts a sweep into tasks of
-about equal weight, counted exactly in strings by ``_completions``.  At
-most min(jobs, cpu count) workers scan them, and the results merge in
-serial order, so no report depends on ``jobs``.  T1, T2, T4 and L1 are
-each one rule over a coloring's n, m, statistic (m + c, or the color-
-degree sum) and rainbow triangle count t: their statements apply it to a
-graph, and their scans read slot arrays, never graphs, and look each
-string up in ``_verdicts``, the rule's table per (n, m).  Every sweep
+quotiented; it affects speed only).  A sweep's unit is one edge subset
+of K_n, at exactly some colors or at any; ``_plan`` groups whole units in
+serial order into tasks of about equal weight, counted exactly in strings
+by ``_completions``.  At most min(jobs, cpu count) workers scan them, the
+heaviest first, and the results merge in serial order, so no report
+depends on ``jobs``.  T1, T2, T4 and L1 are each one rule over a
+coloring's n, m, statistic (m + c, or the color-degree sum) and rainbow
+triangle count t: their statements apply it to a graph, and their scans
+read slot arrays, never graphs, and look each string up in
+``_verdicts``, the rule's table per (n, m).  Every sweep
 reads t from ``_rgs_blocks``, which counts it as each slot closes
 triangles.  T1, T2 and L1 prune a prefix whose t exceeds ``_ceiling``,
 the most any entry allows up to the most colors the prefix can reach.
@@ -136,7 +138,7 @@ def bell_number(q: int) -> int:
     return sum(_stirling_row(q))
 
 
-def _rgs_blocks(slots, ceiling, prefix=(), closers=None, settled=inf):
+def _rgs_blocks(slots, ceiling, closers=None, settled=inf):
     """Yield the restricted-growth strings over ``slots`` >= 1 positions
     that ``ceiling`` allows, in lexicographic order, in blocks that share
     everything but the last position.
@@ -149,8 +151,7 @@ def _rgs_blocks(slots, ceiling, prefix=(), closers=None, settled=inf):
     two positions of each triangle whose last position is i, and each
     position adds the triangles it closes (``_last_slot_counts``); without
     ``closers`` there are no triangles and t is 0.  ``a`` is a shared
-    buffer: consume it before advancing.  ``prefix`` pins the first
-    positions, which partitions the space.
+    buffer: consume it before advancing.
 
     ``ceiling[c]`` is the most triangles a string with c values may have:
     its length caps the values a string uses, its -1 entries (all before
@@ -163,7 +164,6 @@ def _rgs_blocks(slots, ceiling, prefix=(), closers=None, settled=inf):
     slots - i, t)``, standing for every string that extends it and keeps
     within the cap and the floor (``_by_colors`` counts them).  As t never
     falls, each of those strings has at least ``settled`` triangles too.
-    A pinned last position is never cut, as it lies past every cut.
 
     The prefixes are stepped as in the successor loop of Knuth's Algorithm
     H (TAOCP 7.2.1.5): raise the rightmost position that can still grow,
@@ -183,25 +183,9 @@ def _rgs_blocks(slots, ceiling, prefix=(), closers=None, settled=inf):
     before = [0] * slots    # before[i]: values used by a[:i]
     tris = [0] * slots      # tris[i]: triangles closed by a[:i]
     closing = [None] * slots    # closing[i][v]: triangles a[i] = v closes
-    used = t = 0
-    for i, val in enumerate(prefix):
-        if i > last or not 0 <= val <= used:
-            raise GraphError(f"invalid restricted-growth prefix {prefix!r}")
-        a[i] = val
-        if i < last:
-            t += _last_slot_counts(a, used, closers[i])[val]
-            used += val == used
-    i = start = min(len(prefix), last)
-    if used > cap or t > top[used + slots - start]:
-        return
     ranges = [range(0 if u >= need else u, u + 1 if u < cap else u)
               for u in range(slots + 1)]
-    for pinned in prefix[last:]:
-        if pinned not in ranges[used]:
-            return
-        ranges[used] = range(pinned, pinned + 1)
-    before[i], tris[i] = used, t
-    v = 0    # the least value left to try at position i; 0 on entering it
+    i = v = 0    # v: the least value left to try at position i
     while True:
         if i < last and not v and tris[i] >= settled:
             yield None, before[i], slots - i, tris[i]
@@ -234,27 +218,27 @@ def _rgs_blocks(slots, ceiling, prefix=(), closers=None, settled=inf):
         else:
             yield a, before[i], ranges[before[i]], tris[i]
         i -= 1
-        if i < start:
+        if i < 0:
             return
         v = a[i] + 1
 
 
-def _rgs_iter(slots, exact=None, prefix=(), floor=0):
+def _rgs_iter(slots, exact=None, floor=0):
     """Yield restricted-growth strings over ``slots`` positions that use
     exactly ``exact`` values, if given, or else at least ``floor``.
 
     The yielded list is a shared buffer: consume it before advancing.
-    ``prefix`` is as for :func:`_rgs_blocks`, which this flattens.
+    It flattens :func:`_rgs_blocks`.
     """
     cap = slots if exact is None else min(exact, slots + 1)
     need = floor if exact is None else exact
     ceiling = [-1 if c < need else 0 for c in range(cap + 1)]
     if slots == 0:
-        if not prefix and ceiling[:1] == [0]:
+        if ceiling[:1] == [0]:
             yield []
         return
     last = slots - 1
-    for a, _used, values, _t in _rgs_blocks(slots, ceiling, prefix):
+    for a, _used, values, _t in _rgs_blocks(slots, ceiling):
         for val in values:
             a[last] = val
             yield a
@@ -513,8 +497,9 @@ def _verdicts(name: str, n: int, m: int, k_max: int | None):
     k = 1..k_max, or at the rule's own k if ``k_max`` is None.
 
     ``table[value][t]`` is None, or ``(premise, failure, witness)``: some
-    k is inside; the params and detail of the first failing k, or None;
-    the witness rule holds at k_max.  As the premise of k + 1 implies
+    k is inside; the params and detail of the first failing k, or None
+    (the params hold k only: a stored graph, shrunk or not, has its own
+    n); the witness rule holds at k_max.  As the premise of k + 1 implies
     that of k, k stops at the first k outside or failing.  ``lowest``,
     the least value with an entry, floors T4's sweep; the m + c sweeps
     prune by the largest t with an entry instead (``_ceiling``)."""
@@ -531,7 +516,7 @@ def _verdicts(name: str, n: int, m: int, k_max: int | None):
                 break
             premise = True
             if detail:
-                failure = ({"n": n, **extra}, detail)
+                failure = (extra, detail)
                 break
         witness = bool(check.witness
                        and check.witness(n, m, value, t, **at_max))
@@ -606,13 +591,11 @@ def _tally(out: dict, name: str, verdict, n: int, pairs, colors) -> None:
 
 
 @lru_cache(maxsize=None)
-def _completions(slots: int, prefix: tuple[int, ...], exact=None) -> int:
-    """Restricted-growth strings over ``slots`` positions extending the
-    valid ``prefix`` (with exactly ``exact`` values, if given): the j free
-    positions with values new to the prefix partition into blocks, and
-    each of the others takes one of the prefix's ``used`` values."""
-    used = max(prefix, default=-1) + 1
-    free = slots - len(prefix)
+def _completions(free: int, used: int = 0, exact=None) -> int:
+    """Restricted-growth strings filling ``free`` positions after a prefix
+    that uses ``used`` values (with exactly ``exact`` values in all, if
+    given): the j positions with values new to the prefix partition into
+    blocks, and each of the others takes one of the ``used`` values."""
     return sum(comb(free, j) * used ** (free - j)
                * (bell_number(j) if exact is None else stirling2(j, exact - used))
                for j in range(free + 1))
@@ -623,8 +606,7 @@ def _by_colors(free: int, used: int) -> tuple[int, ...]:
     """Per c = used..used+free, the strings filling ``free`` positions
     after a prefix that uses ``used`` values, with c values in all:
     ``_completions`` at exactly c."""
-    prefix = tuple(range(used))
-    return tuple(_completions(used + free, prefix, c)
+    return tuple(_completions(free, used, c)
                  for c in range(used, used + free + 1))
 
 
@@ -632,59 +614,48 @@ _TASKS_PER_WORKER = 8
 
 
 def _plan(units, workers: int) -> list[list[tuple]]:
-    """Cut the sweep units ``(n, mask, exact)`` into scan tasks, lists of
-    pieces ``(n, mask, prefix)``, all in serial order.  A piece weighs the
-    strings it covers.  A piece heavier than the target, total weight /
-    (_TASKS_PER_WORKER * workers), is split by its next position until
-    only the last is free; lighter pieces are grouped up to the target."""
-    total = sum(_completions(bin(mask).count("1"), (), exact)
-                for _n, mask, exact in units)
-    target = max(1, -(-total // (_TASKS_PER_WORKER * workers)))
+    """Group the sweep units ``(n, mask, exact)`` into scan tasks, lists of
+    units, all in serial order.  A unit weighs its strings and is never
+    split: units are grouped up to the target, total weight /
+    (_TASKS_PER_WORKER * workers), and a heavier one is a task alone."""
+    weights = [_completions(bin(mask).count("1"), 0, exact)
+               for _n, mask, exact in units]
+    target = max(1, -(-sum(weights) // (_TASKS_PER_WORKER * workers)))
     tasks, load = [], 0
-    for n, mask, exact in units:
-        m = bin(mask).count("1")
-        stack = [()]
-        while stack:
-            prefix = stack.pop()
-            weight = _completions(m, prefix, exact)
-            if weight > target and len(prefix) < m - 1:
-                stack.extend(prefix + (val,) for val in
-                             range(max(prefix, default=-1) + 1, -1, -1))
-                continue
-            if not tasks or (load and load + weight > target):
-                tasks.append([])
-                load = 0
-            tasks[-1].append((n, mask, prefix))
-            load += weight
+    for unit, weight in zip(units, weights):
+        if not tasks or (load and load + weight > target):
+            tasks.append([])
+            load = 0
+        tasks[-1].append(unit)
+        load += weight
     return tasks
 
 
-def _rgs_totals(m: int, closers, ceiling, out: dict, prefix=(),
-                exact=None, settled=inf, bulk=None):
-    """Yield ``(a, m + c, t)`` for colorings ``a`` of ``m`` slots extending
-    ``prefix`` (with exactly ``exact`` colors, if given), with c colors and
-    t rainbow triangles, each slot adding those it closes (``closers``),
-    that ``ceiling`` does not prune (``_rgs_blocks``).  Every coloring is
-    counted in ``out["instances"]``, exactly by ``_completions``.  ``a`` is
-    a shared buffer with its last slot already set.
+def _rgs_totals(m: int, closers, ceiling, out: dict, exact=None,
+                settled=inf, bulk=None):
+    """Yield ``(a, m + c, t)`` for the colorings ``a`` of ``m`` slots (with
+    exactly ``exact`` colors, if given) that ``ceiling`` does not prune
+    (``_rgs_blocks``), with c colors and t rainbow triangles, each slot
+    adding those it closes (``closers``).  Every coloring is counted in
+    ``out["instances"]``, exactly by ``_completions``.  ``a`` is a shared
+    buffer with its last slot already set.
 
     A coloring with at least ``settled`` triangles once its first m - 1
     slots are set is not yielded but counted in ``bulk[m + c]``: whole
     settled subtrees of ``_rgs_blocks`` by ``_by_colors``, and blocks
     whose t is settled by their last values."""
-    out["instances"] += _completions(m, prefix, exact)
+    out["instances"] += _completions(m, 0, exact)
     if exact is not None:
         ceiling = [-1 if c < exact else top
                    for c, top in enumerate(ceiling[:exact + 1])]
     if m == 0:
         # No slots: the empty coloring, if it meets exact and the ceiling.
-        for a in _rgs_iter(0, exact, prefix, ceiling.count(-1)):
+        for a in _rgs_iter(0, exact, ceiling.count(-1)):
             yield a, 0, 0
         return
     last = m - 1
     need, cap = ceiling.count(-1), len(ceiling) - 1
-    for a, used, values, t in _rgs_blocks(m, ceiling, prefix, closers,
-                                          settled):
+    for a, used, values, t in _rgs_blocks(m, ceiling, closers, settled):
         if a is None:
             # A settled subtree: ``values`` is its number of free slots.
             for c, count in enumerate(_by_colors(values, used), used):
@@ -707,7 +678,7 @@ def _scan_out() -> dict:
             "witnesses": [], "judged": 0, "settled": 0}
 
 
-def _statement_scan(name: str, grid: dict, pieces) -> dict:
+def _statement_scan(name: str, grid: dict, units) -> dict:
     """T3 on the strings with n + k - 1 colors, which all meet T2's
     premise at k: only those with t = k, its premises, are built and
     judged by the statement; the rest hold no certificate that
@@ -717,11 +688,11 @@ def _statement_scan(name: str, grid: dict, pieces) -> dict:
     if n < 3 * k:
         notes.update(out_of_range_mismatches=0, out_of_range_examples=[])
     out = dict(_scan_out(), notes=notes)
-    for _n, mask, prefix in pieces:
+    for _n, mask, exact in units:
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
         for a, _total, t_count in _rgs_totals(m, closers, [k] * (m + 1),
-                                              out, prefix, exact=n + k - 1):
+                                              out, exact):
             out["judged"] += 1
             if t_count == k:
                 _judge(out, name, _graph_from_colors(n, pairs, a), {"k": k})
@@ -740,19 +711,19 @@ def _subset_tables(n: int, mask: int):
     return pairs, closers
 
 
-def _mc_scan(name: str, grid: dict, pieces) -> dict:
+def _mc_scan(name: str, grid: dict, units) -> dict:
     """T1, T2 and L1: each coloring judged by its m + c and its rainbow
     triangle count, through the check's verdict table; those settled
     (``_settled``) before their last slot are counted per m + c."""
     out = _scan_out()
-    for n, mask, prefix in pieces:
+    for n, mask, _exact in units:
         pairs, closers = _subset_tables(n, mask)
         m, k_max = len(pairs), grid.get("k_max")
         table = _verdicts(name, n, m, k_max)[1]
         settled = _settled(name, n, m, k_max)
         bulk = [0] * (2 * m + 1)
         for a, total, t_count in _rgs_totals(m, closers, _ceiling(
-                name, n, m, k_max), out, prefix, settled=settled, bulk=bulk):
+                name, n, m, k_max), out, settled=settled, bulk=bulk):
             out["judged"] += 1
             verdict = table[total][t_count]
             if verdict is not None:
@@ -761,12 +732,12 @@ def _mc_scan(name: str, grid: dict, pieces) -> dict:
     return out
 
 
-def _t4_scan(name: str, grid: dict, pieces) -> dict:
+def _t4_scan(name: str, grid: dict, units) -> dict:
     out = _scan_out()
-    for n, mask, prefix in pieces:
+    for n, mask, _exact in units:
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
-        out["instances"] += _completions(m, prefix)
+        out["instances"] += _completions(m)
         lowest, table = _verdicts(name, n, m, grid["k_max"])
         floor = _color_degree_floor(n, pairs, lowest)
         if floor is None:
@@ -795,8 +766,7 @@ def _t4_scan(name: str, grid: dict, pieces) -> dict:
         single = sum(1 for lst in others if len(lst) == 1)
         multi = [lst for lst in others if len(lst) > 1]
         ceiling = [-1 if c < floor - 1 else inf for c in range(m)]
-        for a, used2, values2, t2 in _rgs_blocks(m - 1, ceiling, prefix,
-                                                 closers):
+        for a, used2, values2, t2 in _rgs_blocks(m - 1, ceiling, closers):
             cols = {w: {a[i] for i in incident[w]} for w in moving}
             base2 = single + sum(map(len, cols.values()))
             for lst in multi:
@@ -1367,16 +1337,16 @@ def _l2(D, params, notes):
 @dataclass(frozen=True)
 class Check:
     """One named check.  ``grid`` is the default grid and the schema of
-    overrides.  A sweep lists its units with ``tasks(grid)`` and runs
-    ``scan(name, grid, pieces)`` on each task ``_plan`` cuts from them,
-    judging by ``rule`` and ``witness`` (see ``_verdicts``); a sampled
-    check draws from ``samples(grid, rng, notes)``.  T3's scan and the
-    sampled runner judge each instance by ``statement`` through
-    ``_judge``, where one outside the premise stops the run unless the
-    check is ``vacuous``.  Counterexamples of a ``minimize`` check are
-    shrunk while the statement still fails.  Every integer of a grid
-    value but the seed is at least 0, or at least its key's entry in
-    ``floors``; a pair (n, k) needs n >= k >= the floor."""
+    overrides.  A sweep lists its units ``(n, mask, exact)`` with
+    ``tasks(grid)`` and runs ``scan(name, grid, units)`` on each task of
+    whole units that ``_plan`` groups, judging by ``rule`` and ``witness``
+    (see ``_verdicts``); a sampled check draws from ``samples(grid, rng,
+    notes)``.  T3's scan and the sampled runner judge each instance by
+    ``statement`` through ``_judge``, where one outside the premise stops
+    the run unless the check is ``vacuous``.  Counterexamples of a
+    ``minimize`` check are shrunk while the statement still fails.  Every
+    integer of a grid value but the seed is at least 0, or at least its
+    key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
 
     grid: dict
     statement: Callable
@@ -1432,14 +1402,15 @@ def _run_sweep(name: str, check: Check, grid: dict,
                jobs: int) -> VerificationReport:
     report = VerificationReport(name, dict(grid), judged=0, settled=0)
     workers = min(jobs, os.cpu_count() or 1)
-    calls = [(name, grid, pieces)
-             for pieces in _plan(check.tasks(grid), workers)]
+    calls = [(name, grid, units)
+             for units in _plan(check.tasks(grid), workers)]
     workers = min(workers, len(calls))
     if workers <= 1:
         parts = list(starmap(check.scan, calls))
     else:
+        # The heaviest units come last in serial order: hand them out first.
         with Pool(processes=workers) as pool:
-            parts = pool.starmap(check.scan, calls, chunksize=1)
+            parts = pool.starmap(check.scan, calls[::-1], chunksize=1)[::-1]
     for part in parts:
         _merge_scan(report, part)
     return report

@@ -89,19 +89,14 @@ class TestRgsKernel:
             naive = sorted(partition_string(q, part)
                            for part in set_partitions(list(range(q))))
             assert len(naive) == bell_number(q)
-            prefixes = {()}
-            for s in (naive[0], naive[len(naive) // 2], naive[-1]):
-                prefixes.update(s[:d] for d in {1, q // 2, q - 1, q} if d > 0)
             for exact, floor in ([(None, f) for f in range(q + 2)]
                                  + [(e, 0) for e in range(q + 2)]):
                 colors = [exact] if exact is not None else range(floor, q + 1)
-                for prefix in prefixes:
-                    want = [s for s in naive if len(set(s)) in colors
-                            and s[:len(prefix)] == prefix]
-                    got = [tuple(a) for a in _rgs_iter(q, exact, prefix, floor)]
-                    assert got == want, (q, exact, floor, prefix)
-                    assert len(got) == sum(
-                        verify._completions(q, prefix, c) for c in colors)
+                want = [s for s in naive if len(set(s)) in colors]
+                got = [tuple(a) for a in _rgs_iter(q, exact, floor)]
+                assert got == want, (q, exact, floor)
+                assert len(got) == sum(
+                    verify._completions(q, 0, c) for c in colors)
 
     def test_blocks_report_used_and_last_values(self):
         # The ceiling's length caps the values a string uses and its -1
@@ -116,14 +111,14 @@ class TestRgsKernel:
                             if low <= len(set(a[:-1]) | {v}) <= cap]
                     assert list(values) == want
         # With the closers of K_n, t counts the rainbow triangles of the
-        # block's prefix, also under a pinned prefix.
+        # block's prefix.
         for n in range(6):
             m = comb(n, 2)
             pairs, closers = verify._subset_tables(n, (1 << m) - 1)
             for low in (0, m // 2 + 1):
                 ceiling = [-1] * low + [comb(n, 3)] * (m + 1 - low)
                 blocks = [(tuple(a[:-1]), used, list(values), t) for a, used,
-                          values, t in _rgs_blocks(m, ceiling, (), closers)]
+                          values, t in _rgs_blocks(m, ceiling, closers)]
                 for head, used, values, t in blocks:
                     assert used == len(set(head))
                     assert values == [v for v in range(used + 1)
@@ -131,37 +126,32 @@ class TestRgsKernel:
                     G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c
                                              in zip(pairs, head)])
                     assert t == len(brute_rainbow_triangles(G)), (n, head)
-                prefix = tuple(range(m - 1))
-                assert [(tuple(a[:-1]), used, list(values), t) for a, used,
-                        values, t in _rgs_blocks(m, ceiling, prefix,
-                                                 closers)] == [
-                    block for block in blocks
-                    if block[0][:len(prefix)] == prefix], (n, low)
         # An empty ceiling allows no string, not even the empty one.
         assert list(_rgs_blocks(3, [])) == []
         assert list(_rgs_iter(0, exact=-1)) == []
 
     def test_by_colors_splits_the_completions(self):
         # Summed over c, the strings per final color count are all the
-        # completions; per c they are the strings that _rgs_iter makes.
+        # completions; per c they are the strings that _rgs_iter makes
+        # whose first ``used`` slots are 0..used-1.
         for free in range(11):
             for used in range(7):
                 prefix = tuple(range(used))
                 counts = verify._by_colors(free, used)
                 assert len(counts) == free + 1
-                assert sum(counts) == verify._completions(used + free, prefix)
+                assert sum(counts) == verify._completions(free, used)
                 if free + used <= 7:
                     for c, count in enumerate(counts, used):
-                        assert count == sum(1 for _a in _rgs_iter(
-                            used + free, c, prefix)), (free, used, c)
+                        assert count == sum(
+                            1 for a in _rgs_iter(used + free, c)
+                            if tuple(a[:used]) == prefix), (free, used, c)
 
     def test_settled_subtrees_stand_for_their_strings(self):
         # With a settled t, _rgs_totals yields the strings whose first
         # m - 1 slots close fewer triangles and counts the rest per m + c,
         # from settled subtrees and settled blocks.  Those counts, within
         # the floor and the cap, must be the strings with at least that t
-        # (the ceiling here cuts no t), also under pinned prefixes, one of
-        # them pinning the last slot.  K_5 less two edges, with eight
+        # (the ceiling here cuts no t).  K_5 less two edges, with eight
         # slots, has cuts above the last two.
         for n, mask in ((3, 0b111), (4, 0b111111), (5, 0b11111111)):
             pairs, closers = verify._subset_tables(n, mask)
@@ -171,39 +161,29 @@ class TestRgsKernel:
                 head = EdgeColoredGraph(n, [(u, v, c) for (u, v), c
                                             in zip(pairs[:-1], a[:-1])])
                 rows.append((tuple(a), len(brute_rainbow_triangles(head))))
-            picks = (rows[0][0], rows[len(rows) // 3][0], rows[-1][0])
-            prefixes = [()] + [s[:d] for s in picks for d in (2, m - 1, m)]
             for low, cap in ((0, m), (m // 2, m), (2, m - 2)):
                 ceiling = [-1] * low + [comb(n, 3)] * (cap + 1 - low)
                 for settled in range(comb(n, 3) + 1):
-                    for prefix in prefixes:
-                        kept = [(a, t) for a, t in rows
-                                if low <= len(set(a)) <= cap
-                                and a[:len(prefix)] == prefix]
-                        want = [0] * (2 * m + 1)
-                        for a, t in kept:
-                            want[m + len(set(a))] += t >= settled
-                        bulk = [0] * (2 * m + 1)
-                        yielded = [tuple(a) for a, _total, _t in
-                                   verify._rgs_totals(
-                                       m, closers, ceiling, {"instances": 0},
-                                       prefix, settled=settled, bulk=bulk)]
-                        where = (n, low, cap, settled, prefix)
-                        assert yielded == [a for a, t in kept
-                                           if t < settled], where
-                        assert bulk == want, where
+                    kept = [(a, t) for a, t in rows
+                            if low <= len(set(a)) <= cap]
+                    want = [0] * (2 * m + 1)
+                    for a, t in kept:
+                        want[m + len(set(a))] += t >= settled
+                    bulk = [0] * (2 * m + 1)
+                    yielded = [tuple(a) for a, _total, _t in verify._rgs_totals(
+                        m, closers, ceiling, {"instances": 0},
+                        settled=settled, bulk=bulk)]
+                    where = (n, low, cap, settled)
+                    assert yielded == [a for a, t in kept
+                                       if t < settled], where
+                    assert bulk == want, where
         # A subtree is cut only above the last slot, with t settled.
         pairs, closers = verify._subset_tables(5, 0b11111111)
         subtrees = [(used, free, t) for a, used, free, t in _rgs_blocks(
-            8, [9] * 9, (), closers, 1) if a is None]
+            8, [9] * 9, closers, 1) if a is None]
         assert subtrees and all(free >= 2 and t >= 1
                                 for _used, free, t in subtrees)
         assert max(free for _used, free, _t in subtrees) == 3
-
-    def test_invalid_prefix(self):
-        for prefix in ((1,), (0, 2), (0, 0, 0, 0)):
-            with pytest.raises(GraphError):
-                list(_rgs_iter(3, prefix=prefix))
 
 
 def _naive_sweep_counts(n_max, k_max):
@@ -344,8 +324,8 @@ class TestVerdictTables:
         ks = [{}] if k_max is None else [{"k": k} for k in range(1, k_max + 1)]
         verdicts = [check.statement(G, params, {}) for params in ks]
         premise = any(v is not verify.OUTSIDE for v in verdicts)
-        failure = next(((dict(params, n=G.n), v)
-                        for params, v in zip(ks, verdicts) if v), None)
+        failure = next(((params, v) for params, v in zip(ks, verdicts) if v),
+                       None)
         k = 1 if k_max is None else k_max
         witness = (check.witness is not None
                    and value == comb(G.n + 1, 2) + k - 2 and t == k - 1)
@@ -389,15 +369,15 @@ class TestVerdictTables:
         _lowest, table = verify._verdicts("T2", 4, 6, 3)
         value = comb(5, 2) + 2
         assert table[value][1] == (
-            True, ({"n": 4, "k": 2},
-                   "m+c forces 2 rainbow triangles, found 1"), False)
+            True, ({"k": 2}, "m+c forces 2 rainbow triangles, found 1"),
+            False)
         _lowest, table = verify._verdicts("T1", 4, 6, None)
         assert table[comb(5, 2)][0] == (
-            True, ({"n": 4}, "m+c forces 1 rainbow triangles, found 0"), False)
+            True, ({}, "m+c forces 1 rainbow triangles, found 0"), False)
         # L1 at equality: complete holds, one edge short fails.
         detail = ("threshold met with exactly this many rainbow triangles "
                   "but without equality+completeness")
-        for m, want in ((6, None), (5, ({"n": 4}, detail))):
+        for m, want in ((6, None), (5, ({}, detail))):
             _lowest, table = verify._verdicts("L1", 4, m, None)
             assert table[comb(5, 2)][1] == (True, want, False), m
 
@@ -583,7 +563,7 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
             marked = [(a, entry) for a, _G, entry in entries
                       if entry[1] or entry[2]]
             tallied.clear()
-            out = scan(name, {"k_max": k_max}, [(n, mask, ())])
+            out = scan(name, {"k_max": k_max}, [(n, mask, None)])
             where = (name, n, mask, k_max)
             rest = iter([(a, entry) for a, _G, entry in entries])
             assert all(row in rest for row in tallied), where
@@ -684,13 +664,13 @@ class TestSettledMcScan:
         for cached in ("_ceiling", "_settled"):
             monkeypatch.setattr(verify, cached,
                                 getattr(verify, cached).__wrapped__)
-        grid, pieces = {"k_max": 3}, [(n, (1 << m) - 1, ())]
+        grid, units = {"k_max": 3}, [(n, (1 << m) - 1, None)]
         assert verify._settled("T2", n, m, 3) == 1
-        held = verify._mc_scan("T2", grid, pieces)
+        held = verify._mc_scan("T2", grid, units)
         assert held["cex"] == [] and held["settled"] > 0
-        table[12][4] = (True, ({"n": n}, "planted"), False)
+        table[12][4] = (True, ({"k": 1}, "planted"), False)
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
-        failed = verify._mc_scan("T2", grid, pieces)
+        failed = verify._mc_scan("T2", grid, units)
         assert [(e["detail"], e["graph"]) for e in failed["cex"]] == [
             ("planted", verify.graph_to_json_obj(EdgeColoredGraph(
                 n, [(u, v, c) for c, (u, v)
@@ -699,15 +679,15 @@ class TestSettledMcScan:
         # A failure repeated through the last two columns keeps them open
         # too: all 15 five-colorings of K_4 fail (each has t = 3 or 4).
         table[12][4] = table[12][3]
-        table[11][3:] = [(True, ({"n": n}, "planted"), False)] * 2
+        table[11][3:] = [(True, ({"k": 1}, "planted"), False)] * 2
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
-        failed = verify._mc_scan("T2", grid, pieces)
+        failed = verify._mc_scan("T2", grid, units)
         assert len(failed["cex"]) == stirling2(m, 5)
         assert (failed["premise"], failed["settled"]) == (held["premise"], 0)
         # So does a witness.
         table[11][3:] = [(True, None, True)] * 2
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
-        witnessed = verify._mc_scan("T2", grid, pieces)
+        witnessed = verify._mc_scan("T2", grid, units)
         assert (witnessed["cex"], witnessed["witness_count"]) == (
             [], stirling2(m, 5))
 
@@ -1302,6 +1282,26 @@ class TestRecheckUnderFaults:
         assert serial
         assert verify_theorem(check, grid, jobs=2).counterexamples == serial
 
+    @pytest.mark.parametrize("case", sorted(
+        case for case, (check, _grid, faults) in _FAULTS.items()
+        if faults is _TRIANGLE_FREE))
+    def test_sweep_entries_store_only_the_rule_params(self, monkeypatch,
+                                                      case):
+        # A stored graph is shrunk, so it may have fewer vertices than the
+        # coloring that failed: an entry's params name k, where the check
+        # has one, and never n.  T1 at n_max 4 shrinks K_4 failures to K_3.
+        check, grid, faults = _FAULTS[case]
+        for name, fake in faults.items():
+            monkeypatch.setattr(verify, name, fake)
+        if check == "T1":
+            grid = {"n_max": 4}
+        report = verify_theorem(check, grid)
+        assert report.counterexamples
+        keys = {"k"} if "k_max" in grid else set()
+        for entry in report.counterexamples:
+            assert set(entry["params"]) == keys, entry
+            assert recheck_counterexample(entry), entry
+
 
 class TestMinimizedUnderFaults:
     @pytest.mark.parametrize("case", sorted(
@@ -1368,10 +1368,11 @@ def _at_most_two_processes(monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ``multiprocessing.Pool``: records its size and runs
-    the calls in this process."""
+    """Stands in for ``multiprocessing.Pool``: records its size and the
+    calls it is given, in order, and runs them in this process."""
 
     sizes: list = []
+    calls: list = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -1383,7 +1384,16 @@ class _SerialPool:
         return False
 
     def starmap(self, func, calls, chunksize=None):
+        self.calls.extend(calls)
         return [func(*args) for args in calls]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run every pool in this process, with fresh records."""
+    monkeypatch.setattr(verify, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "calls", [])
 
 
 class TestJobs:
@@ -1393,31 +1403,68 @@ class TestJobs:
                 with pytest.raises(GraphError, match="jobs must be an integer"):
                     verify_theorem(check, grid, jobs=bad)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
+    def test_pool_capped_at_cpu_count(self, monkeypatch, serial_pool):
+        # T2 at n_max 4 has 75 units, enough for three tasks or more.
         plans = []
         real_plan = verify._plan
         monkeypatch.setattr(verify, "_plan", lambda units, workers: (
             plans.append(workers) or real_plan(units, workers)))
-        monkeypatch.setattr(verify, "Pool", _SerialPool)
-        monkeypatch.setattr(_SerialPool, "sizes", [])
-        serial = verify_theorem("T1", jobs=1).to_dict()
+        grid = {"n_max": 4}
+        serial = verify_theorem("T2", grid, jobs=1).to_dict()
         for cpus, pools in ((3, [3]), (None, []), (1, [])):
             monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
             _SerialPool.sizes.clear()
-            got = verify_theorem("T1", jobs=1000).to_dict()
+            got = verify_theorem("T2", grid, jobs=1000).to_dict()
             assert _SerialPool.sizes == pools, cpus
             assert plans[-1] == (cpus or 1)
             assert {**got, "seconds": 0} == {**serial, "seconds": 0}
 
-    def test_pool_never_larger_than_the_task_list(self, monkeypatch):
-        monkeypatch.setattr(verify, "Pool", _SerialPool)
-        monkeypatch.setattr(_SerialPool, "sizes", [])
+    def test_pool_never_larger_than_the_task_list(self, monkeypatch,
+                                                  serial_pool):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
         verify_theorem("T1", {"n_max": 3}, jobs=64)
         tasks = verify._plan(verify._complete_colorings({"n_max": 3}), 64)
         assert _SerialPool.sizes == [len(tasks)] and len(tasks) < 64
         _SerialPool.sizes.clear()
         verify_theorem("T1", {"n_max": 1}, jobs=64)
+        assert _SerialPool.sizes == []
+
+    @pytest.mark.parametrize("check, grid", [
+        ("T1", {"n_max": 4}), ("T2", {"n_max": 4}),
+        ("T4", {"n_max": 4, "k_max": 2}), ("L1", {"n_max": 4})],
+        ids=["T1", "T2", "T4", "L1"])
+    def test_tasks_go_out_in_reverse_serial_order(self, monkeypatch,
+                                                  serial_pool, check, grid):
+        # The full-mask and K_n units come last in serial order, so the
+        # pool gets the tasks last first; the parts still merge in serial
+        # order, so the report is the serial one, witnesses included.
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        serial = verify_theorem(check, grid).to_dict()
+        pooled = verify_theorem(check, grid, jobs=2).to_dict()
+        tasks = verify._plan(verify.CHECKS[check].tasks(grid), 2)
+        assert len(tasks) > 1
+        assert [units for _name, _grid, units in _SerialPool.calls] == \
+            tasks[::-1]
+        assert {**pooled, "seconds": 0} == {**serial, "seconds": 0}
+
+    def test_reverse_order_keeps_counterexamples_in_serial_order(
+            self, monkeypatch, serial_pool):
+        for name, fake in _TRIANGLE_FREE.items():
+            monkeypatch.setattr(verify, name, fake)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        grid = {"n_max": 4, "k_max": 2}
+        serial = verify_theorem("T2", grid).counterexamples
+        assert len(serial) > 1
+        assert verify_theorem("T2", grid, jobs=2).counterexamples == serial
+        assert _SerialPool.sizes == [2]
+
+    def test_single_unit_sweeps_start_no_pool(self, monkeypatch,
+                                              serial_pool):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+        for jobs in (1, 2, 3, 64):
+            for check, grid in (("T3", {}), ("T3", {"n": 4, "k": 1}),
+                                ("T1", {"n_max": 0}), ("T1", {"n_max": 1})):
+                verify_theorem(check, grid, jobs=jobs)
         assert _SerialPool.sizes == []
 
 
@@ -1430,8 +1477,8 @@ def _plan_cases():
 
 
 class TestPlanner:
-    """``_plan`` alone, without a pool: its tasks cover every instance of
-    the sweep once, in serial order, in pieces of about equal weight."""
+    """``_plan`` alone, without a pool: its tasks hold every unit of the
+    sweep once, whole and in serial order, grouped to about equal weight."""
 
     @staticmethod
     def _instances(check, grid):
@@ -1443,49 +1490,38 @@ class TestPlanner:
         return sum(bells[comb(n, 2) + subsets]
                    for n in range(1, grid["n_max"] + 1))
 
+    @staticmethod
+    def _weight(unit):
+        _n, mask, exact = unit
+        return verify._completions(bin(mask).count("1"), 0, exact)
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_tasks_cover_the_sweep_in_order(self, workers):
         for check, grid in _plan_cases():
             units = verify.CHECKS[check].tasks(grid)
-            exact = {(n, mask): c for n, mask, c in units}
+            assert units == sorted(units, key=lambda unit: unit[:2])
             tasks = verify._plan(units, workers)
-            pieces = [piece for task in tasks for piece in task]
-
-            def weight(piece):
-                n, mask, prefix = piece
-                return verify._completions(bin(mask).count("1"), prefix,
-                                           exact[n, mask])
-
-            total = sum(map(weight, pieces))
+            assert [unit for task in tasks for unit in task] == units
+            total = sum(map(self._weight, units))
             assert total == self._instances(check, grid), (check, grid)
-            # Strictly increasing and prefix-free within a unit: the
-            # pieces follow the serial enumeration without overlap.
-            for (n, mask, p), (n2, mask2, q) in zip(pieces, pieces[1:]):
-                assert (n, mask, p) < (n2, mask2, q)
-                assert (n, mask) != (n2, mask2) or q[:len(p)] != p
-            assert all(len(p) <= max(bin(mask).count("1") - 1, 0)
-                       for _n, mask, p in pieces)
             target = max(1, -(-total // (verify._TASKS_PER_WORKER * workers)))
             for task in tasks:
-                if sum(map(weight, task)) > target:
-                    heavy = [piece for piece in task if weight(piece)]
-                    assert len(heavy) == 1, (check, grid, task)
-                    n, mask, prefix = heavy[0]
-                    assert len(prefix) >= bin(mask).count("1") - 1
+                if sum(map(self._weight, task)) > target:
+                    assert len(task) == 1, (check, grid, task)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_weights_count_the_strings_of_each_piece(self, workers):
+        # Each unit of a task weighs the strings _rgs_iter makes for it.
         for check, grid in _plan_cases():
             if grid.get("n_max", grid.get("n")) > 4:
                 continue
             units = verify.CHECKS[check].tasks(grid)
-            exact = {(n, mask): c for n, mask, c in units}
             for task in verify._plan(units, workers):
-                for n, mask, prefix in task:
-                    m, c = bin(mask).count("1"), exact[n, mask]
-                    strings = [tuple(a) for a in _rgs_iter(m, c, prefix)]
-                    assert len(strings) == verify._completions(m, prefix, c)
-                    assert all(a[:len(prefix)] == prefix for a in strings)
+                for unit in task:
+                    _n, mask, c = unit
+                    strings = sum(1 for _a in _rgs_iter(
+                        bin(mask).count("1"), c))
+                    assert self._weight(unit) == strings, (check, unit)
 
 
 _GRID_TARGETS = [(name, key) for name, check in verify.CHECKS.items()

@@ -36,9 +36,10 @@ depends on ``jobs``.  T1, T2, T4 and L1 are each one rule over a
 coloring's n, m, statistic (m + c, or the color-degree sum) and rainbow
 triangle count t: their statements apply it to a graph, and their scans
 read slot arrays, never graphs, and look each string up in
-``_verdicts``, the rule's table per (n, m).  Every sweep
-reads t from ``_rgs_blocks``, which counts it as each slot closes
-triangles.  T1, T2 and L1 prune a prefix whose t exceeds ``_ceiling``,
+``_verdicts``, the rule's table per (n, m).  Neither statistic exceeds
+2m, so a unit whose 2m is below its table's least entry is counted by
+formula and not swept.  Every sweep reads t from ``_rgs_blocks``, which
+counts it as each slot closes triangles.  T1, T2 and L1 prune a prefix whose t exceeds ``_ceiling``,
 the most any entry allows up to the most colors the prefix can reach.
 T3 prunes past its premise's t = k and judges only its premise strings.
 T4 floors the colors by its color-degree sum, steps the groups of blocks
@@ -46,10 +47,11 @@ that share all but the last two slots, and skips those whose sum cannot
 reach its table.  From ``_settled``'s t on, every entry of a table
 depends on the statistic alone and holds, so T1 and T2 count the strings
 below a prefix that reaches it per color count by formula
-(``_by_colors``), and T4 reads its last values' entries there without
-counting the last slot's triangles.  A sweep reports the strings it
-looked up one by one (``judged``) and the premises it counted by formula
-(``settled``).
+(``_by_colors``), and T4 counts its last values there by class, by how
+many ends of the last edge each is new to, without counting the last
+slot's triangles.  A sweep reports the strings it looked up one by one
+(``judged``), the premises it counted by formula (``settled``) and the
+units whose colorings it enumerated (``swept``).
 Every counterexample a scan stores re-fails under the statement.
 
 No counterexamples are expected anywhere; any hit is greedily minimized
@@ -323,6 +325,7 @@ class VerificationReport:
     seed: int | None = None
     judged: int | None = None     # a sweep's strings looked up one by one
     settled: int | None = None    # its premise instances counted by formula
+    swept: int | None = None      # its units whose colorings were enumerated
 
     @property
     def ok(self) -> bool:
@@ -330,12 +333,12 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         """The fields in order, with the grid's tuples as lists; a sampled
-        report has no ``judged`` and ``settled``."""
+        report has no ``judged``, ``settled`` and ``swept``."""
         out = dict(asdict(self), grid={
             key: list(val) if isinstance(val, tuple) else val
             for key, val in self.grid.items()})
         if self.judged is None:
-            del out["judged"], out["settled"]
+            del out["judged"], out["settled"], out["swept"]
         return out
 
     def table(self) -> str:
@@ -350,6 +353,7 @@ class VerificationReport:
         if self.judged is not None:
             lines.append(f"  strings judged     : {self.judged}")
             lines.append(f"  settled premises   : {self.settled}")
+            lines.append(f"  units swept        : {self.swept}")
         for key, val in self.notes.items():
             lines.append(f"  {key}: {val}")
         lines.append(f"  wall clock         : {self.seconds:.2f} s")
@@ -675,7 +679,7 @@ def _rgs_totals(m: int, closers, ceiling, out: dict, exact=None,
 def _scan_out() -> dict:
     """The empty counts of a scan task, which ``_merge_scan`` adds up."""
     return {"instances": 0, "premise": 0, "cex": [], "witness_count": 0,
-            "witnesses": [], "judged": 0, "settled": 0}
+            "witnesses": [], "judged": 0, "settled": 0, "swept": 0}
 
 
 def _statement_scan(name: str, grid: dict, units) -> dict:
@@ -689,6 +693,7 @@ def _statement_scan(name: str, grid: dict, units) -> dict:
         notes.update(out_of_range_mismatches=0, out_of_range_examples=[])
     out = dict(_scan_out(), notes=notes)
     for _n, mask, exact in units:
+        out["swept"] += 1
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
         for a, _total, t_count in _rgs_totals(m, closers, [k] * (m + 1),
@@ -714,12 +719,19 @@ def _subset_tables(n: int, mask: int):
 def _mc_scan(name: str, grid: dict, units) -> dict:
     """T1, T2 and L1: each coloring judged by its m + c and its rainbow
     triangle count, through the check's verdict table; those settled
-    (``_settled``) before their last slot are counted per m + c."""
+    (``_settled``) before their last slot are counted per m + c.  A unit
+    whose 2m, the most m + c can be, is below the table's ``lowest``
+    has no entry: its colorings are counted, not swept."""
     out = _scan_out()
+    k_max = grid.get("k_max")
     for n, mask, _exact in units:
+        m = mask.bit_count()
+        lowest, table = _verdicts(name, n, m, k_max)
+        if 2 * m < lowest:
+            out["instances"] += _completions(m)
+            continue
+        out["swept"] += 1
         pairs, closers = _subset_tables(n, mask)
-        m, k_max = len(pairs), grid.get("k_max")
-        table = _verdicts(name, n, m, k_max)[1]
         settled = _settled(name, n, m, k_max)
         bulk = [0] * (2 * m + 1)
         for a, total, t_count in _rgs_totals(m, closers, _ceiling(
@@ -733,15 +745,23 @@ def _mc_scan(name: str, grid: dict, units) -> dict:
 
 
 def _t4_scan(name: str, grid: dict, units) -> dict:
+    """T4: each coloring judged by its color-degree sum and its rainbow
+    triangle count, through the check's verdict table, from the fewest
+    colors that can reach its ``lowest`` (``_color_degree_floor``).  A
+    unit whose 2m, the most the sum can be, is below ``lowest`` is
+    counted, not swept.  Past ``_settled``, a block's last values are
+    counted in bulk by how many of the last edge's ends each color is
+    new to."""
     out = _scan_out()
     for n, mask, _exact in units:
-        pairs, closers = _subset_tables(n, mask)
-        m = len(pairs)
+        m = mask.bit_count()
         out["instances"] += _completions(m)
         lowest, table = _verdicts(name, n, m, grid["k_max"])
-        floor = _color_degree_floor(n, pairs, lowest)
-        if floor is None:
+        if 2 * m < lowest:
             continue
+        out["swept"] += 1
+        pairs, closers = _subset_tables(n, mask)
+        floor = _color_degree_floor(n, pairs, lowest)
         settled = _settled(name, n, m, grid["k_max"])
         bulk = [0] * (2 * m + 1)
         # The kernel steps the first m - 1 slots in groups that share all
@@ -751,8 +771,8 @@ def _t4_scan(name: str, grid: dict, units) -> dict:
         # degrees off p, q, x and y are fixed, and each endpoint of pq or
         # xy gains one exactly when that edge's color is new to its earlier
         # slots, so the color-degree sum of a group or a block is bounded
-        # before any string is made.  A mask with a floor has 2m >= lowest
-        # >= C(n+1,2), and n >= 3, so m >= 3.  The last slot may add a
+        # before any string is made.  A swept mask has 2m >= lowest >=
+        # C(n+1,2), and n >= 3, so m >= 3.  The last slot may add a
         # color, so the first m - 1 use at least floor - 1.
         last = m - 1
         x, y = pairs[last]
@@ -786,14 +806,21 @@ def _t4_scan(name: str, grid: dict, units) -> dict:
                     y_cols = y_cols | {v2}
                 used = used2 + (v2 == used2)
                 t = t2 + counts2[v2]
-                values = range(0 if used >= floor else used, used + 1)
                 if t >= settled:
                     # Settled: a last value's entry is its sum's at t =
-                    # settled, counted in bulk.
-                    for val in values:
-                        bulk[base + (val not in x_cols)
-                             + (val not in y_cols)] += 1
+                    # settled, counted in bulk by class.  Every color of
+                    # x_cols and y_cols is below used, so the fresh value
+                    # is new at both ends, and below the floor it is the
+                    # only one.
+                    if used >= floor:
+                        both = len(x_cols & y_cols)
+                        either = len(x_cols | y_cols)
+                        bulk[base] += both
+                        bulk[base + 1] += either - both
+                        bulk[base + 2] += used - either
+                    bulk[base + 2] += 1
                     continue
+                values = range(0 if used >= floor else used, used + 1)
                 out["judged"] += len(values)
                 counts = _last_slot_counts(a, used, closers[last])
                 for val in values:
@@ -807,16 +834,14 @@ def _t4_scan(name: str, grid: dict, units) -> dict:
 
 def _color_degree_floor(n: int, pairs, lowest: int):
     """The fewest colors c with which the edges ``pairs`` can reach a color-
-    degree sum of ``lowest``, or None if no c <= len(pairs) can.  A vertex
-    of degree d has color degree at most min(d, c)."""
+    degree sum of ``lowest``, at most their degree sum 2 len(pairs).  A
+    vertex of degree d has color degree at most min(d, c)."""
     deg = [0] * n
     for u, v in pairs:
         deg[u] += 1
         deg[v] += 1
-    for c in range(1, len(pairs) + 1):
-        if sum(min(d, c) for d in deg) >= lowest:
-            return c
-    return None
+    return next(c for c in range(1, len(pairs) + 1)
+                if sum(min(d, c) for d in deg) >= lowest)
 
 
 def _check_sweep_budget(n_max: int, subsets: bool) -> None:
@@ -882,6 +907,7 @@ def _merge_scan(report: VerificationReport, part: dict) -> None:
     report.witnesses = (report.witnesses + part["witnesses"])[:3]
     report.judged += part["judged"]
     report.settled += part["settled"]
+    report.swept += part["swept"]
     for key, val in part.get("notes", {}).items():
         if isinstance(val, list):
             report.notes[key] = (report.notes.get(key, []) + val)[:3]
@@ -1400,7 +1426,8 @@ THEOREMS = tuple(CHECKS)
 
 def _run_sweep(name: str, check: Check, grid: dict,
                jobs: int) -> VerificationReport:
-    report = VerificationReport(name, dict(grid), judged=0, settled=0)
+    report = VerificationReport(name, dict(grid), judged=0, settled=0,
+                                swept=0)
     workers = min(jobs, os.cpu_count() or 1)
     calls = [(name, grid, units)
              for units in _plan(check.tasks(grid), workers)]

@@ -537,11 +537,11 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
                                k_maxes):
     """Run ``scan`` on each of ``masks`` (pairs (n, mask)) at each k_max and
     hold its counts to a tally of every string of ``_rgs_iter`` by the
-    brute (statistic, rainbow triangle count) entry: the premises, the
-    witnesses (count and the first three) and the counterexamples must
-    agree, every string ``_tally`` sees must have that entry, in order,
-    and every string whose entry has a failure or a witness must be among
-    them."""
+    brute (statistic, rainbow triangle count) entry: the instances (every
+    string), the premises, the witnesses (count and the first three) and
+    the counterexamples must agree, every string ``_tally`` sees must have
+    that entry, in order, and every string whose entry has a failure or a
+    witness must be among them.  A unit with an entry must be swept."""
     tallied = []
     real = verify._tally
     monkeypatch.setattr(
@@ -565,6 +565,8 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
             tallied.clear()
             out = scan(name, {"k_max": k_max}, [(n, mask, None)])
             where = (name, n, mask, k_max)
+            assert out["instances"] == len(rows), where
+            assert out["swept"] or not entries, where
             rest = iter([(a, entry) for a, _G, entry in entries])
             assert all(row in rest for row in tallied), where
             assert [row for row in tallied if row[1][1] or row[1][2]] == \
@@ -613,6 +615,24 @@ class TestT4Scan:
             monkeypatch, verify._t4_scan, "T4", _color_degree_sum,
             _all_masks(4), range(4))
         assert seen["settled"] and seen["failure"]
+
+    def test_settled_blocks_below_the_floor(self, monkeypatch, fresh_tables):
+        # K_5 less the edges (1, 4) and (3, 4) needs four colors to reach
+        # T4's least sum of 15, but three colors on its first seven slots
+        # can already reach the settled t: such a block's one last value
+        # is the fresh color, new at both ends of the last edge.  No grid
+        # of n <= 4 has a block like it.
+        mask = 0b0110111111
+        pairs, _closers = verify._subset_tables(5, mask)
+        assert (1, 4) not in pairs and (3, 4) not in pairs
+        for k_max in (1, 2):
+            lowest = verify._verdicts("T4", 5, len(pairs), k_max)[0]
+            assert verify._color_degree_floor(5, pairs, lowest) == 4
+            assert verify._settled("T4", 5, len(pairs), k_max) == k_max
+        seen = _check_scan_by_brute_tally(
+            monkeypatch, verify._t4_scan, "T4", _color_degree_sum,
+            [(5, mask)], (1, 2))
+        assert seen["settled"] and not seen["failure"]
 
 
 class TestSettledMcScan:
@@ -690,6 +710,32 @@ class TestSettledMcScan:
         witnessed = verify._mc_scan("T2", grid, units)
         assert (witnessed["cex"], witnessed["witness_count"]) == (
             [], stirling2(m, 5))
+
+
+class TestSweptUnits:
+    """A unit whose 2m is below its table's ``lowest`` has no entry, as
+    neither m + c nor the color-degree sum exceeds 2m: the scans count its
+    colorings by formula and never build its slot tables."""
+
+    def test_only_units_an_entry_can_reach_are_swept(self, monkeypatch):
+        calls = []
+        real = verify._subset_tables
+        monkeypatch.setattr(verify, "_subset_tables", lambda n, mask: (
+            calls.append((n, mask)) or real(n, mask)))
+        for name, swept in (("T2", 64), ("T4", 64), ("L1", 186)):
+            calls.clear()
+            check = verify.CHECKS[name]
+            report = verify_theorem(name)
+            units = [(n, mask) for n, mask, _exact in check.tasks(check.grid)]
+            called = set(calls)
+            assert len(units) == 1099
+            assert calls == [unit for unit in units if unit in called], name
+            assert len(calls) == swept == report.swept, name
+            k_max = check.grid.get("k_max")
+            for n, mask in units:
+                m = mask.bit_count()
+                lowest = verify._verdicts(name, n, m, k_max)[0]
+                assert ((n, mask) in called) == (lowest <= 2 * m), (name, mask)
 
 
 class TestGridAndBudget:
@@ -858,12 +904,14 @@ class TestVerifySmall:
         # the wall clock may differ, and the work counters, which the
         # reference predates, are pinned here.
         reference = json.loads(EXPECTED_SWEEP.read_text())
-        counters = {"T1": (796, 72025), "T2": (9735, 95136), "T3": (703, 0),
-                    "T4": (13665, 168318), "L1": (12049, 0)}
+        counters = {"T1": (796, 72025, 5), "T2": (9735, 95136, 64),
+                    "T3": (703, 0, 1), "T4": (13665, 168318, 64),
+                    "L1": (12049, 0, 186)}
         for check in ("T1", "T2", "T3", "T4", "L1"):
             got = verify_theorem(check).to_dict()
             got.pop("seconds")
-            assert (got.pop("judged"), got.pop("settled")) == counters[check]
+            assert (got.pop("judged"), got.pop("settled"),
+                    got.pop("swept")) == counters[check]
             assert json.loads(json.dumps(got)) == reference[check], check
 
     @pytest.mark.parametrize("check", ["T2", "T4"])

@@ -347,8 +347,12 @@ def _collector_paused(fn):
 
 @_collector_paused
 def format_edgelist(G: EdgeColoredGraph) -> str:
+    """The edge-list text of ``G``, pairs sorted.  Each vertex is spelled
+    once, in a table ``name`` of ``str(i)``, and every edge line reads its
+    two names from it; colors are formatted in place."""
+    name = [str(i) for i in range(G.n)]
     lines = [f"{G.n} {G.m}"]
-    lines.extend(f"{u} {v} {c}" for (u, v), c in sorted(G.edges.items()))
+    lines += [f"{name[u]} {name[v]} {c}" for (u, v), c in sorted(G.edges.items())]
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
@@ -371,20 +375,67 @@ def _pieces(text: str):
         start = cut
 
 
+class _ColorTable(dict):
+    """Color token -> int, for the edge-list reader's plain lines: a
+    token not seen before is read by ``int`` and kept if non-negative;
+    ``ValueError`` (not an integer, or negative) hands its line over."""
+
+    def __missing__(self, token: str) -> int:
+        color = int(token)
+        if color < 0:
+            raise ValueError(token)
+        self[token] = color
+        return color
+
+
 @_collector_paused
 def parse_edgelist(text: str) -> EdgeColoredGraph:
     """One pass from lines to the validated ``edges`` dict, which becomes
-    the graph without a second check of its pairs.  A vertex token
-    spelled ``str(i)`` is read from a table of the ints 0..n-1, and a
-    color token from a dict of those read before, so the edges share
-    their ints; any other spelling is read by ``int``, as are all three
-    tokens of a line with one such."""
+    the graph without a second check of its pairs.
+
+    A plain line ``u v c``, with ``u < v`` spelled ``str(u)`` and
+    ``str(v)``, a non-negative color and a pair not read before, is read
+    in a tight loop: its vertices from a table of the ints 0..n-1, its
+    color from a table of the tokens read before, so the edges share
+    their ints.  Every other line (the header, a comment, a blank line, a
+    line of the wrong length, a vertex spelled otherwise, such as ``+1``,
+    ``007`` or in non-ASCII digits, and every line in error) is handed, as
+    the row already split, to the general handling, which reads its
+    tokens by ``int``; the tight loop then goes on from the next line.
+    Each line the tight loop takes adds one edge, so the line numbers and
+    the declared m are kept from the edge count, no line is read twice,
+    and the errors and their lines are those of the text read one line at
+    a time."""
     header: tuple[int, int] | None = None
+    m = 0
+    ids: dict[str, int] = {}  # empty until the header: every line is handed over
     edges: dict[tuple[int, int], int] = {}
-    colors: dict[str, int] = {}
-    lines = chain.from_iterable(map(str.splitlines, _pieces(text)))
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
+    colors = _ColorTable()
+    rows = map(str.split, chain.from_iterable(map(str.splitlines, _pieces(text))))
+    lineno = 0
+    while True:
+        count = len(edges)
+        for tokens in rows:
+            try:
+                a, b, c = tokens
+                u, v, color = ids[a], ids[b], colors[c]
+            except (ValueError, KeyError):
+                break
+            if u < v:
+                key = u, v
+                if key not in edges:
+                    edges[key] = color
+                    continue
+            break
+        else:
+            tokens = None  # the text is read
+        if len(edges) > m:  # edge m + 1 came from the tight loop's lines
+            raise FormatError(f"more than the declared m={m} edge lines",
+                              lineno + m - count + 1)
+        if tokens is None:
+            break
+        # ``tokens`` is the row the tight loop handed over.
+        lineno += len(edges) - count + 1
         if not tokens or tokens[0][0] == "#":
             continue
         if header is None:
@@ -407,13 +458,11 @@ def parse_edgelist(text: str) -> EdgeColoredGraph:
             a, b, c = tokens
         except ValueError:
             raise FormatError("edge line must be 'u v color'", lineno) from None
-        u, v, color = ids.get(a), ids.get(b), colors.get(c)
-        if u is None or v is None or color is None:
-            try:
-                u, v, color = int(a), int(b), int(c)
-            except ValueError:
-                raise FormatError("edge line must contain three integers", lineno) from None
-            color = colors.setdefault(c, color)
+        try:
+            u, v, color = int(a), int(b), int(c)
+        except ValueError:
+            raise FormatError("edge line must contain three integers", lineno) from None
+        color = colors.setdefault(c, color)
         if not 0 <= u < v < n:
             if not 0 <= u < n or not 0 <= v < n:
                 raise FormatError(f"vertex outside range 0..{n - 1}", lineno)
@@ -472,8 +521,11 @@ def graph_from_json_obj(obj) -> EdgeColoredGraph:
 def format_json(G: EdgeColoredGraph) -> str:
     """``json.dumps(graph_to_json_obj(G)) + "\\n"``, written as text: one
     list per edge costs more to build, and to pass the garbage collector
-    over, than the text itself."""
-    body = ", ".join([f"[{u}, {v}, {c}]" for (u, v), c in sorted(G.edges.items())])
+    over, than the text itself.  Vertices are spelled from a table, as in
+    ``format_edgelist``."""
+    name = [str(i) for i in range(G.n)]
+    body = ", ".join([f"[{name[u]}, {name[v]}, {c}]"
+                      for (u, v), c in sorted(G.edges.items())])
     return f'{{"n": {G.n}, "edges": [{body}]}}\n'
 
 
@@ -504,11 +556,13 @@ def parse_graph(text: str) -> EdgeColoredGraph:
 
 @_collector_paused
 def format_dot(G: EdgeColoredGraph) -> str:
-    """DOT export with the fixed palette cycle and color-id edge labels."""
+    """DOT export with the fixed palette cycle and color-id edge labels;
+    vertices are spelled from a table, as in ``format_edgelist``."""
+    name = [str(i) for i in range(G.n)]
+    size = len(DOT_PALETTE)
     lines = ["graph G {"]
-    lines.extend(f"  {v};" for v in range(G.n))
-    for (u, v), c in sorted(G.edges.items()):
-        hex_color = DOT_PALETTE[c % len(DOT_PALETTE)]
-        lines.append(f'  {u} -- {v} [color="{hex_color}", label="{c}"];')
+    lines += [f"  {s};" for s in name]
+    lines += [f'  {name[u]} -- {name[v]} [color="{DOT_PALETTE[c % size]}", label="{c}"];'
+              for (u, v), c in sorted(G.edges.items())]
     lines.append("}\n")
     return "\n".join(lines)

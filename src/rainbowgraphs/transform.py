@@ -223,10 +223,15 @@ def orient_by_p3_rule(G: EdgeColoredGraph) -> OrientationReport:
 # --------------------------------------------------------------------------
 
 
+@_collector_paused
 def format_digraph(D: OrientedGraph) -> str:
+    """The digraph text of ``D``, arcs sorted; vertices are spelled from a
+    table, as in ``graphs.format_edgelist``."""
+    name = [str(i) for i in range(D.n)]
     lines = [f"{D.n} {D.a}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(D.arcs))
-    return "\n".join(lines) + "\n"
+    lines += [f"{name[u]} {name[v]}" for u, v in sorted(D.arcs)]
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 @_collector_paused

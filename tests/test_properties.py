@@ -1,14 +1,16 @@
 """Property tests of the graph file formats over random edge-colored
 graphs: round trips, adjacency masks, tolerance of comments and
-whitespace, JSON text equal to the ``json`` module's, and the edge-list
-reader against its whole-text referee wherever its pieces are cut.
-Vertex counts reach 80, past a 64-bit word, and densities fall on both
-sides of the byte-row adjacency threshold."""
+whitespace, JSON text equal to the ``json`` module's, the formatters'
+text equal to their referees', and the edge-list reader against its
+whole-text referee wherever its pieces are cut and whatever line its
+tight loop hands over.  Vertex counts reach 80, past a 64-bit word, and
+densities fall on both sides of the byte-row adjacency threshold."""
 
 import json
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,14 +19,22 @@ from rainbowgraphs.graphs import (
     EdgeColoredGraph,
     FormatError,
     GraphError,
+    OrientedGraph,
+    format_dot,
     format_edgelist,
     format_json,
     graph_to_json_obj,
     parse_edgelist,
     parse_json,
 )
+from rainbowgraphs.transform import format_digraph
 
-from _oracles import edgelist_referee
+from _oracles import (
+    edgelist_referee,
+    format_digraph_referee,
+    format_dot_referee,
+    format_edgelist_referee,
+)
 
 
 @st.composite
@@ -114,6 +124,32 @@ def test_format_json_is_the_json_modules_text(n, keep, top, seed):
     assert format_json(G) == json.dumps(graph_to_json_obj(G)) + "\n"
 
 
+def _complete(n, color):
+    return (n, [(u, v, color(u, v)) for u in range(n) for v in range(u + 1, n)],
+            random.Random(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_graphs())
+@example((0, [], random.Random(0)))
+@example((4096, [], random.Random(0)))
+@example(_complete(30, lambda u, v: 12 + (7 * u + v) % 40))  # the palette wraps
+@example(_complete(12, lambda u, v: 10 ** 6 + u * v))
+@example(_complete(6, lambda u, v: 10 ** 40 + u))
+def test_formatters_are_their_referees(case):
+    """The formatters write their referees' edge-list, DOT and digraph
+    text, and the ``json`` module's JSON text, byte for byte; the digraph
+    is ``G``'s pairs, each oriented by ``rng``."""
+    n, triples, rng = case
+    G = EdgeColoredGraph(n, triples)
+    assert format_edgelist(G) == format_edgelist_referee(G)
+    assert format_dot(G) == format_dot_referee(G)
+    assert format_json(G) == json.dumps(graph_to_json_obj(G)) + "\n"
+    D = OrientedGraph(n, [(v, u) if rng.random() < 0.5 else (u, v)
+                          for u, v, _ in triples])
+    assert format_digraph(D) == format_digraph_referee(D)
+
+
 # Every separator ``str.splitlines`` knows, "\r\n" included.
 _LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
               "\x85", "\u2028", "\u2029")
@@ -176,3 +212,72 @@ def test_edgelist_reader_is_its_referee_wherever_it_cuts(text, chunk):
     with mock.patch.object(graphs, "_CHUNK", chunk):
         assert _reading(parse_edgelist, text) == want
     assert _reading(parse_edgelist, text) == want
+
+
+def _clean_lines():
+    """2,000 plain edge lines, of 2,001 random pairs of K_100 in sorted
+    order, and the pair left out."""
+    rng = random.Random(26)
+    pairs = sorted(rng.sample([(u, v) for u in range(100) for v in range(u + 1, 100)],
+                              2001))
+    spare = pairs.pop(rng.randrange(1, 2000))
+    return [f"{u} {v} {rng.randint(0, 500)}" for u, v in pairs], spare
+
+
+_EDGES, (_P, _Q) = _clean_lines()
+# One line the tight loop hands over, and whether it is an edge line whose
+# three integers the general handling reads.
+_IRREGULAR = {
+    "comment": ("# 0 1 2", False),
+    "blank": ("", False),
+    "plus": (f"+{_P} {_Q} 7", True),
+    "wrong-length": (f"{_P} {_Q}", False),
+    "duplicate": (_EDGES[0], True),
+    "reversed": (f"{_Q} {_P} 7", True),
+    "negative": (f"{_P} {_Q} -1", True),
+}
+
+
+def _spied_reading(text, chunk=None):
+    """``parse_edgelist``'s reading of ``text`` (pieces of ``chunk``
+    characters when given), and the color tokens of the edge lines its
+    general handling read: only that handling calls the color table's
+    ``setdefault``, the tight loop reads it by subscript."""
+    seen = []
+
+    class Spy(graphs._ColorTable):
+        def setdefault(self, token, color):
+            seen.append(token)
+            return super().setdefault(token, color)
+
+    with mock.patch.object(graphs, "_ColorTable", Spy), \
+            mock.patch.object(graphs, "_CHUNK", chunk or graphs._CHUNK):
+        return _reading(parse_edgelist, text), seen
+
+
+@pytest.mark.parametrize("chunk", (None, 1, 9, 1000))
+def test_clean_text_never_reaches_the_general_handling(chunk):
+    text = "\n".join([f"100 {len(_EDGES)}", *_EDGES, ""])
+    reading, seen = _spied_reading(text, chunk)
+    assert reading == _reading(edgelist_referee, text)
+    assert len(reading[1]) == len(_EDGES) and seen == []
+
+
+@pytest.mark.parametrize("cut", ("whole", "before", "after"))
+@pytest.mark.parametrize("where", ("second", "middle", "last"))
+@pytest.mark.parametrize("kind", sorted(_IRREGULAR))
+def test_an_irregular_line_is_handed_over_anywhere(kind, where, cut):
+    """The reading of a clean list with one irregular line at line 2, in
+    the middle or last, read whole or cut into pieces just before or just
+    after that line, is the referee's: graph, edge order, or error and
+    its line."""
+    line, edge = _IRREGULAR[kind]
+    at = {"second": 1, "middle": 1 + len(_EDGES) // 2, "last": 1 + len(_EDGES)}[where]
+    lines = [f"100 {len(_EDGES) + edge}", *_EDGES]
+    lines.insert(at, line)
+    text = "\n".join(lines) + "\n"
+    start = sum(len(x) + 1 for x in lines[:at])
+    chunk = {"whole": None, "before": start - 1, "after": start + len(line)}[cut]
+    reading, seen = _spied_reading(text, chunk)
+    assert reading == _reading(edgelist_referee, text)
+    assert len(seen) == edge

@@ -225,11 +225,17 @@ def orient_by_p3_rule(G: EdgeColoredGraph) -> OrientationReport:
 
 @_collector_paused
 def format_digraph(D: OrientedGraph) -> str:
-    """The digraph text of ``D``, arcs sorted; vertices are spelled from a
-    table, as in ``graphs.format_edgelist``."""
+    """The digraph text of ``D``, arcs sorted: each tail's heads are read
+    off its ``out_adj`` mask lowest bit first.  Vertices are spelled from
+    a table, as in ``graphs.format_edgelist``."""
     name = [str(i) for i in range(D.n)]
     lines = [f"{D.n} {D.a}"]
-    lines += [f"{name[u]} {name[v]}" for u, v in sorted(D.arcs)]
+    for u, heads in enumerate(D.out_adj):
+        tail = name[u] + " "
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            lines.append(tail + name[low.bit_length() - 1])
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 

@@ -27,20 +27,20 @@ verdicts into a run's counts.
 Sweeps enumerate colorings of K_n, of its edge subsets, or with exactly c
 colors, as restricted-growth strings over the edge slots: every coloring
 once up to renaming of colors (vertex symmetry is deliberately not
-quotiented; it affects speed only).  A sweep's unit is one edge subset
-of K_n, at exactly some colors or at any; ``_plan`` groups whole units in
-serial order into tasks of about equal weight, counted exactly in strings
-by ``_completions``.  At most min(jobs, cpu count) workers scan them, the
-heaviest first, and the results merge in serial order, so no report
-depends on ``jobs``.  T1, T2, T4 and L1 are each one rule over a
-coloring's n, m, statistic (m + c, or the color-degree sum) and rainbow
-triangle count t: their statements apply it to a graph, and their scans
-read slot arrays, never graphs, and look each string up in
-``_verdicts``, the rule's table per (n, m).  Neither statistic exceeds
-2m, so a unit whose 2m is below its table's least entry is counted by
-formula and not swept.  Every sweep reads t from ``_rgs_blocks``, which
-counts it as each slot closes triangles.  T1, T2 and L1 prune a prefix whose t exceeds ``_ceiling``,
-the most any entry allows up to the most colors the prefix can reach.
+quotiented; it affects speed only).  A sweep's unit, and its task, is
+one edge subset of K_n, at exactly some colors or at any.  T1, T2, T4
+and L1 are each one rule over a coloring's n, m, statistic (m + c, or
+the color-degree sum) and rainbow triangle count t: their statements
+apply it to a graph, and their scans read slot arrays, never graphs, and
+look each string up in ``_verdicts``, the rule's table per (n, m).
+Neither statistic exceeds 2m, so ``_run_sweep`` counts a unit whose 2m
+is below its table's least entry by formula and hands the scans only
+the others.  At most min(jobs, cpu count, units swept) workers scan
+them, the last first, and the results merge in serial order, so no
+report depends on ``jobs``.  Every sweep reads t from ``_rgs_blocks``,
+which counts it as each slot closes triangles.  T1, T2 and L1 prune a
+prefix whose t exceeds ``_ceiling``, the most any entry allows up to the
+most colors the prefix can reach.
 T3 prunes past its premise's t = k and judges only its premise strings.
 T4 floors the colors by its color-degree sum, steps the groups of blocks
 that share all but the last two slots, and skips those whose sum cannot
@@ -614,27 +614,6 @@ def _by_colors(free: int, used: int) -> tuple[int, ...]:
                  for c in range(used, used + free + 1))
 
 
-_TASKS_PER_WORKER = 8
-
-
-def _plan(units, workers: int) -> list[list[tuple]]:
-    """Group the sweep units ``(n, mask, exact)`` into scan tasks, lists of
-    units, all in serial order.  A unit weighs its strings and is never
-    split: units are grouped up to the target, total weight /
-    (_TASKS_PER_WORKER * workers), and a heavier one is a task alone."""
-    weights = [_completions(bin(mask).count("1"), 0, exact)
-               for _n, mask, exact in units]
-    target = max(1, -(-sum(weights) // (_TASKS_PER_WORKER * workers)))
-    tasks, load = [], 0
-    for unit, weight in zip(units, weights):
-        if not tasks or (load and load + weight > target):
-            tasks.append([])
-            load = 0
-        tasks[-1].append(unit)
-        load += weight
-    return tasks
-
-
 def _rgs_totals(m: int, closers, ceiling, out: dict, exact=None,
                 settled=inf, bulk=None):
     """Yield ``(a, m + c, t)`` for the colorings ``a`` of ``m`` slots (with
@@ -679,7 +658,7 @@ def _rgs_totals(m: int, closers, ceiling, out: dict, exact=None,
 def _scan_out() -> dict:
     """The empty counts of a scan task, which ``_merge_scan`` adds up."""
     return {"instances": 0, "premise": 0, "cex": [], "witness_count": 0,
-            "witnesses": [], "judged": 0, "settled": 0, "swept": 0}
+            "witnesses": [], "judged": 0, "settled": 0}
 
 
 def _statement_scan(name: str, grid: dict, units) -> dict:
@@ -693,7 +672,6 @@ def _statement_scan(name: str, grid: dict, units) -> dict:
         notes.update(out_of_range_mismatches=0, out_of_range_examples=[])
     out = dict(_scan_out(), notes=notes)
     for _n, mask, exact in units:
-        out["swept"] += 1
         pairs, closers = _subset_tables(n, mask)
         m = len(pairs)
         for a, _total, t_count in _rgs_totals(m, closers, [k] * (m + 1),
@@ -719,18 +697,14 @@ def _subset_tables(n: int, mask: int):
 def _mc_scan(name: str, grid: dict, units) -> dict:
     """T1, T2 and L1: each coloring judged by its m + c and its rainbow
     triangle count, through the check's verdict table; those settled
-    (``_settled``) before their last slot are counted per m + c.  A unit
-    whose 2m, the most m + c can be, is below the table's ``lowest``
-    has no entry: its colorings are counted, not swept."""
+    (``_settled``) before their last slot are counted per m + c.  Each
+    unit is one an entry can reach: its 2m, the most m + c can be, is at
+    least the table's ``lowest`` (``_run_sweep``)."""
     out = _scan_out()
     k_max = grid.get("k_max")
     for n, mask, _exact in units:
         m = mask.bit_count()
-        lowest, table = _verdicts(name, n, m, k_max)
-        if 2 * m < lowest:
-            out["instances"] += _completions(m)
-            continue
-        out["swept"] += 1
+        table = _verdicts(name, n, m, k_max)[1]
         pairs, closers = _subset_tables(n, mask)
         settled = _settled(name, n, m, k_max)
         bulk = [0] * (2 * m + 1)
@@ -747,19 +721,16 @@ def _mc_scan(name: str, grid: dict, units) -> dict:
 def _t4_scan(name: str, grid: dict, units) -> dict:
     """T4: each coloring judged by its color-degree sum and its rainbow
     triangle count, through the check's verdict table, from the fewest
-    colors that can reach its ``lowest`` (``_color_degree_floor``).  A
-    unit whose 2m, the most the sum can be, is below ``lowest`` is
-    counted, not swept.  Past ``_settled``, a block's last values are
-    counted in bulk by how many of the last edge's ends each color is
-    new to."""
+    colors that can reach its ``lowest`` (``_color_degree_floor``).  Each
+    unit is one an entry can reach: its 2m, the most the sum can be, is
+    at least ``lowest`` (``_run_sweep``).  Past ``_settled``, a block's
+    last values are counted in bulk by how many of the last edge's ends
+    each color is new to."""
     out = _scan_out()
     for n, mask, _exact in units:
         m = mask.bit_count()
         out["instances"] += _completions(m)
         lowest, table = _verdicts(name, n, m, grid["k_max"])
-        if 2 * m < lowest:
-            continue
-        out["swept"] += 1
         pairs, closers = _subset_tables(n, mask)
         floor = _color_degree_floor(n, pairs, lowest)
         settled = _settled(name, n, m, grid["k_max"])
@@ -771,7 +742,7 @@ def _t4_scan(name: str, grid: dict, units) -> dict:
         # degrees off p, q, x and y are fixed, and each endpoint of pq or
         # xy gains one exactly when that edge's color is new to its earlier
         # slots, so the color-degree sum of a group or a block is bounded
-        # before any string is made.  A swept mask has 2m >= lowest >=
+        # before any string is made.  A unit has 2m >= lowest >=
         # C(n+1,2), and n >= 3, so m >= 3.  The last slot may add a
         # color, so the first m - 1 use at least floor - 1.
         last = m - 1
@@ -907,7 +878,6 @@ def _merge_scan(report: VerificationReport, part: dict) -> None:
     report.witnesses = (report.witnesses + part["witnesses"])[:3]
     report.judged += part["judged"]
     report.settled += part["settled"]
-    report.swept += part["swept"]
     for key, val in part.get("notes", {}).items():
         if isinstance(val, list):
             report.notes[key] = (report.notes.get(key, []) + val)[:3]
@@ -1364,15 +1334,16 @@ def _l2(D, params, notes):
 class Check:
     """One named check.  ``grid`` is the default grid and the schema of
     overrides.  A sweep lists its units ``(n, mask, exact)`` with
-    ``tasks(grid)`` and runs ``scan(name, grid, units)`` on each task of
-    whole units that ``_plan`` groups, judging by ``rule`` and ``witness``
-    (see ``_verdicts``); a sampled check draws from ``samples(grid, rng,
-    notes)``.  T3's scan and the sampled runner judge each instance by
-    ``statement`` through ``_judge``, where one outside the premise stops
-    the run unless the check is ``vacuous``.  Counterexamples of a
-    ``minimize`` check are shrunk while the statement still fails.  Every
-    integer of a grid value but the seed is at least 0, or at least its
-    key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
+    ``tasks(grid)`` and runs ``scan(name, grid, [unit])`` on each unit a
+    table entry can reach (``_run_sweep``), judging by ``rule`` and
+    ``witness`` (see ``_verdicts``); a sampled check draws from
+    ``samples(grid, rng, notes)``.  T3's scan and the sampled runner
+    judge each instance by ``statement`` through ``_judge``, where one
+    outside the premise stops the run unless the check is ``vacuous``.
+    Counterexamples of a ``minimize`` check are shrunk while the statement
+    still fails.  Every integer of a grid value but the seed is at least
+    0, or at least its key's entry in ``floors``; a pair (n, k) needs
+    n >= k >= the floor."""
 
     grid: dict
     statement: Callable
@@ -1426,18 +1397,28 @@ THEOREMS = tuple(CHECKS)
 
 def _run_sweep(name: str, check: Check, grid: dict,
                jobs: int) -> VerificationReport:
-    report = VerificationReport(name, dict(grid), judged=0, settled=0,
-                                swept=0)
-    workers = min(jobs, os.cpu_count() or 1)
-    calls = [(name, grid, units)
-             for units in _plan(check.tasks(grid), workers)]
-    workers = min(workers, len(calls))
+    """Scan each unit of ``check.tasks(grid)`` as a task of its own, but
+    count by formula the colorings of a unit of a rule's check that no
+    table entry can reach: its 2m, the most its statistic can be, is
+    below the table's ``lowest``."""
+    report = VerificationReport(name, dict(grid), judged=0, settled=0)
+    k_max = grid.get("k_max")
+    calls = []
+    for unit in check.tasks(grid):
+        n, mask, _exact = unit
+        m = mask.bit_count()
+        if check.rule and 2 * m < _verdicts(name, n, m, k_max)[0]:
+            report.instances += _completions(m)
+        else:
+            calls.append((name, grid, [unit]))
+    report.swept = len(calls)
+    workers = min(jobs, os.cpu_count() or 1, len(calls))
     if workers <= 1:
-        parts = list(starmap(check.scan, calls))
+        parts = starmap(check.scan, calls)
     else:
         # The heaviest units come last in serial order: hand them out first.
-        with Pool(processes=workers) as pool:
-            parts = pool.starmap(check.scan, calls[::-1], chunksize=1)[::-1]
+        with Pool(workers) as pool:
+            parts = pool.starmap(check.scan, calls[::-1])[::-1]
     for part in parts:
         _merge_scan(report, part)
     return report
@@ -1488,11 +1469,13 @@ def _grid_mismatch(default, val, floor: int | None) -> str | None:
 
 def check_grid(theorem: str, grid: dict) -> None:
     """Raise GraphError unless ``grid`` can override the named check's
-    default grid: every key is a default key or ``seed``, every value has
-    the shape of its default, and every value but the seed is in its key's
-    range (see ``Check`` and ``_grid_mismatch``)."""
+    default grid: it is a dict, every key is a default key or ``seed``,
+    every value has the shape of its default, and every value but the
+    seed is in its key's range (see ``Check`` and ``_grid_mismatch``)."""
     key = theorem.upper()
     check = _lookup(key)
+    if not isinstance(grid, dict):
+        raise GraphError(f"a {key} grid must be a dict, got {grid!r}")
     defaults = {"seed": DEFAULT_SEED, **check.grid}
     for name, val in grid.items():
         if name not in defaults:
@@ -1515,12 +1498,13 @@ def check_jobs(jobs) -> None:
 def verify_theorem(theorem: str, grid: dict | None = None,
                    jobs: int = 1) -> VerificationReport:
     """Run one named check over its (possibly overridden) parameter grid.
-    A sweep starts at most min(jobs, os.cpu_count()) worker processes."""
+    A sweep starts at most min(jobs, os.cpu_count(), units swept) workers."""
     key = theorem.upper()
+    grid = {} if grid is None else grid
     check_jobs(jobs)
-    check_grid(key, grid or {})
+    check_grid(key, grid)
     check = CHECKS[key]
-    merged = {**check.grid, **(grid or {})}
+    merged = {**check.grid, **grid}
     start = time.perf_counter()
     if check.scan is not None:
         report = _run_sweep(key, check, merged, jobs)

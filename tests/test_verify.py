@@ -541,7 +541,9 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
     string), the premises, the witnesses (count and the first three) and
     the counterexamples must agree, every string ``_tally`` sees must have
     that entry, in order, and every string whose entry has a failure or a
-    witness must be among them.  A unit with an entry must be swept."""
+    witness must be among them.  As in ``_run_sweep``, a scan gets only
+    the units an entry can reach, with 2m at least the table's ``lowest``
+    (``TestSweptUnits`` holds the runner's count of the others)."""
     tallied = []
     real = verify._tally
     monkeypatch.setattr(
@@ -557,7 +559,9 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
             rows.append((tuple(a), G, value_of(G),
                          len(brute_rainbow_triangles(G))))
         for k_max in k_maxes:
-            table = verify._verdicts(name, n, len(pairs), k_max)[1]
+            lowest, table = verify._verdicts(name, n, len(pairs), k_max)
+            if 2 * len(pairs) < lowest:
+                continue
             entries = [(a, G, table[value][t]) for a, G, value, t in rows
                        if table[value][t] is not None]
             marked = [(a, entry) for a, _G, entry in entries
@@ -566,7 +570,6 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
             out = scan(name, {"k_max": k_max}, [(n, mask, None)])
             where = (name, n, mask, k_max)
             assert out["instances"] == len(rows), where
-            assert out["swept"] or not entries, where
             rest = iter([(a, entry) for a, _G, entry in entries])
             assert all(row in rest for row in tallied), where
             assert [row for row in tallied if row[1][1] or row[1][2]] == \
@@ -736,6 +739,47 @@ class TestSweptUnits:
                 m = mask.bit_count()
                 lowest = verify._verdicts(name, n, m, k_max)[0]
                 assert ((n, mask) in called) == (lowest <= 2 * m), (name, mask)
+
+    @pytest.mark.parametrize("name, k_maxes", [
+        ("T2", range(4)), ("T4", range(4)), ("L1", [None])])
+    def test_unswept_units_hold_no_entry(self, monkeypatch, name, k_maxes):
+        # Each unit no entry can reach, on every edge subset of K_n,
+        # n <= 4, run alone: the runner counts every string of it and
+        # judges none, and by a brute tally none has an entry.  (T1's
+        # witness rule reaches every K_n.)
+        check = verify.CHECKS[name]
+        value_of = _color_degree_sum if name == "T4" else _mc
+
+        def never(*args):
+            raise AssertionError("a unit no entry can reach was scanned")
+
+        unswept = 0
+        for n, mask in _all_masks(4):
+            m = mask.bit_count()
+            pairs, _closers = verify._subset_tables(n, mask)
+            rows = []
+            for a in _rgs_iter(m):
+                G = EdgeColoredGraph(n, [(u, v, c)
+                                         for (u, v), c in zip(pairs, a)])
+                rows.append((value_of(G), len(brute_rainbow_triangles(G))))
+            for k_max in k_maxes:
+                lowest, table = verify._verdicts(name, n, m, k_max)
+                if lowest <= 2 * m:
+                    continue
+                unswept += 1
+                assert all(table[value][t] is None for value, t in rows)
+                monkeypatch.setitem(verify.CHECKS, name, dataclasses.replace(
+                    check, tasks=lambda grid, unit=(n, mask, None): [unit],
+                    scan=never))
+                grid = {} if k_max is None else {"k_max": k_max}
+                report = verify_theorem(name, grid).to_dict()
+                where = (name, n, mask, k_max)
+                assert report["instances"] == len(rows), where
+                assert (report["premise_instances"], report["witness_count"],
+                        report["counterexamples"], report["witnesses"],
+                        report["judged"], report["settled"],
+                        report["swept"]) == (0, 0, [], [], 0, 0, 0), where
+        assert unswept
 
 
 class TestGridAndBudget:
@@ -1409,7 +1453,7 @@ class TestT3Faults:
 
 
 def _at_most_two_processes(monkeypatch):
-    """Let ``jobs`` alone size the plan, and start at most two workers."""
+    """Let ``jobs`` alone size the pool, and start at most two workers."""
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(verify, "Pool", lambda processes: multiprocessing.Pool(
         min(processes, 2)))
@@ -1452,29 +1496,25 @@ class TestJobs:
                     verify_theorem(check, grid, jobs=bad)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch, serial_pool):
-        # T2 at n_max 4 has 75 units, enough for three tasks or more.
-        plans = []
-        real_plan = verify._plan
-        monkeypatch.setattr(verify, "_plan", lambda units, workers: (
-            plans.append(workers) or real_plan(units, workers)))
+        # T2 at n_max 4 sweeps more than three units.
         grid = {"n_max": 4}
         serial = verify_theorem("T2", grid, jobs=1).to_dict()
+        assert serial["swept"] > 3
         for cpus, pools in ((3, [3]), (None, []), (1, [])):
             monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
             _SerialPool.sizes.clear()
             got = verify_theorem("T2", grid, jobs=1000).to_dict()
             assert _SerialPool.sizes == pools, cpus
-            assert plans[-1] == (cpus or 1)
             assert {**got, "seconds": 0} == {**serial, "seconds": 0}
 
     def test_pool_never_larger_than_the_task_list(self, monkeypatch,
                                                   serial_pool):
+        # T1 sweeps each K_n alone.
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-        verify_theorem("T1", {"n_max": 3}, jobs=64)
-        tasks = verify._plan(verify._complete_colorings({"n_max": 3}), 64)
-        assert _SerialPool.sizes == [len(tasks)] and len(tasks) < 64
+        assert verify_theorem("T1", {"n_max": 3}, jobs=64).swept == 3
+        assert _SerialPool.sizes == [3]
         _SerialPool.sizes.clear()
-        verify_theorem("T1", {"n_max": 1}, jobs=64)
+        assert verify_theorem("T1", {"n_max": 1}, jobs=64).swept == 1
         assert _SerialPool.sizes == []
 
     @pytest.mark.parametrize("check, grid", [
@@ -1483,16 +1523,23 @@ class TestJobs:
         ids=["T1", "T2", "T4", "L1"])
     def test_tasks_go_out_in_reverse_serial_order(self, monkeypatch,
                                                   serial_pool, check, grid):
-        # The full-mask and K_n units come last in serial order, so the
-        # pool gets the tasks last first; the parts still merge in serial
-        # order, so the report is the serial one, witnesses included.
+        # Each unit an entry can reach is one call, and the full-mask and
+        # K_n units come last in serial order, so the pool gets the calls
+        # last first; the parts still merge in serial order, so the report
+        # is the serial one, witnesses included.
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         serial = verify_theorem(check, grid).to_dict()
         pooled = verify_theorem(check, grid, jobs=2).to_dict()
-        tasks = verify._plan(verify.CHECKS[check].tasks(grid), 2)
-        assert len(tasks) > 1
-        assert [units for _name, _grid, units in _SerialPool.calls] == \
-            tasks[::-1]
+        merged = {**verify.CHECKS[check].grid, **grid}
+        reached = [(n, mask, exact) for n, mask, exact
+                   in verify.CHECKS[check].tasks(merged)
+                   if verify._verdicts(check, n, mask.bit_count(),
+                                       merged.get("k_max"))[0]
+                   <= 2 * mask.bit_count()]
+        assert len(reached) == pooled["swept"] > 1
+        assert _SerialPool.sizes == [2]
+        assert _SerialPool.calls == [(check, merged, [unit])
+                                     for unit in reached[::-1]]
         assert {**pooled, "seconds": 0} == {**serial, "seconds": 0}
 
     def test_reverse_order_keeps_counterexamples_in_serial_order(
@@ -1516,17 +1563,10 @@ class TestJobs:
         assert _SerialPool.sizes == []
 
 
-def _plan_cases():
-    for check in ("T1", "T2", "T4", "L1"):
-        for n_max in range(1, 6):
-            yield check, {**verify.CHECKS[check].grid, "n_max": n_max}
-    for n in (4, 5):
-        yield "T3", {"n": n, "k": 1}
-
-
 class TestPlanner:
-    """``_plan`` alone, without a pool: its tasks hold every unit of the
-    sweep once, whole and in serial order, grouped to about equal weight."""
+    """The units a sweep lists, each weighed by ``_completions``: the
+    strings ``_rgs_iter`` makes for it, in all the check's instance
+    count, whether the runner sweeps the unit or counts it."""
 
     @staticmethod
     def _instances(check, grid):
@@ -1538,38 +1578,22 @@ class TestPlanner:
         return sum(bells[comb(n, 2) + subsets]
                    for n in range(1, grid["n_max"] + 1))
 
-    @staticmethod
-    def _weight(unit):
-        _n, mask, exact = unit
-        return verify._completions(bin(mask).count("1"), 0, exact)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_tasks_cover_the_sweep_in_order(self, workers):
-        for check, grid in _plan_cases():
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    def test_weights_count_the_strings_of_each_piece(self, n_max):
+        cases = [(check, {**verify.CHECKS[check].grid, "n_max": n_max})
+                 for check in ("T1", "T2", "T4", "L1")]
+        if n_max >= 3:
+            cases.append(("T3", {"n": n_max, "k": 1}))
+        for check, grid in cases:
             units = verify.CHECKS[check].tasks(grid)
             assert units == sorted(units, key=lambda unit: unit[:2])
-            tasks = verify._plan(units, workers)
-            assert [unit for task in tasks for unit in task] == units
-            total = sum(map(self._weight, units))
-            assert total == self._instances(check, grid), (check, grid)
-            target = max(1, -(-total // (verify._TASKS_PER_WORKER * workers)))
-            for task in tasks:
-                if sum(map(self._weight, task)) > target:
-                    assert len(task) == 1, (check, grid, task)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_weights_count_the_strings_of_each_piece(self, workers):
-        # Each unit of a task weighs the strings _rgs_iter makes for it.
-        for check, grid in _plan_cases():
-            if grid.get("n_max", grid.get("n")) > 4:
-                continue
-            units = verify.CHECKS[check].tasks(grid)
-            for task in verify._plan(units, workers):
-                for unit in task:
-                    _n, mask, c = unit
-                    strings = sum(1 for _a in _rgs_iter(
-                        bin(mask).count("1"), c))
-                    assert self._weight(unit) == strings, (check, unit)
+            weights = []
+            for _n, mask, c in units:
+                weights.append(verify._completions(mask.bit_count(), 0, c))
+                strings = sum(1 for _a in _rgs_iter(mask.bit_count(), c))
+                assert weights[-1] == strings, (check, mask)
+            assert sum(weights) == self._instances(check, grid), (check, grid)
+            assert sum(weights) == verify_theorem(check, grid).instances
 
 
 _GRID_TARGETS = [(name, key) for name, check in verify.CHECKS.items()
@@ -1600,6 +1624,14 @@ class TestGridShapes:
                 ("T5", {"k_values": "45"}, "list of integers")):
             with pytest.raises(GraphError, match=match):
                 check_grid(check, grid)
+
+    @pytest.mark.parametrize("grid", [[1], "x", 5, ((1, 2),), [], 0])
+    def test_grid_that_is_not_a_dict_rejected(self, grid):
+        for check in ("T1", "L2"):
+            with pytest.raises(GraphError, match="grid must be a dict"):
+                check_grid(check, grid)
+            with pytest.raises(GraphError, match="grid must be a dict"):
+                verify_theorem(check, grid)
 
     def test_lists_and_tuples_accepted(self):
         check_grid("T6", {"pairs": [[8, 6]], "samples": 10})

@@ -33,15 +33,17 @@ and L1 are each one rule over a coloring's n, m, statistic (m + c, or
 the color-degree sum) and rainbow triangle count t: their statements
 apply it to a graph, and their scans read slot arrays, never graphs, and
 look each string up in ``_verdicts``, the rule's table per (n, m).
-Neither statistic exceeds 2m, so ``_run_sweep`` counts a unit whose 2m
-is below its table's least entry by formula and hands the scans only
-the others.  At most min(jobs, cpu count, units swept) workers scan
-them, the last first, and the results merge in serial order, so no
-report depends on ``jobs``.  Every sweep reads t from ``_rgs_blocks``,
-which counts it as each slot closes triangles.  T1, T2 and L1 prune a
-prefix whose t exceeds ``_ceiling``, the most any entry allows up to the
-most colors the prefix can reach.
-T3 prunes past its premise's t = k and judges only its premise strings.
+``_run_sweep`` counts every unit's colorings by formula (``_completions``)
+and, as neither statistic exceeds 2m, hands the scans, one unit a call,
+only those whose 2m reaches their table's least entry.  At most
+min(jobs, cpu count, units swept) workers scan them, the last first, and
+the results merge in serial order, so no report depends on ``jobs``.
+Every sweep reads t from ``_rgs_blocks``, which counts it as each slot
+closes triangles, and makes only the strings its ceiling allows.  T1, T2
+and L1 prune a prefix whose t exceeds ``_ceiling``, the most any entry
+allows up to the most colors the prefix can reach.
+T3's ceiling floors and caps the colors at exactly n + k - 1 and prunes
+past its premise's t = k; T3 judges only its premise strings.
 T4 floors the colors by its color-degree sum, steps the groups of blocks
 that share all but the last two slots, and skips those whose sum cannot
 reach its table.  From ``_settled``'s t on, every entry of a table
@@ -225,15 +227,15 @@ def _rgs_blocks(slots, ceiling, closers=None, settled=inf):
         v = a[i] + 1
 
 
-def _rgs_iter(slots, exact=None, floor=0):
+def _rgs_iter(slots, exact=None):
     """Yield restricted-growth strings over ``slots`` positions that use
-    exactly ``exact`` values, if given, or else at least ``floor``.
+    exactly ``exact`` values, if given, or else any number.
 
     The yielded list is a shared buffer: consume it before advancing.
     It flattens :func:`_rgs_blocks`.
     """
     cap = slots if exact is None else min(exact, slots + 1)
-    need = floor if exact is None else exact
+    need = 0 if exact is None else exact
     ceiling = [-1 if c < need else 0 for c in range(cap + 1)]
     if slots == 0:
         if ceiling[:1] == [0]:
@@ -614,27 +616,21 @@ def _by_colors(free: int, used: int) -> tuple[int, ...]:
                  for c in range(used, used + free + 1))
 
 
-def _rgs_totals(m: int, closers, ceiling, out: dict, exact=None,
-                settled=inf, bulk=None):
-    """Yield ``(a, m + c, t)`` for the colorings ``a`` of ``m`` slots (with
-    exactly ``exact`` colors, if given) that ``ceiling`` does not prune
-    (``_rgs_blocks``), with c colors and t rainbow triangles, each slot
-    adding those it closes (``closers``).  Every coloring is counted in
-    ``out["instances"]``, exactly by ``_completions``.  ``a`` is a shared
-    buffer with its last slot already set.
+def _rgs_totals(m: int, closers, ceiling, settled=inf, bulk=None):
+    """Yield ``(a, m + c, t)`` for the colorings ``a`` of ``m`` slots that
+    ``ceiling`` does not prune (``_rgs_blocks``: its length caps the
+    colors and its -1 entries floor them), with c colors and t rainbow
+    triangles, each slot adding those it closes (``closers``).  ``a`` is
+    a shared buffer with its last slot already set.
 
     A coloring with at least ``settled`` triangles once its first m - 1
     slots are set is not yielded but counted in ``bulk[m + c]``: whole
     settled subtrees of ``_rgs_blocks`` by ``_by_colors``, and blocks
     whose t is settled by their last values."""
-    out["instances"] += _completions(m, 0, exact)
-    if exact is not None:
-        ceiling = [-1 if c < exact else top
-                   for c, top in enumerate(ceiling[:exact + 1])]
     if m == 0:
-        # No slots: the empty coloring, if it meets exact and the ceiling.
-        for a in _rgs_iter(0, exact, ceiling.count(-1)):
-            yield a, 0, 0
+        # No slots: the empty coloring, if the ceiling lets 0 colors through.
+        if ceiling and ceiling[0] >= 0:
+            yield [], 0, 0
         return
     last = m - 1
     need, cap = ceiling.count(-1), len(ceiling) - 1
@@ -657,28 +653,29 @@ def _rgs_totals(m: int, closers, ceiling, out: dict, exact=None,
 
 def _scan_out() -> dict:
     """The empty counts of a scan task, which ``_merge_scan`` adds up."""
-    return {"instances": 0, "premise": 0, "cex": [], "witness_count": 0,
-            "witnesses": [], "judged": 0, "settled": 0}
+    return {"premise": 0, "cex": [], "witness_count": 0, "witnesses": [],
+            "judged": 0, "settled": 0}
 
 
-def _statement_scan(name: str, grid: dict, units) -> dict:
-    """T3 on the strings with n + k - 1 colors, which all meet T2's
-    premise at k: only those with t = k, its premises, are built and
-    judged by the statement; the rest hold no certificate that
-    revalidates.  Below n = 3k the out-of-range notes start empty."""
+def _statement_scan(name: str, grid: dict, unit) -> dict:
+    """T3 on the strings with exactly c = n + k - 1 colors, which all meet
+    T2's premise at k: the ceiling floors their colors at c, caps them
+    there and prunes past t = k (none at c = -1).  Only those with t = k,
+    its premises, are built and judged by the statement; the rest hold no
+    certificate that revalidates.  Below n = 3k the out-of-range notes
+    start empty."""
     n, k = grid["n"], grid["k"]
     notes = {"accepted": 0}
     if n < 3 * k:
         notes.update(out_of_range_mismatches=0, out_of_range_examples=[])
     out = dict(_scan_out(), notes=notes)
-    for _n, mask, exact in units:
-        pairs, closers = _subset_tables(n, mask)
-        m = len(pairs)
-        for a, _total, t_count in _rgs_totals(m, closers, [k] * (m + 1),
-                                              out, exact):
-            out["judged"] += 1
-            if t_count == k:
-                _judge(out, name, _graph_from_colors(n, pairs, a), {"k": k})
+    _n, mask, c = unit
+    pairs, closers = _subset_tables(n, mask)
+    ceiling = [-1] * c + [k] if c >= 0 else []
+    for a, _total, t_count in _rgs_totals(len(pairs), closers, ceiling):
+        out["judged"] += 1
+        if t_count == k:
+            _judge(out, name, _graph_from_colors(n, pairs, a), {"k": k})
     return out
 
 
@@ -694,112 +691,109 @@ def _subset_tables(n: int, mask: int):
     return pairs, closers
 
 
-def _mc_scan(name: str, grid: dict, units) -> dict:
+def _mc_scan(name: str, grid: dict, unit) -> dict:
     """T1, T2 and L1: each coloring judged by its m + c and its rainbow
     triangle count, through the check's verdict table; those settled
-    (``_settled``) before their last slot are counted per m + c.  Each
+    (``_settled``) before their last slot are counted per m + c.  The
     unit is one an entry can reach: its 2m, the most m + c can be, is at
     least the table's ``lowest`` (``_run_sweep``)."""
     out = _scan_out()
     k_max = grid.get("k_max")
-    for n, mask, _exact in units:
-        m = mask.bit_count()
-        table = _verdicts(name, n, m, k_max)[1]
-        pairs, closers = _subset_tables(n, mask)
-        settled = _settled(name, n, m, k_max)
-        bulk = [0] * (2 * m + 1)
-        for a, total, t_count in _rgs_totals(m, closers, _ceiling(
-                name, n, m, k_max), out, settled=settled, bulk=bulk):
-            out["judged"] += 1
-            verdict = table[total][t_count]
-            if verdict is not None:
-                _tally(out, name, verdict, n, pairs, a)
-        _credit(out, table, settled, bulk)
+    n, mask, _exact = unit
+    m = mask.bit_count()
+    table = _verdicts(name, n, m, k_max)[1]
+    pairs, closers = _subset_tables(n, mask)
+    settled = _settled(name, n, m, k_max)
+    bulk = [0] * (2 * m + 1)
+    for a, total, t_count in _rgs_totals(m, closers, _ceiling(
+            name, n, m, k_max), settled, bulk):
+        out["judged"] += 1
+        verdict = table[total][t_count]
+        if verdict is not None:
+            _tally(out, name, verdict, n, pairs, a)
+    _credit(out, table, settled, bulk)
     return out
 
 
-def _t4_scan(name: str, grid: dict, units) -> dict:
+def _t4_scan(name: str, grid: dict, unit) -> dict:
     """T4: each coloring judged by its color-degree sum and its rainbow
     triangle count, through the check's verdict table, from the fewest
-    colors that can reach its ``lowest`` (``_color_degree_floor``).  Each
+    colors that can reach its ``lowest`` (``_color_degree_floor``).  The
     unit is one an entry can reach: its 2m, the most the sum can be, is
     at least ``lowest`` (``_run_sweep``).  Past ``_settled``, a block's
     last values are counted in bulk by how many of the last edge's ends
     each color is new to."""
     out = _scan_out()
-    for n, mask, _exact in units:
-        m = mask.bit_count()
-        out["instances"] += _completions(m)
-        lowest, table = _verdicts(name, n, m, grid["k_max"])
-        pairs, closers = _subset_tables(n, mask)
-        floor = _color_degree_floor(n, pairs, lowest)
-        settled = _settled(name, n, m, grid["k_max"])
-        bulk = [0] * (2 * m + 1)
-        # The kernel steps the first m - 1 slots in groups that share all
-        # but slot m - 2, edge pq, with the group's triangle count t; the
-        # last slot is edge xy.  Slot m - 2 adds its triangles once per
-        # group, and slot m - 1 once per block.  Within a group the color
-        # degrees off p, q, x and y are fixed, and each endpoint of pq or
-        # xy gains one exactly when that edge's color is new to its earlier
-        # slots, so the color-degree sum of a group or a block is bounded
-        # before any string is made.  A unit has 2m >= lowest >=
-        # C(n+1,2), and n >= 3, so m >= 3.  The last slot may add a
-        # color, so the first m - 1 use at least floor - 1.
-        last = m - 1
-        x, y = pairs[last]
-        p, q = pairs[last - 1]
-        incident = [[] for _ in range(n)]
-        for l, (u, v) in enumerate(pairs[:last - 1]):
-            incident[u].append(l)
-            incident[v].append(l)
-        moving = {p, q, x, y}
-        others = [lst for w, lst in enumerate(incident) if w not in moving]
-        single = sum(1 for lst in others if len(lst) == 1)
-        multi = [lst for lst in others if len(lst) > 1]
-        ceiling = [-1 if c < floor - 1 else inf for c in range(m)]
-        for a, used2, values2, t2 in _rgs_blocks(m - 1, ceiling, closers):
-            cols = {w: {a[i] for i in incident[w]} for w in moving}
-            base2 = single + sum(map(len, cols.values()))
-            for lst in multi:
-                base2 += len({a[i] for i in lst})
-            if base2 + 4 < lowest:
+    n, mask, _exact = unit
+    m = mask.bit_count()
+    lowest, table = _verdicts(name, n, m, grid["k_max"])
+    pairs, closers = _subset_tables(n, mask)
+    floor = _color_degree_floor(n, pairs, lowest)
+    settled = _settled(name, n, m, grid["k_max"])
+    bulk = [0] * (2 * m + 1)
+    # The kernel steps the first m - 1 slots in groups that share all but slot
+    # m - 2, edge pq, with the group's triangle count t; the last slot is edge
+    # xy.  Slot m - 2 adds its triangles once per group, and slot m - 1 once
+    # per block.  Within a group the color degrees off p, q, x and y are fixed,
+    # and each endpoint of pq or xy gains one exactly when that edge's color is
+    # new to its earlier slots, so the color-degree sum of a group or a block
+    # is bounded before any string is made.  A unit has 2m >= lowest >=
+    # C(n+1,2), and n >= 3, so m >= 3.  The last slot may add a color, so the
+    # first m - 1 use at least floor - 1.
+    last = m - 1
+    x, y = pairs[last]
+    p, q = pairs[last - 1]
+    incident = [[] for _ in range(n)]
+    for l, (u, v) in enumerate(pairs[:last - 1]):
+        incident[u].append(l)
+        incident[v].append(l)
+    moving = {p, q, x, y}
+    others = [lst for w, lst in enumerate(incident) if w not in moving]
+    single = sum(1 for lst in others if len(lst) == 1)
+    multi = [lst for lst in others if len(lst) > 1]
+    ceiling = [-1 if c < floor - 1 else inf for c in range(m)]
+    for a, used2, values2, t2 in _rgs_blocks(m - 1, ceiling, closers):
+        cols = {w: {a[i] for i in incident[w]} for w in moving}
+        base2 = single + sum(map(len, cols.values()))
+        for lst in multi:
+            base2 += len({a[i] for i in lst})
+        if base2 + 4 < lowest:
+            continue
+        counts2 = _last_slot_counts(a, used2, closers[last - 1])
+        for v2 in values2:
+            base = base2 + (v2 not in cols[p]) + (v2 not in cols[q])
+            if base + 2 < lowest:
                 continue
-            counts2 = _last_slot_counts(a, used2, closers[last - 1])
-            for v2 in values2:
-                base = base2 + (v2 not in cols[p]) + (v2 not in cols[q])
-                if base + 2 < lowest:
-                    continue
-                a[last - 1] = v2
-                x_cols, y_cols = cols[x], cols[y]
-                if x in (p, q):
-                    x_cols = x_cols | {v2}
-                if y in (p, q):
-                    y_cols = y_cols | {v2}
-                used = used2 + (v2 == used2)
-                t = t2 + counts2[v2]
-                if t >= settled:
-                    # Settled: a last value's entry is its sum's at t =
-                    # settled, counted in bulk by class.  Every color of
-                    # x_cols and y_cols is below used, so the fresh value
-                    # is new at both ends, and below the floor it is the
-                    # only one.
-                    if used >= floor:
-                        both = len(x_cols & y_cols)
-                        either = len(x_cols | y_cols)
-                        bulk[base] += both
-                        bulk[base + 1] += either - both
-                        bulk[base + 2] += used - either
-                    bulk[base + 2] += 1
-                    continue
-                values = range(0 if used >= floor else used, used + 1)
-                out["judged"] += len(values)
-                counts = _last_slot_counts(a, used, closers[last])
-                for val in values:
-                    sum_dc = base + (val not in x_cols) + (val not in y_cols)
-                    verdict = table[sum_dc][t + counts[val]]
-                    if verdict is not None:
-                        _tally(out, name, verdict, n, pairs, a + [val])
-        _credit(out, table, settled, bulk)
+            a[last - 1] = v2
+            x_cols, y_cols = cols[x], cols[y]
+            if x in (p, q):
+                x_cols = x_cols | {v2}
+            if y in (p, q):
+                y_cols = y_cols | {v2}
+            used = used2 + (v2 == used2)
+            t = t2 + counts2[v2]
+            if t >= settled:
+                # Settled: a last value's entry is its sum's at t = settled,
+                # counted in bulk by class.  Every color of x_cols and y_cols
+                # is below used, so the fresh value is new at both ends, and
+                # below the floor it is the only one.
+                if used >= floor:
+                    both = len(x_cols & y_cols)
+                    either = len(x_cols | y_cols)
+                    bulk[base] += both
+                    bulk[base + 1] += either - both
+                    bulk[base + 2] += used - either
+                bulk[base + 2] += 1
+                continue
+            values = range(0 if used >= floor else used, used + 1)
+            out["judged"] += len(values)
+            counts = _last_slot_counts(a, used, closers[last])
+            for val in values:
+                sum_dc = base + (val not in x_cols) + (val not in y_cols)
+                verdict = table[sum_dc][t + counts[val]]
+                if verdict is not None:
+                    _tally(out, name, verdict, n, pairs, a + [val])
+    _credit(out, table, settled, bulk)
     return out
 
 
@@ -871,7 +865,6 @@ def _exact_colorings(grid: dict) -> list[tuple]:
 def _merge_scan(report: VerificationReport, part: dict) -> None:
     """Add one scan task's counts to the report.  Witnesses and list-valued
     notes keep their first three entries; integer notes add up."""
-    report.instances += part["instances"]
     report.premise_instances += part["premise"]
     report.counterexamples.extend(part["cex"])
     report.witness_count += part["witness_count"]
@@ -889,6 +882,8 @@ def _merge_scan(report: VerificationReport, part: dict) -> None:
 # Seeded samplers.
 # --------------------------------------------------------------------------
 
+_CASE2_ATTEMPTS = 40       # candidates ``_random_case2`` draws at most
+_MUTATION_ATTEMPTS = 30    # recolorings ``_mutate_preserving`` tries at most
 
 def random_oriented_graph(n: int, rng: Random,
                           tournament: bool = False) -> OrientedGraph:
@@ -964,7 +959,7 @@ def _random_case1(n: int, k: int, rng: Random):
     return EdgeColoredGraph._from_checked(n, edges), parts, fresh
 
 
-def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
+def _random_case2(n: int, k: int, rng: Random):
     """Random variant with intra-pair edges reusing cross colors; only
     defined when all balanced parts have size at most 2.  Candidates are
     filtered by the rainbow-k-clique check, so every returned instance
@@ -977,7 +972,7 @@ def _random_case2(n: int, k: int, rng: Random, attempts: int = 40):
     parts, cross_color, fresh = _random_labels(n, q, rng)
     pair_parts = [p for p in parts if len(p) == 2]
     singles = [p[0] for p in parts if len(p) == 1]
-    for _ in range(attempts):
+    for _ in range(_CASE2_ATTEMPTS):
         fresh_idx = rng.randrange(len(pair_parts))
         reuse_pairs = [p for i2, p in enumerate(pair_parts) if i2 != fresh_idx]
         candidate_targets = list(pair_parts[fresh_idx]) + singles
@@ -1013,8 +1008,7 @@ def _recolored(G: EdgeColoredGraph, e: tuple[int, int], color: int) -> EdgeColor
     return EdgeColoredGraph._from_checked(G.n, edges)
 
 
-def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
-                       attempts: int = 30):
+def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random):
     """One random recoloring that keeps c and rainbow-k-clique-freeness.
 
     G itself must have no rainbow k-clique: a case-I sample has none by
@@ -1032,7 +1026,7 @@ def _mutate_preserving(G: EdgeColoredGraph, k: int, rng: Random,
     count: dict[int, int] = {}
     for color in G.edges.values():
         count[color] = count.get(color, 0) + 1
-    for _ in range(attempts):
+    for _ in range(_MUTATION_ATTEMPTS):
         u, v = rng.choice(all_edges)
         old = G.edges[(u, v)]
         new = rng.choice(choices)
@@ -1334,16 +1328,16 @@ def _l2(D, params, notes):
 class Check:
     """One named check.  ``grid`` is the default grid and the schema of
     overrides.  A sweep lists its units ``(n, mask, exact)`` with
-    ``tasks(grid)`` and runs ``scan(name, grid, [unit])`` on each unit a
-    table entry can reach (``_run_sweep``), judging by ``rule`` and
-    ``witness`` (see ``_verdicts``); a sampled check draws from
-    ``samples(grid, rng, notes)``.  T3's scan and the sampled runner
-    judge each instance by ``statement`` through ``_judge``, where one
-    outside the premise stops the run unless the check is ``vacuous``.
-    Counterexamples of a ``minimize`` check are shrunk while the statement
-    still fails.  Every integer of a grid value but the seed is at least
-    0, or at least its key's entry in ``floors``; a pair (n, k) needs
-    n >= k >= the floor."""
+    ``tasks(grid)``, counts the colorings of each by formula and runs
+    ``scan(name, grid, unit)`` on each a table entry can reach
+    (``_run_sweep``), judging by ``rule`` and ``witness`` (see
+    ``_verdicts``); a sampled check draws from ``samples(grid, rng,
+    notes)``.  T3's scan and the sampled runner judge each instance by
+    ``statement`` through ``_judge``, where one outside the premise stops
+    the run unless the check is ``vacuous``.  Counterexamples of a
+    ``minimize`` check are shrunk while the statement still fails.  Every
+    integer of a grid value but the seed is at least 0, or at least its
+    key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
 
     grid: dict
     statement: Callable
@@ -1397,20 +1391,19 @@ THEOREMS = tuple(CHECKS)
 
 def _run_sweep(name: str, check: Check, grid: dict,
                jobs: int) -> VerificationReport:
-    """Scan each unit of ``check.tasks(grid)`` as a task of its own, but
-    count by formula the colorings of a unit of a rule's check that no
-    table entry can reach: its 2m, the most its statistic can be, is
-    below the table's ``lowest``."""
+    """Count the colorings of each unit of ``check.tasks(grid)`` by
+    formula, and scan each as a task of its own unless it belongs to a
+    rule's check and no table entry can reach it: its 2m, the most its
+    statistic can be, is below the table's ``lowest``."""
     report = VerificationReport(name, dict(grid), judged=0, settled=0)
     k_max = grid.get("k_max")
     calls = []
     for unit in check.tasks(grid):
-        n, mask, _exact = unit
+        n, mask, exact = unit
         m = mask.bit_count()
-        if check.rule and 2 * m < _verdicts(name, n, m, k_max)[0]:
-            report.instances += _completions(m)
-        else:
-            calls.append((name, grid, [unit]))
+        report.instances += _completions(m, 0, exact)
+        if not check.rule or 2 * m >= _verdicts(name, n, m, k_max)[0]:
+            calls.append((name, grid, unit))
     report.swept = len(calls)
     workers = min(jobs, os.cpu_count() or 1, len(calls))
     if workers <= 1:

@@ -89,12 +89,11 @@ class TestRgsKernel:
             naive = sorted(partition_string(q, part)
                            for part in set_partitions(list(range(q))))
             assert len(naive) == bell_number(q)
-            for exact, floor in ([(None, f) for f in range(q + 2)]
-                                 + [(e, 0) for e in range(q + 2)]):
-                colors = [exact] if exact is not None else range(floor, q + 1)
+            for exact in [None, *range(q + 2)]:
+                colors = [exact] if exact is not None else range(q + 1)
                 want = [s for s in naive if len(set(s)) in colors]
-                got = [tuple(a) for a in _rgs_iter(q, exact, floor)]
-                assert got == want, (q, exact, floor)
+                got = [tuple(a) for a in _rgs_iter(q, exact)]
+                assert got == want, (q, exact)
                 assert len(got) == sum(
                     verify._completions(q, 0, c) for c in colors)
 
@@ -171,8 +170,7 @@ class TestRgsKernel:
                         want[m + len(set(a))] += t >= settled
                     bulk = [0] * (2 * m + 1)
                     yielded = [tuple(a) for a, _total, _t in verify._rgs_totals(
-                        m, closers, ceiling, {"instances": 0},
-                        settled=settled, bulk=bulk)]
+                        m, closers, ceiling, settled, bulk)]
                     where = (n, low, cap, settled)
                     assert yielded == [a for a, t in kept
                                        if t < settled], where
@@ -408,11 +406,10 @@ def _judged_strings(n, mask, exact=None):
     return out
 
 
-def _yielded(n, mask, ceiling, exact=None):
+def _yielded(n, mask, ceiling):
     pairs, closers = verify._subset_tables(n, mask)
-    out = {"instances": 0}
     return [(tuple(a), total, t) for a, total, t in verify._rgs_totals(
-        len(pairs), closers, ceiling, out, exact=exact)]
+        len(pairs), closers, ceiling)]
 
 
 def _running_top(table, m):
@@ -455,12 +452,13 @@ class TestTriangleCeiling:
         for n in range(6):
             mask = (1 << comb(n, 2)) - 1
             for k in range(3):
-                # T3's scan passes k throughout; _rgs_totals floors it at
-                # its exact n + k - 1 colors.
+                # T3's scan floors and caps the colors at exactly
+                # n + k - 1 by its ceiling, which passes k there; at
+                # n + k - 1 = -1 the ceiling is empty.
                 exact = n + k - 1
-                ceiling = [k] * (comb(n, 2) + 1)
+                ceiling = [-1] * exact + [k] if exact >= 0 else []
                 self._check(_judged_strings(n, mask, exact),
-                            _yielded(n, mask, ceiling, exact),
+                            _yielded(n, mask, ceiling),
                             lambda rows: {row for row in rows
                                           if row[2] == k})
 
@@ -537,13 +535,13 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
                                k_maxes):
     """Run ``scan`` on each of ``masks`` (pairs (n, mask)) at each k_max and
     hold its counts to a tally of every string of ``_rgs_iter`` by the
-    brute (statistic, rainbow triangle count) entry: the instances (every
-    string), the premises, the witnesses (count and the first three) and
-    the counterexamples must agree, every string ``_tally`` sees must have
-    that entry, in order, and every string whose entry has a failure or a
-    witness must be among them.  As in ``_run_sweep``, a scan gets only
-    the units an entry can reach, with 2m at least the table's ``lowest``
-    (``TestSweptUnits`` holds the runner's count of the others)."""
+    brute (statistic, rainbow triangle count) entry: the premises, the
+    witnesses (count and the first three) and the counterexamples must
+    agree, every string ``_tally`` sees must have that entry, in order,
+    and every string whose entry has a failure or a witness must be among
+    them.  As in ``_run_sweep``, a scan gets only the units an entry can
+    reach, with 2m at least the table's ``lowest``; the runner counts
+    every unit's strings (``TestPlanner`` holds that count)."""
     tallied = []
     real = verify._tally
     monkeypatch.setattr(
@@ -567,9 +565,8 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
             marked = [(a, entry) for a, _G, entry in entries
                       if entry[1] or entry[2]]
             tallied.clear()
-            out = scan(name, {"k_max": k_max}, [(n, mask, None)])
+            out = scan(name, {"k_max": k_max}, (n, mask, None))
             where = (name, n, mask, k_max)
-            assert out["instances"] == len(rows), where
             rest = iter([(a, entry) for a, _G, entry in entries])
             assert all(row in rest for row in tallied), where
             assert [row for row in tallied if row[1][1] or row[1][2]] == \
@@ -687,13 +684,13 @@ class TestSettledMcScan:
         for cached in ("_ceiling", "_settled"):
             monkeypatch.setattr(verify, cached,
                                 getattr(verify, cached).__wrapped__)
-        grid, units = {"k_max": 3}, [(n, (1 << m) - 1, None)]
+        grid, unit = {"k_max": 3}, (n, (1 << m) - 1, None)
         assert verify._settled("T2", n, m, 3) == 1
-        held = verify._mc_scan("T2", grid, units)
+        held = verify._mc_scan("T2", grid, unit)
         assert held["cex"] == [] and held["settled"] > 0
         table[12][4] = (True, ({"k": 1}, "planted"), False)
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
-        failed = verify._mc_scan("T2", grid, units)
+        failed = verify._mc_scan("T2", grid, unit)
         assert [(e["detail"], e["graph"]) for e in failed["cex"]] == [
             ("planted", verify.graph_to_json_obj(EdgeColoredGraph(
                 n, [(u, v, c) for c, (u, v)
@@ -704,13 +701,13 @@ class TestSettledMcScan:
         table[12][4] = table[12][3]
         table[11][3:] = [(True, ({"k": 1}, "planted"), False)] * 2
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
-        failed = verify._mc_scan("T2", grid, units)
+        failed = verify._mc_scan("T2", grid, unit)
         assert len(failed["cex"]) == stirling2(m, 5)
         assert (failed["premise"], failed["settled"]) == (held["premise"], 0)
         # So does a witness.
         table[11][3:] = [(True, None, True)] * 2
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
-        witnessed = verify._mc_scan("T2", grid, units)
+        witnessed = verify._mc_scan("T2", grid, unit)
         assert (witnessed["cex"], witnessed["witness_count"]) == (
             [], stirling2(m, 5))
 
@@ -1007,7 +1004,8 @@ class TestT3OutOfRange:
         G = EdgeColoredGraph(n, [(u, v, min(i, n)) for i, (u, v) in
                                  enumerate(combinations(range(n), 2))])
         assert G.c == n + 1
-        out = verify._statement_scan("T3", {"n": n, "k": 2}, [])
+        # A unit of no edges at n + 1 colors makes no string.
+        out = verify._statement_scan("T3", {"n": n, "k": 2}, (n, 0, n + 1))
         assert out["notes"] == {"accepted": 0, "out_of_range_mismatches": 0,
                                 "out_of_range_examples": []}
         for calls in range(1, 6):
@@ -1538,7 +1536,7 @@ class TestJobs:
                    <= 2 * mask.bit_count()]
         assert len(reached) == pooled["swept"] > 1
         assert _SerialPool.sizes == [2]
-        assert _SerialPool.calls == [(check, merged, [unit])
+        assert _SerialPool.calls == [(check, merged, unit)
                                      for unit in reached[::-1]]
         assert {**pooled, "seconds": 0} == {**serial, "seconds": 0}
 

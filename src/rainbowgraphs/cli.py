@@ -320,7 +320,7 @@ def _check_args(args) -> str | None:
             verify.check_jobs(args.jobs)
         except GraphError as exc:
             return f"--jobs: {exc}"
-    if args.command == "verify" and args.grid:
+    if args.command == "verify" and args.grid is not None:
         try:
             args.grid = json.loads(args.grid)
         # A JSONDecodeError, or an integer past the interpreter's digit

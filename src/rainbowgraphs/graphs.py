@@ -375,6 +375,26 @@ def _pieces(text: str):
         start = cut
 
 
+def _rows(text: str):
+    """The tokens of each line of ``text``, split a piece at a time."""
+    return map(str.split, chain.from_iterable(map(str.splitlines, _pieces(text))))
+
+
+def _header(tokens, lineno: int, count: str) -> tuple[int, int]:
+    """The vertex count n and the line count of a text format's header
+    row, 'n m' for edges or 'n a' for arcs (``count`` names the second)."""
+    if len(tokens) != 2:
+        raise FormatError(f"header must be 'n {count}'", lineno)
+    try:
+        n, lines = map(int, tokens)
+    except ValueError:
+        raise FormatError("header must contain two integers", lineno) from None
+    if n < 0 or lines < 0:
+        raise FormatError("header values must be non-negative", lineno)
+    _check_vertex_count(n)
+    return n, lines
+
+
 class _ColorTable(dict):
     """Color token -> int, for the edge-list reader's plain lines: a
     token not seen before is read by ``int`` and kept if non-negative;
@@ -411,7 +431,7 @@ def parse_edgelist(text: str) -> EdgeColoredGraph:
     ids: dict[str, int] = {}  # empty until the header: every line is handed over
     edges: dict[tuple[int, int], int] = {}
     colors = _ColorTable()
-    rows = map(str.split, chain.from_iterable(map(str.splitlines, _pieces(text))))
+    rows = _rows(text)
     lineno = 0
     while True:
         count = len(edges)
@@ -439,16 +459,7 @@ def parse_edgelist(text: str) -> EdgeColoredGraph:
         if not tokens or tokens[0][0] == "#":
             continue
         if header is None:
-            if len(tokens) != 2:
-                raise FormatError("header must be 'n m'", lineno)
-            try:
-                n, m = map(int, tokens)
-            except ValueError:
-                raise FormatError("header must contain two integers", lineno) from None
-            if n < 0 or m < 0:
-                raise FormatError("header values must be non-negative", lineno)
-            _check_vertex_count(n)
-            header = (n, m)
+            header = n, m = _header(tokens, lineno, "m")
             ids = {str(i): i for i in range(n)}
             continue
         count = len(edges)

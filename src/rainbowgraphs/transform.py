@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (EdgeColoredGraph, FormatError, GraphError, OrientedGraph,
-                     _check_vertex_count, _collector_paused, edge_key)
+                     _collector_paused, _header, _rows, edge_key)
 from .rainbow import guaranteed_triangles_mc, list_rainbow_triangles
 
 
@@ -244,24 +244,12 @@ def format_digraph(D: OrientedGraph) -> str:
 def parse_digraph(text: str) -> OrientedGraph:
     header: tuple[int, int] | None = None
     arcs: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, tokens in enumerate(_rows(text), start=1):
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if header is None:
-            if len(tokens) != 2:
-                raise FormatError("header must be 'n a'", lineno)
-            try:
-                n, a = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise FormatError("header must contain two integers", lineno) from None
-            if n < 0 or a < 0:
-                raise FormatError("header values must be non-negative", lineno)
-            _check_vertex_count(n)
-            header = (n, a)
+            header = n, a = _header(tokens, lineno, "a")
             continue
-        n, a = header
         if len(arcs) == a:
             raise FormatError(f"more than the declared a={a} arc lines", lineno)
         if len(tokens) != 2:
@@ -281,7 +269,6 @@ def parse_digraph(text: str) -> OrientedGraph:
         arcs.add((u, v))
     if header is None:
         raise FormatError("empty input, expected 'n a' header")
-    n, a = header
     if len(arcs) != a:
         raise FormatError(f"declared a={a} arcs but found {len(arcs)}")
     # Every arc passed the four checks above, so none is made again.

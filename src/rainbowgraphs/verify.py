@@ -227,25 +227,25 @@ def _rgs_blocks(slots, ceiling, closers=None, settled=inf):
         v = a[i] + 1
 
 
+def _exact_ceiling(c: int, slots: int, top: int) -> list[int]:
+    """The ceiling of the strings over ``slots`` positions with exactly c
+    values and at most ``top`` triangles: c floor entries, then ``top``.
+    Past slots + 1 floor entries no string is allowed anyway, so a huge c
+    costs no more than that; a negative c allows none."""
+    return [-1] * min(c, slots + 1) + [top] if c >= 0 else []
+
+
 def _rgs_iter(slots, exact=None):
     """Yield restricted-growth strings over ``slots`` positions that use
     exactly ``exact`` values, if given, or else any number.
 
     The yielded list is a shared buffer: consume it before advancing.
-    It flattens :func:`_rgs_blocks`.
+    It flattens :func:`_rgs_totals` over slots that close no triangle.
     """
-    cap = slots if exact is None else min(exact, slots + 1)
-    need = 0 if exact is None else exact
-    ceiling = [-1 if c < need else 0 for c in range(cap + 1)]
-    if slots == 0:
-        if ceiling[:1] == [0]:
-            yield []
-        return
-    last = slots - 1
-    for a, _used, values, _t in _rgs_blocks(slots, ceiling):
-        for val in values:
-            a[last] = val
-            yield a
+    ceiling = ([0] * (slots + 1) if exact is None
+               else _exact_ceiling(exact, slots, 0))
+    for a, _total, _t in _rgs_totals(slots, [()] * slots, ceiling):
+        yield a
 
 
 @lru_cache(maxsize=None)
@@ -272,40 +272,28 @@ def _graph_from_colors(n, pairs, colors) -> EdgeColoredGraph:
     return EdgeColoredGraph._from_checked(n, dict(zip(pairs, colors)))
 
 
-def enumerate_colorings(n: int, exact_colors: int | None = None,
-                        max_colors: int | None = None):
-    """Stream of all colorings of K_n up to color renaming.
+def enumerate_colorings(n: int, exact_colors: int | None = None):
+    """Stream of all colorings of K_n up to color renaming, or of those
+    with exactly ``exact_colors`` colors.
 
     Emitted graphs are color-canonical (labels 0..c-1 in first-appearance
     order over lexicographically sorted pairs).  Unconstrained enumeration
-    is capped at n <= 6; with a class-count constraint n <= 7 is allowed
-    while the Stirling estimate stays below 10^8, otherwise a BudgetError
-    reports the estimate (past a cap, the count at the first n over it).
+    is capped at n <= 6; with exactly c colors n <= 7 is allowed while
+    S(C(n,2), c) stays below 10^8, otherwise a BudgetError reports the
+    estimate (past a cap, the count at the first n over it).
     """
     if n < 0:
         raise GraphError(f"n={n} must be non-negative")
-    if exact_colors is not None and max_colors is not None:
-        raise GraphError("give at most one of exact_colors / max_colors")
-    slots = comb(n, 2)
-    if exact_colors is None and max_colors is None:
-        if n > 6:
-            estimate = bell_number(comb(7, 2))
-            raise BudgetError(
-                f"unconstrained enumeration is capped at n=6; n=7 would "
-                f"visit Bell(21) = {estimate} colorings", estimate)
-        targets = [None]
-    else:
-        targets = [exact_colors] if exact_colors is not None else list(
-            range(0 if slots == 0 else 1, min(max_colors, slots) + 1))
-        _check_exact_budget(n, targets)
+    if exact_colors is not None:
+        _check_exact_budget(n, exact_colors)
+    elif n > 6:
+        estimate = bell_number(comb(7, 2))
+        raise BudgetError(
+            f"unconstrained enumeration is capped at n=6; n=7 would "
+            f"visit Bell(21) = {estimate} colorings", estimate)
     pairs = _edge_slots(n)
-
-    def gen():
-        for target in targets:
-            for a in _rgs_iter(slots, exact=target):
-                yield _graph_from_colors(n, pairs, a)
-
-    return gen()
+    return (_graph_from_colors(n, pairs, a)
+            for a in _rgs_iter(len(pairs), exact_colors))
 
 
 # --------------------------------------------------------------------------
@@ -659,8 +647,8 @@ def _scan_out() -> dict:
 
 def _statement_scan(name: str, grid: dict, unit) -> dict:
     """T3 on the strings with exactly c = n + k - 1 colors, which all meet
-    T2's premise at k: the ceiling floors their colors at c, caps them
-    there and prunes past t = k (none at c = -1).  Only those with t = k,
+    T2's premise at k: ``_exact_ceiling`` floors their colors at c, caps
+    them there and prunes past t = k (none at c = -1).  Only those with t = k,
     its premises, are built and judged by the statement; the rest hold no
     certificate that revalidates.  Below n = 3k the out-of-range notes
     start empty."""
@@ -671,7 +659,7 @@ def _statement_scan(name: str, grid: dict, unit) -> dict:
     out = dict(_scan_out(), notes=notes)
     _n, mask, c = unit
     pairs, closers = _subset_tables(n, mask)
-    ceiling = [-1] * c + [k] if c >= 0 else []
+    ceiling = _exact_ceiling(c, len(pairs), k)
     for a, _total, t_count in _rgs_totals(len(pairs), closers, ceiling):
         out["judged"] += 1
         if t_count == k:
@@ -826,12 +814,12 @@ def _check_sweep_budget(n_max: int, subsets: bool) -> None:
                 f"instances at n={n}: {estimate} up to there", estimate)
 
 
-def _check_exact_budget(n: int, colors) -> None:
-    """Raise BudgetError past n = 7, or when the colorings of K_n with c
-    colors, summed over ``colors``, reach ENUMERATION_BUDGET.  The cap is
-    tested first: past it the count at n = 8 stands in, a lower bound that
-    needs no large Stirling row, and the message names n = 8."""
-    estimate = sum(stirling2(comb(min(n, 8), 2), c) for c in colors)
+def _check_exact_budget(n: int, c: int) -> None:
+    """Raise BudgetError past n = 7, or when the colorings of K_n with
+    exactly c colors reach ENUMERATION_BUDGET.  The cap is tested first:
+    past it the count at n = 8 stands in, a lower bound that needs no
+    large Stirling row, and the message names n = 8."""
+    estimate = stirling2(comb(min(n, 8), 2), c)
     if n > 7 or estimate >= ENUMERATION_BUDGET:
         raise BudgetError(
             f"exact-color enumeration at n={min(n, 8)} (capped at n=7) would "
@@ -858,7 +846,7 @@ def _exact_colorings(grid: dict) -> list[tuple]:
     """The unit of the colorings of K_n with exactly n+k-1 colors."""
     n = grid["n"]
     c = n + grid["k"] - 1
-    _check_exact_budget(n, [c])
+    _check_exact_budget(n, c)
     return [(n, (1 << comb(n, 2)) - 1, c)]
 
 

@@ -615,3 +615,56 @@ def format_digraph_referee(D):
     lines = [f"{D.n} {D.a}"]
     lines.extend(f"{u} {v}" for u, v in sorted(D.arcs))
     return "\n".join(lines) + "\n"
+
+
+def parse_digraph_referee(text):
+    """The digraph reader as it was before it read its text a piece at a
+    time through the edge-list reader's rows and header: the whole text
+    split into lines at once.  Same digraph, or the same FormatError at
+    the same line."""
+    from rainbowgraphs.graphs import FormatError, OrientedGraph, _check_vertex_count
+
+    header: tuple[int, int] | None = None
+    arcs: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2:
+                raise FormatError("header must be 'n a'", lineno)
+            try:
+                n, a = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise FormatError("header must contain two integers", lineno) from None
+            if n < 0 or a < 0:
+                raise FormatError("header values must be non-negative", lineno)
+            _check_vertex_count(n)
+            header = (n, a)
+            continue
+        n, a = header
+        if len(arcs) == a:
+            raise FormatError(f"more than the declared a={a} arc lines", lineno)
+        if len(tokens) != 2:
+            raise FormatError("arc line must be 'u v'", lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise FormatError("arc line must contain two integers", lineno) from None
+        if not 0 <= u < n or not 0 <= v < n:
+            raise FormatError(f"vertex outside range 0..{n - 1}", lineno)
+        if u == v:
+            raise FormatError(f"self-loop at vertex {u}", lineno)
+        if (u, v) in arcs:
+            raise FormatError(f"duplicate arc ({u},{v})", lineno)
+        if (v, u) in arcs:
+            raise FormatError(f"digon between {u} and {v}", lineno)
+        arcs.add((u, v))
+    if header is None:
+        raise FormatError("empty input, expected 'n a' header")
+    n, a = header
+    if len(arcs) != a:
+        raise FormatError(f"declared a={a} arcs but found {len(arcs)}")
+    # Every arc passed the four checks above, so none is made again.
+    return OrientedGraph._from_checked(n, arcs)

@@ -434,6 +434,24 @@ class TestVerifyRejections:
         assert err.startswith("rainbowgraphs: error: --grid is not valid JSON: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", ["", " "])
+    def test_empty_grid_is_not_json_exit_1(self, capsys, grid):
+        # An empty --grid is parsed, and refused, like a blank one; it
+        # does not fall back to the default grid.
+        assert run(["verify", "T3", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "rainbowgraphs: error: --grid is not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
+    def test_huge_t3_k_is_vacuous_exit_2(self, capsys):
+        grid = '{"n": 5, "k": 1000000000000}'
+        assert run(["verify", "T3", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert "verdict            : VACUOUS" in captured.out
+        assert captured.err == ""
+
     def test_jobs_below_one_exit_1(self, capsys):
         for jobs in ("0", "-3"):
             assert run(["verify", "T1", "--jobs", jobs]) == 1
@@ -638,6 +656,7 @@ def _resolve(argv, tmp_path):
 @given(argv=_ARGV)
 @example(argv=["verify", "T1", "--grid", '{"n_max": ' + "9" * 5000 + "}"])
 @example(argv=["verify", "T1", "--grid", "[" * 100_000])
+@example(argv=["verify", "T3", "--grid", ""])
 @example(argv=["generate", "gk", "--n", "4097", "--k", "0"])
 @example(argv=["generate", "hnk", "--n", str(10**18), "--k", "6"])
 @example(argv=["generate", "turan", "--n", str(10**18), "--parts", "2"])

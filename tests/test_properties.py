@@ -1,10 +1,11 @@
 """Property tests of the graph file formats over random edge-colored
 graphs: round trips, adjacency masks, tolerance of comments and
 whitespace, JSON text equal to the ``json`` module's, the formatters'
-text equal to their referees', and the edge-list reader against its
-whole-text referee wherever its pieces are cut and whatever line its
-tight loop hands over.  Vertex counts reach 80, past a 64-bit word, and
-densities fall on both sides of the byte-row adjacency threshold."""
+text equal to their referees', and the edge-list and digraph readers
+against their whole-text referees wherever their pieces are cut and
+whatever line the edge-list tight loop hands over.  Vertex counts reach
+80, past a 64-bit word, and densities fall on both sides of the byte-row
+adjacency threshold."""
 
 import json
 import random
@@ -27,13 +28,14 @@ from rainbowgraphs.graphs import (
     parse_edgelist,
     parse_json,
 )
-from rainbowgraphs.transform import format_digraph
+from rainbowgraphs.transform import format_digraph, parse_digraph
 
 from _oracles import (
     edgelist_referee,
     format_digraph_referee,
     format_dot_referee,
     format_edgelist_referee,
+    parse_digraph_referee,
 )
 
 
@@ -212,6 +214,102 @@ def test_edgelist_reader_is_its_referee_wherever_it_cuts(text, chunk):
     with mock.patch.object(graphs, "_CHUNK", chunk):
         assert _reading(parse_edgelist, text) == want
     assert _reading(parse_edgelist, text) == want
+
+
+@st.composite
+def digraph_texts(draw):
+    """Arc-file-like text: a header, mostly well formed, then arc lines,
+    mostly of distinct pairs in either direction, some a loop, a digon,
+    a repeat or with odd tokens, among comments, blank and whitespace
+    lines and lines of the wrong length, each ended by any line
+    separator, "\r\n" most often, the last one maybe not at all."""
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)
+                  if pairs else st.just([]))
+    a = draw(st.sampled_from((len(chosen),) * 4
+                             + (len(chosen) + 1, max(len(chosen) - 1, 0), 0)))
+    lines = [draw(st.sampled_from(
+        (f"{n} {a}",) * 6 + (f" {n}\t{a} ", f"+{n} {a}", f"{n}", f"{n} x",
+                             f"-{n} {a}", f"{n} {a} 0")))]
+    arcs = []
+    for u, v in chosen:
+        while draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from((
+                "", " ", "\t", " \t ", "# 1 2", "#", "  #x", "0", "0 1 2"))))
+        arc = (v, u) if draw(st.booleans()) else (u, v)
+        kind = draw(st.integers(0, 9))
+        if kind == 0 and arcs:
+            arc = draw(st.sampled_from(arcs))
+            arc = arc[::-1] if draw(st.booleans()) else arc
+        elif kind == 1:
+            arc = (u, u)
+        elif kind == 2:
+            arc = (draw(st.sampled_from((str(u), *_TOKENS))), v)
+        arcs.append(arc)
+        indent = draw(st.sampled_from(("", " ", "\t")))
+        lines.append(f"{indent}{arc[0]} {arc[1]}")
+    ends = [draw(st.sampled_from(("\r\n",) * 4 + _LINE_ENDS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _digraph_reading(parse, text):
+    """The digraph's n and arcs, or the error's type, message and line."""
+    try:
+        D = parse(text)
+    except (FormatError, GraphError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return D.n, D.arcs
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraph_texts(), st.integers(0, 24))
+@example("3 2\r\n0 1\r\n1 2\r\n", 7)
+@example("3 2\r\n# 2 1\r\n\r\n0 1\r\n1 2", 6)
+@example("3 1\r\n\n1 0\n0 1\n", 3)
+def test_digraph_reader_is_its_referee_wherever_it_cuts(text, chunk):
+    """Pieces of ``chunk`` characters put cuts beside every separator,
+    "\\r\\n" too, and the digraph reader still sees the referee's
+    lines."""
+    want = _digraph_reading(parse_digraph_referee, text)
+    with mock.patch.object(graphs, "_CHUNK", chunk):
+        assert _digraph_reading(parse_digraph, text) == want
+    assert _digraph_reading(parse_digraph, text) == want
+
+
+# One line among the arcs of a 40-vertex tournament: comments, blank and
+# whitespace lines, and lines in error.
+_ARC_LINES = {
+    "comment": "# 0 1",
+    "indented-comment": " \t#x",
+    "blank": "",
+    "spaces": "  \t ",
+    "loop": "3 3",
+    "digon": "1 0",
+    "wrong-length": "0 1 2",
+}
+
+
+@pytest.mark.parametrize("cut", ("whole", "before", "after"))
+@pytest.mark.parametrize("end", ("\n", "\r\n"))
+@pytest.mark.parametrize("kind", sorted(_ARC_LINES))
+def test_digraph_reader_is_its_referee_around_an_odd_line(kind, end, cut):
+    """A tournament's arc file with one odd line in its middle, with LF or
+    CRLF line ends, read whole or cut into pieces just before or just
+    after that line: the referee's digraph, or its error and line."""
+    arcs = [f"{u} {v}" for u in range(40) for v in range(u + 1, 40)]
+    lines = [f"40 {len(arcs)}", *arcs]
+    at = len(lines) // 2
+    lines.insert(at, _ARC_LINES[kind])
+    text = end.join(lines) + end
+    start = sum(len(x) + len(end) for x in lines[:at])
+    chunk = {"whole": None, "before": start - 1,
+             "after": start + len(lines[at]) + len(end) - 1}[cut]
+    want = _digraph_reading(parse_digraph_referee, text)
+    with mock.patch.object(graphs, "_CHUNK", chunk or graphs._CHUNK):
+        assert _digraph_reading(parse_digraph, text) == want
 
 
 def _clean_lines():

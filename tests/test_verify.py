@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import random
+import tracemalloc
 from itertools import combinations, islice
 from math import comb
 from pathlib import Path
@@ -714,8 +715,9 @@ class TestSettledMcScan:
 
 class TestSweptUnits:
     """A unit whose 2m is below its table's ``lowest`` has no entry, as
-    neither m + c nor the color-degree sum exceeds 2m: the scans count its
-    colorings by formula and never build its slot tables."""
+    neither m + c nor the color-degree sum exceeds 2m: the runner counts
+    its colorings by formula, as it counts every unit's, and never hands
+    it to a scan, so its slot tables are never built."""
 
     def test_only_units_an_entry_can_reach_are_swept(self, monkeypatch):
         calls = []
@@ -826,10 +828,6 @@ class TestEnumerateColorings:
         assert sum(1 for _ in enumerate_colorings(4, exact_colors=2)) == 31
         assert sum(1 for _ in enumerate_colorings(4, exact_colors=4)) == 65
 
-    def test_counts_at_most(self):
-        expected = sum(stirling2(6, c) for c in range(1, 4))
-        assert sum(1 for _ in enumerate_colorings(4, max_colors=3)) == expected
-
     def test_emitted_graphs_are_canonical_and_complete(self):
         seen = set()
         for G in enumerate_colorings(4):
@@ -854,9 +852,27 @@ class TestEnumerateColorings:
         few = list(islice(enumerate_colorings(6), 5))
         assert len(few) == 5
 
-    def test_constraint_exclusivity(self):
-        with pytest.raises(GraphError):
-            enumerate_colorings(4, exact_colors=2, max_colors=3)
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_color_count_from_below_zero_to_past_the_slots(self, n):
+        # At each exact color count from -1 to C(n,2) + 2, at 10^12 and
+        # at none: the colorings of K_n are the naive partition strings
+        # with that many values, in lexicographic order, so as many as
+        # _completions (Bell's number at none) counts.  K_0's one empty
+        # coloring comes at c in {None, 0} alone.
+        m = comb(n, 2)
+        pairs = verify._edge_slots(n)
+        naive = sorted(partition_string(m, part)
+                       for part in set_partitions(list(range(m))))
+        for c in (None, -1, *range(m + 3), 10 ** 12):
+            colorings = list(enumerate_colorings(n, exact_colors=c))
+            assert all(G.n == n and is_complete(G) for G in colorings)
+            got = [tuple(G.edges[pair] for pair in pairs) for G in colorings]
+            assert got == [s for s in naive
+                           if c is None or len(set(s)) == c], (n, c)
+            assert len(got) == (bell_triangle(m)[m] if c is None
+                                else verify._completions(m, 0, c))
+            if n == 0:
+                assert len(got) == (c in (None, 0))
 
 
 class TestVerifySmall:
@@ -991,6 +1007,21 @@ class TestT3OutOfRange:
         report = verify_theorem("T3", {"n": 4, "k": 2})
         assert report.ok
         assert "out_of_range_mismatches" in report.notes
+
+    def test_huge_k_is_vacuous_in_little_memory(self):
+        # n + k - 1 colors on C(5,2) = 10 slots: no coloring, and a
+        # ceiling of at most m + 2 entries, not one per requested color.
+        tracemalloc.start()
+        try:
+            report = verify_theorem("T3", {"n": 5, "k": 10 ** 12})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "VACUOUS"
+        assert (report.instances, report.premise_instances) == (0, 0)
+        assert report.notes == {"accepted": 0, "out_of_range_mismatches": 0,
+                                "out_of_range_examples": []}
+        assert peak < 10 * 2 ** 20
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_premise_without_certificate_is_an_observation(self, monkeypatch,
@@ -1561,7 +1592,7 @@ class TestJobs:
         assert _SerialPool.sizes == []
 
 
-class TestPlanner:
+class TestUnitCounts:
     """The units a sweep lists, each weighed by ``_completions``: the
     strings ``_rgs_iter`` makes for it, in all the check's instance
     count, whether the runner sweeps the unit or counts it."""
@@ -1577,7 +1608,7 @@ class TestPlanner:
                    for n in range(1, grid["n_max"] + 1))
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
-    def test_weights_count_the_strings_of_each_piece(self, n_max):
+    def test_units_count_their_strings(self, n_max):
         cases = [(check, {**verify.CHECKS[check].grid, "n_max": n_max})
                  for check in ("T1", "T2", "T4", "L1")]
         if n_max >= 3:
@@ -1739,7 +1770,6 @@ class TestCapsBeforeEstimates:
         monkeypatch.setattr(verify, "_stirling_row", recording)
         for call in (lambda: enumerate_colorings(60),
                      lambda: enumerate_colorings(60, exact_colors=3),
-                     lambda: enumerate_colorings(60, max_colors=3),
                      lambda: verify_theorem("T3", {"n": 60, "k": 1})):
             with pytest.raises(BudgetError):
                 call()

@@ -22,7 +22,7 @@ the cheap parts of the premise, then the conclusion, and searches for a
 premise's rainbow cliques only when the conclusion fails.  The sampled
 runner, T3's sweep, the minimizer, ``recheck_counterexample`` and
 ``instance_satisfies`` all judge through it; ``_judge`` alone turns its
-verdicts into a run's counts.
+verdicts into a report's counts.
 
 Sweeps enumerate colorings of K_n, of its edge subsets, or with exactly c
 colors, as restricted-growth strings over the edge slots: every coloring
@@ -36,8 +36,8 @@ look each string up in ``_verdicts``, the rule's table per (n, m).
 ``_run_sweep`` counts every unit's colorings by formula (``_completions``)
 and, as neither statistic exceeds 2m, hands the scans, one unit a call,
 only those whose 2m reaches their table's least entry.  At most
-min(jobs, cpu count, units swept) workers scan them, the last first, and
-the results merge in serial order, so no report depends on ``jobs``.
+min(jobs, cpu count, units swept) workers scan them, the last first, into
+partial reports that merge in serial order, so no report depends on ``jobs``.
 Every sweep reads t from ``_rgs_blocks``, which counts it as each slot
 closes triangles, and makes only the strings its ceiling allows.  T1, T2
 and L1 prune a prefix whose t exceeds ``_ceiling``, the most any entry
@@ -178,8 +178,8 @@ def _rgs_blocks(slots, ceiling, closers=None, settled=inf):
     need = ceiling.count(-1)    # fewest values a string uses
     if slots == 0 or not max(need, 1) <= cap <= slots:
         return
-    if closers is None:
-        closers = [()] * slots
+    # Without closers no value closes a triangle: every count is 0.
+    zeros = [0] * (slots + 1) if closers is None else None
     last = slots - 1
     # top[u + r]: most triangles with u values used and r positions left.
     top = list(ceiling) + [ceiling[-1]] * (2 * slots - cap)
@@ -196,7 +196,7 @@ def _rgs_blocks(slots, ceiling, closers=None, settled=inf):
         elif i < last - 1:
             used, t = before[i], tris[i]
             if not v:
-                closing[i] = _last_slot_counts(a, used, closers[i])
+                closing[i] = zeros or _last_slot_counts(a, used, closers[i])
             cnt = closing[i]
             room = top[used + last - i] - t
             while v < used and cnt[v] > room:
@@ -213,7 +213,7 @@ def _rgs_blocks(slots, ceiling, closers=None, settled=inf):
         elif i == last - 1:
             # One block per value of position last - 1, one position left.
             used, t = before[i], tris[i]
-            cnt = _last_slot_counts(a, used, closers[i])
+            cnt = zeros or _last_slot_counts(a, used, closers[i])
             for v in range(used + (used < cap)):
                 grown = used + (v == used)
                 if cnt[v] <= top[grown + 1] - t:
@@ -236,16 +236,19 @@ def _exact_ceiling(c: int, slots: int, top: int) -> list[int]:
 
 
 def _rgs_iter(slots, exact=None):
-    """Yield restricted-growth strings over ``slots`` positions that use
-    exactly ``exact`` values, if given, or else any number.
-
-    The yielded list is a shared buffer: consume it before advancing.
-    It flattens :func:`_rgs_totals` over slots that close no triangle.
-    """
+    """Yield the restricted-growth strings over ``slots`` positions that
+    use exactly ``exact`` values, if given, or else any number, flattening
+    ``_rgs_blocks``.  The list is a shared buffer: consume it before
+    advancing."""
     ceiling = ([0] * (slots + 1) if exact is None
                else _exact_ceiling(exact, slots, 0))
-    for a, _total, _t in _rgs_totals(slots, [()] * slots, ceiling):
-        yield a
+    if not slots:
+        if ceiling[:1] == [0]:
+            yield []
+        return
+    for a, _used, values, _t in _rgs_blocks(slots, ceiling):
+        for a[-1] in values:
+            yield a
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +331,8 @@ class VerificationReport:
             key: list(val) if isinstance(val, tuple) else val
             for key, val in self.grid.items()})
         if self.judged is None:
-            del out["judged"], out["settled"], out["swept"]
+            for key in ("judged", "settled", "swept"):
+                del out[key]
         return out
 
     def table(self) -> str:
@@ -390,20 +394,20 @@ def _cex_entry(theorem: str, obj, params: dict, detail: str) -> dict:
     return entry
 
 
-def _judge(out: dict, name: str, obj, params: dict) -> None:
-    """Judge one instance by the check's statement into the counts ``out``
-    of a scan or a sampled run: every verdict but OUTSIDE and UNCERTIFIED
-    is a premise instance, and every failure a counterexample.  An instance
-    outside the premise stops the run unless the check is ``vacuous``."""
+def _judge(report: VerificationReport, name: str, obj, params: dict) -> None:
+    """Judge one instance by the check's statement into ``report``, a
+    scan's partial report or a sampled run's: every verdict but OUTSIDE and
+    UNCERTIFIED is a premise instance, and every failure a counterexample.
+    An instance outside the premise stops the run unless ``vacuous``."""
     check = CHECKS[name]
-    verdict = check.statement(obj, params, out["notes"])
+    verdict = check.statement(obj, params, report.notes)
     if verdict is OUTSIDE:
         if check.vacuous:
             return
         raise AssertionError(f"{name} judged an instance outside its premise")
-    out["premise"] += verdict != UNCERTIFIED
+    report.premise_instances += verdict != UNCERTIFIED
     if verdict:
-        out["cex"].append(_cex_entry(name, obj, params, verdict))
+        report.counterexamples.append(_cex_entry(name, obj, params, verdict))
 
 
 # The statement param each grid key ranges over.
@@ -554,28 +558,28 @@ def _settled(name: str, n: int, m: int, k_max: int | None) -> int:
     return t if t < top else top + 1
 
 
-def _credit(out: dict, table, settled: int, bulk) -> None:
+def _credit(report: VerificationReport, table, settled: int, bulk) -> None:
     """Count the ``bulk[value]`` colorings with at least ``settled``
-    rainbow triangles, per statistic value, by their entry at ``settled``
-    (``_settled``): each entry there is a premise, held."""
+    rainbow triangles, per statistic value, into a scan's partial report:
+    each entry at ``settled`` (``_settled``) is a premise, held."""
     credit = sum(count for count, row in zip(bulk, table)
                  if count and row[settled])
-    out["premise"] += credit
-    out["settled"] += credit
+    report.premise_instances += credit
+    report.settled += credit
 
 
-def _tally(out: dict, name: str, verdict, n: int, pairs, colors) -> None:
-    """Count a coloring with a table entry; keep it if it fails, and as
-    one of the first three witnesses."""
+def _tally(report, name: str, verdict, n: int, pairs, colors) -> None:
+    """Count a coloring with a table entry into a scan's partial report;
+    keep it if it fails, and as one of the first three witnesses."""
     premise, failure, witness = verdict
-    out["premise"] += premise
+    report.premise_instances += premise
     if failure is not None:
-        out["cex"].append(_cex_entry(
+        report.counterexamples.append(_cex_entry(
             name, _graph_from_colors(n, pairs, colors), *failure))
     if witness:
-        out["witness_count"] += 1
-        if len(out["witnesses"]) < 3:
-            out["witnesses"].append(
+        report.witness_count += 1
+        if len(report.witnesses) < 3:
+            report.witnesses.append(
                 graph_to_json_obj(_graph_from_colors(n, pairs, colors)))
 
 
@@ -639,13 +643,7 @@ def _rgs_totals(m: int, closers, ceiling, settled=inf, bulk=None):
                 yield a, m + used + (val == used), t + counts[val]
 
 
-def _scan_out() -> dict:
-    """The empty counts of a scan task, which ``_merge_scan`` adds up."""
-    return {"premise": 0, "cex": [], "witness_count": 0, "witnesses": [],
-            "judged": 0, "settled": 0}
-
-
-def _statement_scan(name: str, grid: dict, unit) -> dict:
+def _statement_scan(name: str, grid: dict, unit) -> VerificationReport:
     """T3 on the strings with exactly c = n + k - 1 colors, which all meet
     T2's premise at k: ``_exact_ceiling`` floors their colors at c, caps
     them there and prunes past t = k (none at c = -1).  Only those with t = k,
@@ -656,15 +654,15 @@ def _statement_scan(name: str, grid: dict, unit) -> dict:
     notes = {"accepted": 0}
     if n < 3 * k:
         notes.update(out_of_range_mismatches=0, out_of_range_examples=[])
-    out = dict(_scan_out(), notes=notes)
+    report = VerificationReport(name, grid, notes=notes, judged=0, settled=0)
     _n, mask, c = unit
     pairs, closers = _subset_tables(n, mask)
     ceiling = _exact_ceiling(c, len(pairs), k)
     for a, _total, t_count in _rgs_totals(len(pairs), closers, ceiling):
-        out["judged"] += 1
+        report.judged += 1
         if t_count == k:
-            _judge(out, name, _graph_from_colors(n, pairs, a), {"k": k})
-    return out
+            _judge(report, name, _graph_from_colors(n, pairs, a), {"k": k})
+    return report
 
 
 def _subset_tables(n: int, mask: int):
@@ -679,13 +677,13 @@ def _subset_tables(n: int, mask: int):
     return pairs, closers
 
 
-def _mc_scan(name: str, grid: dict, unit) -> dict:
+def _mc_scan(name: str, grid: dict, unit) -> VerificationReport:
     """T1, T2 and L1: each coloring judged by its m + c and its rainbow
     triangle count, through the check's verdict table; those settled
     (``_settled``) before their last slot are counted per m + c.  The
     unit is one an entry can reach: its 2m, the most m + c can be, is at
     least the table's ``lowest`` (``_run_sweep``)."""
-    out = _scan_out()
+    report = VerificationReport(name, grid, judged=0, settled=0)
     k_max = grid.get("k_max")
     n, mask, _exact = unit
     m = mask.bit_count()
@@ -695,15 +693,15 @@ def _mc_scan(name: str, grid: dict, unit) -> dict:
     bulk = [0] * (2 * m + 1)
     for a, total, t_count in _rgs_totals(m, closers, _ceiling(
             name, n, m, k_max), settled, bulk):
-        out["judged"] += 1
+        report.judged += 1
         verdict = table[total][t_count]
         if verdict is not None:
-            _tally(out, name, verdict, n, pairs, a)
-    _credit(out, table, settled, bulk)
-    return out
+            _tally(report, name, verdict, n, pairs, a)
+    _credit(report, table, settled, bulk)
+    return report
 
 
-def _t4_scan(name: str, grid: dict, unit) -> dict:
+def _t4_scan(name: str, grid: dict, unit) -> VerificationReport:
     """T4: each coloring judged by its color-degree sum and its rainbow
     triangle count, through the check's verdict table, from the fewest
     colors that can reach its ``lowest`` (``_color_degree_floor``).  The
@@ -711,7 +709,7 @@ def _t4_scan(name: str, grid: dict, unit) -> dict:
     at least ``lowest`` (``_run_sweep``).  Past ``_settled``, a block's
     last values are counted in bulk by how many of the last edge's ends
     each color is new to."""
-    out = _scan_out()
+    report = VerificationReport(name, grid, judged=0, settled=0)
     n, mask, _exact = unit
     m = mask.bit_count()
     lowest, table = _verdicts(name, n, m, grid["k_max"])
@@ -774,15 +772,15 @@ def _t4_scan(name: str, grid: dict, unit) -> dict:
                 bulk[base + 2] += 1
                 continue
             values = range(0 if used >= floor else used, used + 1)
-            out["judged"] += len(values)
+            report.judged += len(values)
             counts = _last_slot_counts(a, used, closers[last])
             for val in values:
                 sum_dc = base + (val not in x_cols) + (val not in y_cols)
                 verdict = table[sum_dc][t + counts[val]]
                 if verdict is not None:
-                    _tally(out, name, verdict, n, pairs, a + [val])
-    _credit(out, table, settled, bulk)
-    return out
+                    _tally(report, name, verdict, n, pairs, a + [val])
+    _credit(report, table, settled, bulk)
+    return report
 
 
 def _color_degree_floor(n: int, pairs, lowest: int):
@@ -850,16 +848,16 @@ def _exact_colorings(grid: dict) -> list[tuple]:
     return [(n, (1 << comb(n, 2)) - 1, c)]
 
 
-def _merge_scan(report: VerificationReport, part: dict) -> None:
-    """Add one scan task's counts to the report.  Witnesses and list-valued
-    notes keep their first three entries; integer notes add up."""
-    report.premise_instances += part["premise"]
-    report.counterexamples.extend(part["cex"])
-    report.witness_count += part["witness_count"]
-    report.witnesses = (report.witnesses + part["witnesses"])[:3]
-    report.judged += part["judged"]
-    report.settled += part["settled"]
-    for key, val in part.get("notes", {}).items():
+def _merge_scan(report: VerificationReport, part: VerificationReport) -> None:
+    """Add a scan's partial report, in serial order: witnesses and list
+    notes keep their first three, counts and integer notes add up."""
+    report.premise_instances += part.premise_instances
+    report.counterexamples.extend(part.counterexamples)
+    report.witness_count += part.witness_count
+    report.witnesses = (report.witnesses + part.witnesses)[:3]
+    report.judged += part.judged
+    report.settled += part.settled
+    for key, val in part.notes.items():
         if isinstance(val, list):
             report.notes[key] = (report.notes.get(key, []) + val)[:3]
         else:
@@ -1318,14 +1316,14 @@ class Check:
     overrides.  A sweep lists its units ``(n, mask, exact)`` with
     ``tasks(grid)``, counts the colorings of each by formula and runs
     ``scan(name, grid, unit)`` on each a table entry can reach
-    (``_run_sweep``), judging by ``rule`` and ``witness`` (see
-    ``_verdicts``); a sampled check draws from ``samples(grid, rng,
-    notes)``.  T3's scan and the sampled runner judge each instance by
-    ``statement`` through ``_judge``, where one outside the premise stops
-    the run unless the check is ``vacuous``.  Counterexamples of a
-    ``minimize`` check are shrunk while the statement still fails.  Every
-    integer of a grid value but the seed is at least 0, or at least its
-    key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
+    (``_run_sweep``), judging by ``rule`` and ``witness`` (``_verdicts``)
+    into the partial report it returns; a sampled check draws from
+    ``samples(grid, rng, notes)``.  T3's scan and the sampled runner judge
+    each instance by ``statement`` through ``_judge``, where one outside
+    the premise stops the run unless the check is ``vacuous``.  A
+    ``minimize`` check's counterexamples are shrunk while it still fails.
+    Every integer of a grid value but the seed is at least 0, or at least
+    its key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
 
     grid: dict
     statement: Callable
@@ -1410,13 +1408,11 @@ def _run_sampled(name: str, check: Check, grid: dict) -> VerificationReport:
     the first draw, so that no seed decides whether the run fails."""
     _check_enumeration_size(max([grid.get("n_max", 0)] + [
         n for n, _k in grid.get("pairs", ())]))
-    out = {"instances": 0, "premise": 0, "cex": [], "notes": {}}
-    for obj, params in check.samples(grid, Random(grid["seed"]), out["notes"]):
-        out["instances"] += 1
-        _judge(out, name, obj, params)
-    return VerificationReport(name, dict(grid), out["instances"],
-                              out["premise"], out["cex"],
-                              notes=out["notes"], seed=grid["seed"])
+    report = VerificationReport(name, dict(grid), seed=grid["seed"])
+    for obj, params in check.samples(grid, Random(grid["seed"]), report.notes):
+        report.instances += 1
+        _judge(report, name, obj, params)
+    return report
 
 
 def _lookup(theorem: str) -> Check:

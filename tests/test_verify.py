@@ -130,6 +130,20 @@ class TestRgsKernel:
         assert list(_rgs_blocks(3, [])) == []
         assert list(_rgs_iter(0, exact=-1)) == []
 
+    def test_rgs_iter_makes_no_triangle_counts(self, monkeypatch):
+        # Without closers no slot closes a triangle, so streaming the
+        # strings, or the colorings built from them, counts none.
+        def never(*args):
+            raise AssertionError("triangle counts made without closers")
+
+        monkeypatch.setattr(verify, "_last_slot_counts", never)
+        for q in range(8):
+            assert sum(1 for _a in _rgs_iter(q)) == bell_number(q)
+            for exact in range(-1, q + 2):
+                assert sum(1 for _a in _rgs_iter(q, exact)) == \
+                    verify._completions(q, 0, exact), (q, exact)
+        assert sum(1 for _G in enumerate_colorings(4)) == bell_number(6)
+
     def test_by_colors_splits_the_completions(self):
         # Summed over c, the strings per final color count are all the
         # completions; per c they are the strings that _rgs_iter makes
@@ -572,16 +586,18 @@ def _check_scan_by_brute_tally(monkeypatch, scan, name, value_of, masks,
             assert all(row in rest for row in tallied), where
             assert [row for row in tallied if row[1][1] or row[1][2]] == \
                 marked, where
-            assert out["premise"] == sum(e[0] for _a, _G, e in entries), where
+            assert out.premise_instances == sum(
+                e[0] for _a, _G, e in entries), where
             witnesses = [G for _a, G, e in entries if e[2]]
-            assert out["witness_count"] == len(witnesses), where
-            assert out["witnesses"] == [verify.graph_to_json_obj(G)
-                                        for G in witnesses[:3]], where
-            assert [(e["params"], e["detail"]) for e in out["cex"]] == [
+            assert out.witness_count == len(witnesses), where
+            assert out.witnesses == [verify.graph_to_json_obj(G)
+                                     for G in witnesses[:3]], where
+            assert [(e["params"], e["detail"])
+                    for e in out.counterexamples] == [
                 e[1] for _a, _G, e in entries if e[1]], where
-            seen["settled"] += out["settled"]
-            seen["failure"] += len(out["cex"])
-            seen["witness"] += out["witness_count"]
+            seen["settled"] += out.settled
+            seen["failure"] += len(out.counterexamples)
+            seen["witness"] += out.witness_count
     return seen
 
 
@@ -688,28 +704,31 @@ class TestSettledMcScan:
         grid, unit = {"k_max": 3}, (n, (1 << m) - 1, None)
         assert verify._settled("T2", n, m, 3) == 1
         held = verify._mc_scan("T2", grid, unit)
-        assert held["cex"] == [] and held["settled"] > 0
+        assert held.counterexamples == [] and held.settled > 0
         table[12][4] = (True, ({"k": 1}, "planted"), False)
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
         failed = verify._mc_scan("T2", grid, unit)
-        assert [(e["detail"], e["graph"]) for e in failed["cex"]] == [
+        assert [(e["detail"], e["graph"])
+                for e in failed.counterexamples] == [
             ("planted", verify.graph_to_json_obj(EdgeColoredGraph(
                 n, [(u, v, c) for c, (u, v)
                     in enumerate(combinations(range(n), 2))])))]
-        assert (failed["premise"], failed["settled"]) == (held["premise"], 0)
+        assert (failed.premise_instances, failed.settled) == (
+            held.premise_instances, 0)
         # A failure repeated through the last two columns keeps them open
         # too: all 15 five-colorings of K_4 fail (each has t = 3 or 4).
         table[12][4] = table[12][3]
         table[11][3:] = [(True, ({"k": 1}, "planted"), False)] * 2
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
         failed = verify._mc_scan("T2", grid, unit)
-        assert len(failed["cex"]) == stirling2(m, 5)
-        assert (failed["premise"], failed["settled"]) == (held["premise"], 0)
+        assert len(failed.counterexamples) == stirling2(m, 5)
+        assert (failed.premise_instances, failed.settled) == (
+            held.premise_instances, 0)
         # So does a witness.
         table[11][3:] = [(True, None, True)] * 2
         assert verify._settled("T2", n, m, 3) == comb(n, 3) + 1
         witnessed = verify._mc_scan("T2", grid, unit)
-        assert (witnessed["cex"], witnessed["witness_count"]) == (
+        assert (witnessed.counterexamples, witnessed.witness_count) == (
             [], stirling2(m, 5))
 
 
@@ -946,15 +965,13 @@ class TestVerifySmall:
                  ("T3", {"n": 4, "k": 1}), ("T4", {"n_max": 4, "k_max": 2}),
                  ("L1", {"n_max": 4})]
         for theorem, grid in cases:
-            serial = verify_theorem(theorem, grid, jobs=1)
+            serial = verify_theorem(theorem, grid, jobs=1).to_dict()
+            serial.pop("seconds")
+            assert serial["counterexamples"] == [], theorem
             for jobs in (2, 3):
-                parallel = verify_theorem(theorem, grid, jobs=jobs)
-                assert (serial.instances, serial.premise_instances,
-                        serial.witness_count, serial.counterexamples) == \
-                    (parallel.instances, parallel.premise_instances,
-                     parallel.witness_count, parallel.counterexamples), \
-                    (theorem, jobs)
-                assert parallel.ok
+                parallel = verify_theorem(theorem, grid, jobs=jobs).to_dict()
+                parallel.pop("seconds")
+                assert parallel == serial, (theorem, jobs)
 
     def test_default_sweeps_match_the_benchmark_reference(self):
         # The serial default-grid reports the benchmark gates on; only
@@ -980,9 +997,17 @@ class TestVerifySmall:
         assert parallel == serial
 
     def test_seed_determinism(self):
-        a = verify_theorem("L2", {"count": 200, "n_max": 8, "seed": 5})
-        b = verify_theorem("L2", {"count": 200, "n_max": 8, "seed": 5})
-        assert a.premise_instances == b.premise_instances
+        # T6's report carries notes, from the sampler and the statement.
+        for theorem, grid in (
+                ("L2", {"count": 200, "n_max": 8, "seed": 5}),
+                ("T6", {"pairs": [[8, 6], [9, 7]], "samples": 30, "seed": 5})):
+            a = verify_theorem(theorem, grid).to_dict()
+            b = verify_theorem(theorem, grid).to_dict()
+            a.pop("seconds")
+            b.pop("seconds")
+            assert a == b, theorem
+            assert a["premise_instances"] > 0, theorem
+        assert a["notes"]["sample_mix"] and a["notes"]["certificate_cases"]
 
     def test_report_serializes(self):
         import json
@@ -1037,19 +1062,19 @@ class TestT3OutOfRange:
         assert G.c == n + 1
         # A unit of no edges at n + 1 colors makes no string.
         out = verify._statement_scan("T3", {"n": n, "k": 2}, (n, 0, n + 1))
-        assert out["notes"] == {"accepted": 0, "out_of_range_mismatches": 0,
-                                "out_of_range_examples": []}
+        assert out.notes == {"accepted": 0, "out_of_range_mismatches": 0,
+                             "out_of_range_examples": []}
         for calls in range(1, 6):
             verify._judge(out, "T3", G, {"k": 2})
-            assert (out["premise"], out["cex"]) == (calls, [])
-            assert out["notes"]["out_of_range_mismatches"] == calls
-            examples = out["notes"]["out_of_range_examples"]
+            assert (out.premise_instances, out.counterexamples) == (calls, [])
+            assert out.notes["out_of_range_mismatches"] == calls
+            examples = out.notes["out_of_range_examples"]
             assert len(examples) == min(calls, 3)
         assert examples[0] == {
             "theorem": "T3", "params": {"k": 2},
             "detail": "premises hold but no certificate",
             "graph": verify.graph_to_json_obj(G)}
-        assert out["notes"]["accepted"] == 0
+        assert out.notes["accepted"] == 0
         assert instance_satisfies("T3", G, {"k": 2})
 
 
@@ -1515,6 +1540,40 @@ def serial_pool(monkeypatch):
     monkeypatch.setattr(verify, "Pool", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(_SerialPool, "calls", [])
+
+
+class TestMergeScan:
+    def test_parts_merge_in_serial_order(self):
+        Report = verify.VerificationReport
+        parts = [
+            Report("T3", {}, instances=7, premise_instances=2,
+                   counterexamples=["a"], witnesses=["w1", "w2"],
+                   witness_count=2,
+                   notes={"accepted": 1, "examples": ["e1", "e2"]},
+                   judged=5, settled=1, swept=9),
+            Report("T3", {}, premise_instances=3, counterexamples=["b", "c"],
+                   witnesses=["w3", "w4"], witness_count=4,
+                   notes={"accepted": 2, "examples": ["e3", "e4"]},
+                   judged=6, settled=0),
+            Report("T3", {}, premise_instances=1, witnesses=["w5"],
+                   witness_count=1,
+                   notes={"accepted": 0, "examples": ["e5"], "late": 4},
+                   judged=0, settled=10),
+        ]
+        report = Report("T3", {"n": 5}, instances=100, judged=0, settled=0,
+                        swept=3)
+        for part in parts:
+            verify._merge_scan(report, part)
+        assert report.counterexamples == ["a", "b", "c"]
+        assert report.witnesses == ["w1", "w2", "w3"]
+        assert (report.premise_instances, report.witness_count) == (6, 7)
+        assert report.notes == {"accepted": 3, "examples": ["e1", "e2", "e3"],
+                                "late": 4}
+        assert (report.judged, report.settled) == (11, 11)
+        assert (report.instances, report.swept, report.grid) == (
+            100, 3, {"n": 5})
+        assert parts[0].notes["examples"] == ["e1", "e2"]
+        assert parts[0].witnesses == ["w1", "w2"]
 
 
 class TestJobs:

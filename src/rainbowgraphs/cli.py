@@ -113,10 +113,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _threshold_entry(threshold: int, guaranteed: int, **deficit) -> dict:
+    """An ``analyze`` threshold, met exactly when it guarantees something."""
+    return {"threshold": threshold, **deficit, "meets": guaranteed > 0,
+            "guaranteed": guaranteed}
+
+
 def cmd_analyze(args) -> int:
     G = _load_graph(args.input)
     st = stats(G)
-    n = G.n
+    n, sum_dc = G.n, st.profile.color_degree_sum
     triangles = rainbow.list_rainbow_triangles(G)
     bound = args.clique_bound if args.clique_bound is not None else min(n, 6)
     cliques = {}
@@ -124,18 +130,15 @@ def cmd_analyze(args) -> int:
     for k in range(4, min(bound, n) + 1):
         cliques[str(k)] = bool(rainbow.enumerate_rainbow_cliques(G, k, limit=1))
         threshold = comb(n, 2) + constructions.turan_number(n, k - 2) + 2
-        clique_thresholds[str(k)] = {
-            "threshold": threshold,
-            "deficit": threshold - (st.m + st.c),
-            "meets": st.m + st.c >= threshold,
-            "guaranteed": rainbow.guaranteed_cliques_mc(n, k, st.m, st.c),
-        }
+        clique_thresholds[str(k)] = _threshold_entry(
+            threshold, rainbow.guaranteed_cliques_mc(n, k, st.m, st.c),
+            deficit=threshold - (st.m + st.c))
     report = {
         "n": n,
         "m": st.m,
         "c": st.c,
         "m_plus_c": st.m + st.c,
-        "sum_color_degree": st.profile.color_degree_sum,
+        "sum_color_degree": sum_dc,
         "sum_saturated_degree": st.profile.saturated_degree_sum,
         "rainbow_triangles": {
             "count": len(triangles),
@@ -143,17 +146,10 @@ def cmd_analyze(args) -> int:
         },
         "rainbow_cliques": cliques,
         "thresholds": {
-            "triangle_mc": {
-                "threshold": comb(n + 1, 2),
-                "meets": st.m + st.c >= comb(n + 1, 2),
-                "guaranteed": rainbow.guaranteed_triangles_mc(n, st.m, st.c),
-            },
-            "triangle_colordeg": {
-                "threshold": comb(n + 1, 2),
-                "meets": st.profile.color_degree_sum >= comb(n + 1, 2),
-                "guaranteed": rainbow.guaranteed_triangles_colordeg(
-                    n, st.profile.color_degree_sum),
-            },
+            "triangle_mc": _threshold_entry(
+                comb(n + 1, 2), rainbow.guaranteed_triangles_mc(n, st.m, st.c)),
+            "triangle_colordeg": _threshold_entry(
+                comb(n + 1, 2), rainbow.guaranteed_triangles_colordeg(n, sum_dc)),
             "clique_mc": clique_thresholds,
         },
     }
@@ -320,6 +316,8 @@ def _check_args(args) -> str | None:
             verify.check_jobs(args.jobs)
         except GraphError as exc:
             return f"--jobs: {exc}"
+        if args.seed is not None and verify.CHECKS[args.theorem].scan:
+            return f"--seed: {args.theorem} is a sweep, which takes no seed"
     if args.command == "verify" and args.grid is not None:
         try:
             args.grid = json.loads(args.grid)

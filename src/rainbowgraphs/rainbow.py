@@ -134,17 +134,17 @@ def enumerate_rainbow_cliques(
 def guaranteed_triangles_mc(n: int, m: int, c: int) -> int:
     """Rainbow triangles forced in any n-vertex graph with m edges, c colors.
 
-    The largest k with m + c >= C(n+1,2) + k - 1, clamped at 0.
+    The largest k with m + c >= C(n+1,2) + k - 1, clamped at 0; 0 on K_0.
     """
-    return max(0, m + c - comb(n + 1, 2) + 1)
+    return max(0, m + c - comb(n + 1, 2) + 1) if n else 0
 
 
 def guaranteed_triangles_colordeg(n: int, sum_dc: int) -> int:
     """Rainbow triangles forced by the color-degree sum over all vertices.
 
-    The largest k with sum_dc >= C(n+1,2) + k - 1, clamped at 0.
+    The largest k with sum_dc >= C(n+1,2) + k - 1, clamped at 0; 0 on K_0.
     """
-    return max(0, sum_dc - comb(n + 1, 2) + 1)
+    return max(0, sum_dc - comb(n + 1, 2) + 1) if n else 0
 
 
 def guaranteed_cliques_mc(n: int, k: int, m: int, c: int) -> int:

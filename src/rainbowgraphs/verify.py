@@ -33,9 +33,10 @@ and L1 are each one rule over a coloring's n, m, statistic (m + c, or
 the color-degree sum) and rainbow triangle count t: their statements
 apply it to a graph, and their scans read slot arrays, never graphs, and
 look each string up in ``_verdicts``, the rule's table per (n, m).
-``_run_sweep`` counts every unit's colorings by formula (``_completions``)
-and, as neither statistic exceeds 2m, hands the scans, one unit a call,
-only those whose 2m reaches their table's least entry.  At most
+``_run_sweep`` counts every unit's colorings by formula (``_completions``),
+refusing the run once the count reaches ENUMERATION_BUDGET, before any
+scan, and, as neither statistic exceeds 2m, hands the scans, one unit a
+call, only those whose 2m reaches their table's least entry.  At most
 min(jobs, cpu count, units swept) workers scan them, the last first, into
 partial reports that merge in serial order, so no report depends on ``jobs``.
 Every sweep reads t from ``_rgs_blocks``, which counts it as each slot
@@ -795,28 +796,12 @@ def _color_degree_floor(n: int, pairs, lowest: int):
                 if sum(min(d, c) for d in deg) >= lowest)
 
 
-def _check_sweep_budget(n_max: int, subsets: bool) -> None:
-    """Raise BudgetError when the sweep over n = 1..n_max would visit
-    ENUMERATION_BUDGET instances: Bell(C(n,2)) colorings of each K_n, or,
-    summing Bell(|E'|) over the edge subsets E', Bell(C(n,2)+1) colored
-    subgraphs.  The sum stops at the budget, so a huge n_max costs nothing,
-    and the message names the n that reaches it, never n_max itself.
-    """
-    estimate = 0
-    for n in range(1, n_max + 1):
-        estimate += bell_number(comb(n, 2) + subsets)
-        if estimate >= ENUMERATION_BUDGET:
-            kind = "edge-subset" if subsets else "exhaustive"
-            raise BudgetError(
-                f"{kind} sweep reaches its budget of {ENUMERATION_BUDGET} "
-                f"instances at n={n}: {estimate} up to there", estimate)
-
-
 def _check_exact_budget(n: int, c: int) -> None:
     """Raise BudgetError past n = 7, or when the colorings of K_n with
-    exactly c colors reach ENUMERATION_BUDGET.  The cap is tested first:
-    past it the count at n = 8 stands in, a lower bound that needs no
-    large Stirling row, and the message names n = 8."""
+    exactly c colors, for T3 or ``enumerate_colorings``, reach
+    ENUMERATION_BUDGET.  The cap is tested first: past it the count at
+    n = 8 stands in, a lower bound that needs no large Stirling row, and
+    the message names n = 8."""
     estimate = stirling2(comb(min(n, 8), 2), c)
     if n > 7 or estimate >= ENUMERATION_BUDGET:
         raise BudgetError(
@@ -825,19 +810,17 @@ def _check_exact_budget(n: int, c: int) -> None:
             f"(budget {ENUMERATION_BUDGET})", estimate)
 
 
-def _complete_colorings(grid: dict) -> list[tuple]:
+def _complete_colorings(grid: dict):
     """The sweep units (n, edge mask, exact colors or None) of every
-    coloring of K_n, n <= n_max, in serial order."""
-    _check_sweep_budget(grid["n_max"], subsets=False)
-    return [(n, (1 << comb(n, 2)) - 1, None)
-            for n in range(1, grid["n_max"] + 1)]
+    coloring of K_n, n <= n_max, lazily in serial order: n ascending."""
+    return ((n, (1 << comb(n, 2)) - 1, None)
+            for n in range(1, grid["n_max"] + 1))
 
 
-def _subgraph_colorings(grid: dict) -> list[tuple]:
-    """The units of every coloring of every edge subset of K_n, n <= n_max."""
-    _check_sweep_budget(grid["n_max"], subsets=True)
-    return [(n, mask, None) for n in range(1, grid["n_max"] + 1)
-            for mask in range(1 << comb(n, 2))]
+def _subgraph_colorings(grid: dict):
+    """As above, for every coloring of every edge subset of K_n."""
+    return ((n, mask, None) for n in range(1, grid["n_max"] + 1)
+            for mask in range(1 << comb(n, 2)))
 
 
 def _exact_colorings(grid: dict) -> list[tuple]:
@@ -1313,15 +1296,16 @@ def _l2(D, params, notes):
 @dataclass(frozen=True)
 class Check:
     """One named check.  ``grid`` is the default grid and the schema of
-    overrides.  A sweep lists its units ``(n, mask, exact)`` with
-    ``tasks(grid)``, counts the colorings of each by formula and runs
-    ``scan(name, grid, unit)`` on each a table entry can reach
-    (``_run_sweep``), judging by ``rule`` and ``witness`` (``_verdicts``)
-    into the partial report it returns; a sampled check draws from
-    ``samples(grid, rng, notes)``.  T3's scan and the sampled runner judge
-    each instance by ``statement`` through ``_judge``, where one outside
-    the premise stops the run unless the check is ``vacuous``.  A
-    ``minimize`` check's counterexamples are shrunk while it still fails.
+    overrides.  A sweep yields its units ``(n, mask, exact)`` lazily with
+    ``tasks(grid)``; the runner (``_run_sweep``) counts the colorings of
+    each by formula against the budget and runs ``scan(name, grid, unit)``
+    on each a table entry can reach, judging by ``rule`` and ``witness``
+    (``_verdicts``) into the partial report it returns; a sampled check
+    draws from ``samples(grid, rng, notes)``.  T3's scan and the sampled
+    runner judge each instance by ``statement`` through ``_judge``, where
+    one outside the premise stops the run unless the check is
+    ``vacuous``.  A ``minimize`` check's counterexamples are shrunk while
+    it still fails.
     Every integer of a grid value but the seed is at least 0, or at least
     its key's entry in ``floors``; a pair (n, k) needs n >= k >= the floor."""
 
@@ -1380,7 +1364,9 @@ def _run_sweep(name: str, check: Check, grid: dict,
     """Count the colorings of each unit of ``check.tasks(grid)`` by
     formula, and scan each as a task of its own unless it belongs to a
     rule's check and no table entry can reach it: its 2m, the most its
-    statistic can be, is below the table's ``lowest``."""
+    statistic can be, is below the table's ``lowest``.  The run is refused
+    at the unit whose count reaches ENUMERATION_BUDGET, before any scan;
+    as the count only grows, that unit lies in the first n to reach it."""
     report = VerificationReport(name, dict(grid), judged=0, settled=0)
     k_max = grid.get("k_max")
     calls = []
@@ -1388,6 +1374,11 @@ def _run_sweep(name: str, check: Check, grid: dict,
         n, mask, exact = unit
         m = mask.bit_count()
         report.instances += _completions(m, 0, exact)
+        if report.instances >= ENUMERATION_BUDGET:
+            raise BudgetError(
+                f"{name} sweep reaches its budget of {ENUMERATION_BUDGET} "
+                f"instances at n={n}: {report.instances} up to there",
+                report.instances)
         if not check.rule or 2 * m >= _verdicts(name, n, m, k_max)[0]:
             calls.append((name, grid, unit))
     report.swept = len(calls)
@@ -1446,21 +1437,21 @@ def _grid_mismatch(default, val, floor: int | None) -> str | None:
 
 def check_grid(theorem: str, grid: dict) -> None:
     """Raise GraphError unless ``grid`` can override the named check's
-    default grid: it is a dict, every key is a default key or ``seed``,
-    every value has the shape of its default, and every value but the
-    seed is in its key's range (see ``Check`` and ``_grid_mismatch``)."""
+    default grid: it is a dict, every key is a default key (a sampled
+    check's include ``seed``; a sweep takes none), every value has the
+    shape of its default, and every value but the seed is in its key's
+    range (see ``Check`` and ``_grid_mismatch``)."""
     key = theorem.upper()
     check = _lookup(key)
     if not isinstance(grid, dict):
         raise GraphError(f"a {key} grid must be a dict, got {grid!r}")
-    defaults = {"seed": DEFAULT_SEED, **check.grid}
     for name, val in grid.items():
-        if name not in defaults:
+        if name not in check.grid:
             raise GraphError(
                 f"unknown {key} grid key {name!r}; "
-                f"expected one of {', '.join(sorted(defaults))}")
+                f"expected one of {', '.join(sorted(check.grid))}")
         floor = None if name == "seed" else check.floors.get(name, 0)
-        shape = _grid_mismatch(defaults[name], val, floor)
+        shape = _grid_mismatch(check.grid[name], val, floor)
         if shape is not None:
             raise GraphError(
                 f"{key} grid key {name!r} must be {shape}, got {val!r}")

@@ -110,6 +110,16 @@ class TestAnalyze:
         assert report["m"] == 0 and report["c"] == 0
         assert report["rainbow_triangles"]["count"] == 0
 
+    def test_order_0_promises_nothing(self, tmp_path, capsys):
+        graph_file = tmp_path / "k0.edges"
+        graph_file.write_text("0 0\n")
+        assert run(["analyze", str(graph_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rainbow_triangles"]["count"] == 0
+        for name in ("triangle_mc", "triangle_colordeg"):
+            info = report["thresholds"][name]
+            assert (info["guaranteed"], info["meets"]) == (0, False), name
+
     def test_hnk_threshold_deficit(self, tmp_path, capsys):
         graph_file = tmp_path / "h.edges"
         graph_file.write_text(format_edgelist(build_hnk(11, 7).graph))
@@ -357,6 +367,12 @@ class TestVerifyCommand:
 
     def test_budget_violation_exit_2(self, capsys):
         assert run(["verify", "T1", "--grid", '{"n_max": 7}']) == 2
+
+    def test_sweep_takes_no_seed_exit_1(self, capsys):
+        assert run(["verify", "T1", "--grid", '{"n_max": 3}',
+                    "--seed", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "takes no seed" in err and "Traceback" not in err
 
     def test_t1_at_n6_exceeds_budget_exit_2(self, capsys):
         assert run(["verify", "T1", "--grid", '{"n_max": 6}']) == 2

@@ -220,6 +220,11 @@ class TestGuaranteeFormulas:
             assert guaranteed_triangles_mc(n, 0, 0) == 0
             assert guaranteed_triangles_colordeg(n, 0) == 0
 
+    def test_k0_is_promised_no_triangle(self):
+        # K_0 has no triangle, though its m + c = 0 meets C(1,2) = 0.
+        assert guaranteed_triangles_mc(0, 0, 0) == 0
+        assert guaranteed_triangles_colordeg(0, 0) == 0
+
 
 class TestGuaranteesSampled:
     # The triangle bounds, sampled on 6 <= n <= 9 (the exhaustive regime

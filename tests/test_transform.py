@@ -120,6 +120,9 @@ class TestGuaranteedDirected:
     def test_below_threshold(self):
         assert guaranteed_directed_triangles(5, 4, 4) == 0
 
+    def test_order_0_promises_nothing(self):
+        assert guaranteed_directed_triangles(0, 0, 0) == 0
+
     def test_random_tournaments_meet_bound(self):
         rng = random.Random(47)
         for _ in range(300):

@@ -3,7 +3,7 @@ import json
 import multiprocessing
 import random
 import tracemalloc
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -832,10 +832,60 @@ class TestGridAndBudget:
                 verify_theorem("T1", {"n_max": val})
 
     def test_valid_grids_accepted(self):
-        check_grid("T1", {"n_max": 3, "seed": 2})
+        check_grid("T1", {"n_max": 3})
+        with pytest.raises(GraphError, match="unknown T1 grid key 'seed'"):
+            check_grid("T1", {"n_max": 3, "seed": 2})
         check_grid("T6", {"pairs": [[8, 6]], "samples": 10})
         with pytest.raises(GraphError, match="unknown check"):
             check_grid("T9", {})
+
+
+class TestRunnerBudget:
+    """A sweep's budget is its running instance count: the run is refused
+    at the unit that brings it to ENUMERATION_BUDGET, in the first n
+    whose colorings do, before any scan or pool starts."""
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("a refused run scanned a unit or started a pool")
+
+    @pytest.mark.parametrize("n_max", range(6))
+    @pytest.mark.parametrize("check", ["T1", "T2", "T4", "L1"])
+    def test_refused_where_the_count_reaches_the_budget(self, monkeypatch,
+                                                        check, n_max):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        bells = bell_triangle(comb(5, 2) + 1)
+        subsets = check != "T1"
+        totals = list(accumulate(bells[comb(n, 2) + subsets]
+                                 for n in range(1, 6)))
+        grid = {**verify.CHECKS[check].grid, "n_max": n_max}
+        units = list(verify.CHECKS[check].tasks(grid))
+        weights = [verify._completions(mask.bit_count(), 0, exact)
+                   for _n, mask, exact in units]
+        sums = list(accumulate(weights))
+        # Each boundary, one below and one above, at least one instance.
+        for budget in sorted({total + d for total in totals
+                              for d in (-1, 0, 1)} - {0}):
+            monkeypatch.setattr(verify, "ENUMERATION_BUDGET", budget)
+            at = next((n for n, total in enumerate(totals[:n_max], 1)
+                       if total >= budget), None)
+            if at is None:
+                assert verify_theorem(check, grid).instances == (
+                    totals[n_max - 1] if n_max else 0), budget
+                continue
+            with monkeypatch.context() as patch:
+                patch.setitem(verify.CHECKS, check, dataclasses.replace(
+                    verify.CHECKS[check], scan=self._refuse))
+                patch.setattr(verify, "Pool", self._refuse)
+                with pytest.raises(BudgetError, match=(
+                        f"^{check} sweep reaches its budget of {budget} "
+                        f"instances at n={at}: ")) as err:
+                    verify_theorem(check, grid, jobs=2)
+            # The estimate is the count through the crossing unit.
+            crossing = sums.index(err.value.estimate)
+            assert units[crossing][0] == at, budget
+            assert (err.value.estimate - weights[crossing] < budget
+                    <= err.value.estimate), budget
 
 
 class TestEnumerateColorings:
@@ -1673,7 +1723,7 @@ class TestUnitCounts:
         if n_max >= 3:
             cases.append(("T3", {"n": n_max, "k": 1}))
         for check, grid in cases:
-            units = verify.CHECKS[check].tasks(grid)
+            units = list(verify.CHECKS[check].tasks(grid))
             assert units == sorted(units, key=lambda unit: unit[:2])
             weights = []
             for _n, mask, c in units:
@@ -1685,7 +1735,7 @@ class TestUnitCounts:
 
 
 _GRID_TARGETS = [(name, key) for name, check in verify.CHECKS.items()
-                 for key in dict.fromkeys(("seed", *check.grid))]
+                 for key in check.grid]
 _GRID_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-3, 12),
     st.integers(-10 ** 40, 10 ** 40), st.floats(), st.text(max_size=3))
@@ -1733,13 +1783,13 @@ class TestGridShapes:
     @example(target=("L3", "pairs"), val=[[8, 6, 6]])
     @example(target=("L4", "pairs"), val=[[6, 7]])
     @example(target=("P1", "ell_values"), val=(1, 10 ** 40))
-    @example(target=("T1", "seed"), val=-10 ** 40)
+    @example(target=("L2", "seed"), val=-10 ** 40)
     def test_check_grid_agrees_with_the_referee(self, target, val):
         # check_grid raises exactly when the three-pass referee rejects
         # the value, with the shape text the referee names.
         name, key = target
         check = verify.CHECKS[name]
-        default = {"seed": verify.DEFAULT_SEED, **check.grid}[key]
+        default = check.grid[key]
         floor = None if key == "seed" else check.floors.get(key, 0)
         shape = grid_value_referee(default, val, floor)
         if shape is None:
@@ -1776,7 +1826,7 @@ class TestGridRanges:
 
     def test_seed_has_no_floor(self):
         check_grid("T6", {"seed": -5})
-        check_grid("T1", {"seed": -5})
+        check_grid("L2", {"seed": -5})
 
     def test_l5_pairs_without_room_for_t_plus_2_colors(self):
         # C(8,2) - t(8,6) = 2: no incomplete coloring has t+2 colors.

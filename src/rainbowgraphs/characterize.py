@@ -19,16 +19,8 @@ from math import comb
 from typing import Optional
 
 from .constructions import TuranPartition, check_hk_order, turan_number
-from .graphs import EdgeColoredGraph, GraphError, is_complete
+from .graphs import EdgeColoredGraph, GraphError, _bits, _color_masks, is_complete
 from .rainbow import enumerate_rainbow_cliques
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return out
 
 
 @dataclass(frozen=True)
@@ -81,18 +73,6 @@ class HkCertificate:
             "mono_color": self.mono_color,
             "color_count": self.color_count,
         }
-
-
-def _color_masks(G: EdgeColoredGraph) -> list[dict[int, int]]:
-    """Per vertex, a map from each color at it to its neighbours in that
-    color."""
-    masks: list[dict[int, int]] = [{} for _ in range(G.n)]
-    for (u, v), color in G.edges.items():
-        at = masks[u]
-        at[color] = at.get(color, 0) | 1 << v
-        at = masks[v]
-        at[color] = at.get(color, 0) | 1 << u
-    return masks
 
 
 def _components_without(masks: list[dict[int, int]], mask: int, color: int) -> list[int]:

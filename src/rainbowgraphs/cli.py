@@ -218,7 +218,7 @@ def cmd_convert(args) -> int:
 def cmd_verify(args) -> int:
     grid = args.grid or {}  # parsed by _check_args
     if args.seed is not None:
-        grid.setdefault("seed", args.seed)
+        grid["seed"] = args.seed
     report = verify.verify_theorem(args.theorem, grid, jobs=args.jobs)
     sys.stdout.write(report.table() + "\n")
     if args.json is not None:
@@ -327,6 +327,8 @@ def _check_args(args) -> str | None:
             return f"--grid is not valid JSON: {exc}"
         if not isinstance(args.grid, dict):
             return "--grid must be a JSON object"
+        if args.seed is not None and "seed" in args.grid:
+            return "--seed: the grid gives a seed too; give it once"
         try:
             verify.check_grid(args.theorem, args.grid)
         except GraphError as exc:

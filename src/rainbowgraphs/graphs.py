@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -60,6 +61,29 @@ def _adjacency(n: int, edges: dict[tuple[int, int], int]) -> list[int]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertices of ``mask``, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
+
+
+def _color_masks(G: EdgeColoredGraph) -> list[dict[int, int]]:
+    """Per vertex, a map from each color at it to its neighbours in that
+    color: the one per-(vertex, color) table of the degree profile, the
+    monochromatic-path finders and ``characterize.is_in_gk``."""
+    masks: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for (u, v), color in G.edges.items():
+        at = masks[u]
+        at[color] = at.get(color, 0) | 1 << v
+        at = masks[v]
+        at[color] = at.get(color, 0) | 1 << u
+    return masks
 
 
 class EdgeColoredGraph:
@@ -186,29 +210,19 @@ class GraphStats(NamedTuple):
 def stats(G: EdgeColoredGraph) -> GraphStats:
     """Edge count, color count, and the per-vertex degree profile.
 
-    Saturated degrees come from per-color endpoint-support bookkeeping: a
-    color contributes to d^s(v) iff the intersection of its edges' endpoint
-    pairs still contains v, which avoids n recounts of c(G - v).
+    Both color degrees read the per-(vertex, color) table
+    ``_color_masks``: d^c(v) is the number of colors at v, and a color
+    counts toward d^s(v) when its mask at v holds all of its edges, which
+    avoids n recounts of c(G - v).
     """
-    n = G.n
-    incident: list[set[int]] = [set() for _ in range(n)]
-    support: dict[int, int] = {}
-    for (u, v), color in G.edges.items():
-        incident[u].add(color)
-        incident[v].add(color)
-        pair_mask = (1 << u) | (1 << v)
-        prev = support.get(color)
-        support[color] = pair_mask if prev is None else prev & pair_mask
-    saturated = [0] * n
-    for mask in support.values():
-        while mask:
-            bit = mask & -mask
-            saturated[bit.bit_length() - 1] += 1
-            mask ^= bit
+    masks = _color_masks(G)
+    size = Counter(G.edges.values())
     profile = DegreeProfile(
-        degree=tuple(G.adj[v].bit_count() for v in range(n)),
-        color_degree=tuple(len(s) for s in incident),
-        saturated_degree=tuple(saturated),
+        degree=tuple(mask.bit_count() for mask in G.adj),
+        color_degree=tuple(map(len, masks)),
+        saturated_degree=tuple(
+            sum(mask.bit_count() == size[color] for color, mask in at.items())
+            for at in masks),
     )
     return GraphStats(G.m, G.c, profile)
 

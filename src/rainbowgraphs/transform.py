@@ -17,9 +17,11 @@ and pairwise edge-disjoint rainbow triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (EdgeColoredGraph, FormatError, GraphError, OrientedGraph,
-                     _collector_paused, _header, _rows, edge_key)
+                     _bits, _collector_paused, _color_masks, _header, _rows,
+                     edge_key)
 from .rainbow import guaranteed_triangles_mc, list_rainbow_triangles
 
 
@@ -113,50 +115,33 @@ def guaranteed_directed_triangles(n: int, a: int, omega_sum: int) -> int:
 
 def find_monochromatic_p3(G: EdgeColoredGraph) -> list[tuple[int, int, int]]:
     """All monochromatic 2-edge paths as (center, leaf, leaf) with the
-    leaves in increasing order; the list is sorted."""
+    leaves in increasing order; the list is sorted.  Each center's leaf
+    pairs come from its masks in ``_color_masks`` with two bits or more."""
     out = []
-    for center in range(G.n):
-        by_color: dict[int, list[int]] = {}
-        nbrs = G.adj[center]
-        while nbrs:
-            bit = nbrs & -nbrs
-            w = bit.bit_length() - 1
-            nbrs ^= bit
-            by_color.setdefault(G.edges[edge_key(center, w)], []).append(w)
-        for leaves in by_color.values():
-            for i in range(len(leaves)):
-                for j in range(i + 1, len(leaves)):
-                    out.append((center, leaves[i], leaves[j]))
+    for center, at in enumerate(_color_masks(G)):
+        for mask in at.values():
+            if mask & (mask - 1):
+                out += [(center, a, b) for a, b in combinations(_bits(mask), 2)]
     out.sort()
     return out
 
 
 def find_monochromatic_p4(G: EdgeColoredGraph) -> tuple[int, int, int, int] | None:
     """First monochromatic 3-edge path (a, b, c, d) on 4 distinct vertices,
-    or None; iteration order is deterministic."""
-    # Each color's edges and neighbour lists, filled in sorted pair order:
-    # a vertex x meets its pairs (u, x), u < x, before its pairs (x, v), so
-    # every neighbour list comes out sorted as well.
-    class_edges: dict[int, list[tuple[int, int]]] = {}
-    class_adj: dict[int, dict[int, list[int]]] = {}
-    for (u, v), color in sorted(G.edges.items()):
-        class_edges.setdefault(color, []).append((u, v))
-        adj = class_adj.setdefault(color, {})
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for color in sorted(class_edges):
-        adj = class_adj[color]
-        for (u, v) in class_edges[color]:
-            for b, c in ((u, v), (v, u)):
-                ends = adj[c]
-                if len(ends) < 2:  # c's only neighbour is b: no d
-                    continue
-                for a in adj[b]:
-                    if a == c:
-                        continue
-                    for d in ends:
-                        if d != b and d != a:
-                            return (a, b, c, d)
+    or None.  The edges are walked in (color, pair) order, each edge bc
+    both ways round; a is the lowest neighbour of b in that color, other
+    than c, for which c has a neighbour d other than b and a, and d is
+    the lowest such, both read off ``_color_masks``."""
+    masks = _color_masks(G)
+    for color, u, v in sorted([(color, u, v) for (u, v), color in G.edges.items()]):
+        for b, c in ((u, v), (v, u)):
+            ends = masks[c][color] & ~(1 << b)
+            if not ends:  # c's only neighbour is b: no d
+                continue
+            for a in _bits(masks[b][color] & ~(1 << c)):
+                rest = ends & ~(1 << a)
+                if rest:
+                    return (a, b, c, (rest & -rest).bit_length() - 1)
     return None
 
 

@@ -951,15 +951,9 @@ def _random_case2(n: int, k: int, rng: Random):
             targets = [rng.choice([v for v in range(n) if v not in p])
                        for p in reuse_pairs]
         intra_assign = {tuple(pair_parts[fresh_idx]): fresh}
-        feasible = True
         for p, z in zip(reuse_pairs, targets):
-            if z in p:
-                feasible = False
-                break
             x = rng.choice(p)
             intra_assign[tuple(p)] = cross_color[edge_key(x, z)]
-        if not feasible:
-            continue
         edges = dict(cross_color)
         edges.update(intra_assign)
         G = EdgeColoredGraph._from_checked(n, edges)

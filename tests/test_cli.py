@@ -177,6 +177,17 @@ class TestCheck:
         assert run(["check", "gk", str(graph_file), "--k", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["member"] is False
 
+    def test_hk_json(self, tmp_path, capsys):
+        graph_file = tmp_path / "h.edges"
+        graph_file.write_text(format_edgelist(build_hnk(9, 6).graph))
+        assert run(["check", "hk", str(graph_file), "--k", "6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["check"] == "hk(k=6)" and payload["member"] is True
+        cert = payload["certificate"]
+        assert cert["k"] == 6 and cert["color_count"] == 31  # t(9, 4) + 1
+        assert sorted(v for part in cert["parts"] for v in part) == list(range(9))
+        assert set(cert) == {"case", "k", "parts", "mono_color", "color_count"}
+
     def test_turan_partition(self, tmp_path, capsys):
         graph_file = tmp_path / "h.edges"
         graph_file.write_text(format_edgelist(build_hnk(9, 6).graph))
@@ -204,6 +215,19 @@ class TestTransform:
         assert run(["transform", "orient", str(graph_file)]) == 0
         D = parse_digraph(capsys.readouterr().out)
         assert D.arcs == frozenset({(0, 1), (1, 2), (2, 0)})
+
+    def test_orient_report(self, tmp_path, capsys):
+        # 0-1 and 0-2 share color 5: a monochromatic 2-edge path at 0;
+        # 1-3 is free.
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text("4 3\n0 1 5\n0 2 5\n1 3 6\n")
+        report_file = tmp_path / "provenance.json"
+        assert run(["transform", "orient", str(graph_file),
+                    "--report", str(report_file)]) == 0
+        D = parse_digraph(capsys.readouterr().out)
+        assert D.arcs == frozenset({(0, 1), (0, 2), (1, 3)})
+        assert json.loads(report_file.read_text()) == {
+            "0,1": "p3-forced", "0,2": "p3-forced", "1,3": "free-default"}
 
     def test_orient_precondition_exit_2(self, tmp_path, capsys):
         graph_file = tmp_path / "g.edges"
@@ -361,6 +385,14 @@ class TestVerifyCommand:
         assert run(["verify", "L2", "--grid", '{"count": 50, "n_max": 6}',
                     "--seed", "9"]) == 0
         assert "seed               : 9" in capsys.readouterr().out
+
+    def test_seed_in_grid_and_flag_exit_1(self, capsys):
+        assert run(["verify", "L2", "--grid",
+                    '{"count": 20, "n_max": 6, "seed": 3}', "--seed", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("rainbowgraphs: error: --seed: the grid gives "
+                                "a seed too; give it once\n")
 
     def test_bad_grid_exit_1(self, capsys):
         assert run(["verify", "T1", "--grid", "not json"]) == 1

@@ -1,5 +1,6 @@
 """Property tests of the graph file formats over random edge-colored
-graphs: round trips, adjacency masks, tolerance of comments and
+graphs: round trips, adjacency masks, the degree profile and the
+monochromatic 2-edge paths against naive recounts, tolerance of comments and
 whitespace, JSON text equal to the ``json`` module's, the formatters'
 text equal to their referees', and the edge-list and digraph readers
 against their whole-text referees wherever their pieces are cut and
@@ -27,8 +28,10 @@ from rainbowgraphs.graphs import (
     graph_to_json_obj,
     parse_edgelist,
     parse_json,
+    stats,
 )
-from rainbowgraphs.transform import format_digraph, parse_digraph
+from rainbowgraphs.transform import (find_monochromatic_p3, format_digraph,
+                                     parse_digraph)
 
 from _oracles import (
     edgelist_referee,
@@ -111,6 +114,26 @@ def test_adjacency_is_the_naive_bitmask(case):
     rng.shuffle(mixed)
     H = EdgeColoredGraph(n, mixed)
     assert H == G and H.adj == G.adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_graphs())
+def test_profile_and_p3_are_naive_recounts(case):
+    # d(v) and d^c(v) from the edges at v, d^s(v) as c(G) - c(G - v),
+    # and the monochromatic 2-edge paths from every center and leaf pair.
+    n, triples, _ = case
+    G = EdgeColoredGraph(n, triples)
+    at = [[c for u, v, c in triples if x in (u, v)] for x in range(n)]
+    profile = stats(G).profile
+    assert profile.degree == tuple(map(len, at))
+    assert profile.color_degree == tuple(len(set(cs)) for cs in at)
+    assert profile.saturated_degree == tuple(
+        G.c - len({c for u, v, c in triples if x not in (u, v)}) for x in range(n))
+    color = {(u, v): c for u, v, c in triples}
+    color.update({(v, u): c for u, v, c in triples})
+    assert find_monochromatic_p3(G) == [
+        (x, a, b) for x in range(n) for a in range(n) for b in range(a + 1, n)
+        if (x, a) in color and color[x, a] == color.get((x, b))]
 
 
 @settings(max_examples=100, deadline=None)

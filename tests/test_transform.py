@@ -35,6 +35,15 @@ class TestOrientedGraph:
         with pytest.raises(GraphError, match="duplicate"):
             OrientedGraph(3, [(0, 1), (0, 1)])
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(GraphError, match=r"^self-loop at vertex 2$"):
+            OrientedGraph(3, [(0, 1), (2, 2)])
+
+    def test_out_of_range_rejected(self):
+        for arc in ((0, 3), (-1, 1)):
+            with pytest.raises(GraphError, match=r"outside vertex range 0\.\.2$"):
+                OrientedGraph(3, [arc])
+
     def test_non_integer_vertices_rejected(self):
         # True would pass as vertex 1 and be written back as "True".
         for arc in ((True, 2), (0, False), (0.0, 1), ("a", 1), (None, 1)):
@@ -332,6 +341,12 @@ class TestDigraphFormat:
     def test_count_mismatch(self):
         with pytest.raises(FormatError):
             parse_digraph("3 2\n0 1\n")
+
+    def test_non_integer_arc_rejected(self):
+        for line in ("0 x", "1.0 2", "a b"):
+            with pytest.raises(FormatError,
+                               match="^line 3: arc line must contain two integers$"):
+                parse_digraph(f"3 2\n0 1\n{line}\n")
 
     def test_line_numbers(self):
         with pytest.raises(FormatError, match="line 3"):

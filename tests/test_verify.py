@@ -944,6 +944,25 @@ class TestEnumerateColorings:
                 assert len(got) == (c in (None, 0))
 
 
+class TestCliqueStatementsExhaustive:
+    # ROADMAP item 3's table: every coloring of K_n with t(n, k-2) + 1
+    # colors, judged by each statement, including the branches that
+    # search for a rainbow k-clique once the conclusion fails.  A premise
+    # is any verdict but OUTSIDE; a failure is any truthy verdict.
+    @pytest.mark.parametrize("n, k, colorings, rows", [
+        (5, 4, 5880, {"T6": (1600, 1590), "L3": (1570, 1560), "L4": (5675, 30)}),
+        (6, 5, 4550, {"T6": (105, 90), "L3": (105, 90), "L4": (4155, 0)}),
+    ])
+    def test_premise_and_failure_counts(self, n, k, colorings, rows):
+        graphs = list(enumerate_colorings(n, turan_number(n, k - 2) + 1))
+        assert len(graphs) == colorings
+        for name, row in rows.items():
+            statement = verify.CHECKS[name].statement
+            verdicts = [statement(G, {"k": k}, {}) for G in graphs]
+            assert (sum(v is not verify.OUTSIDE for v in verdicts),
+                    sum(bool(v) for v in verdicts)) == row, name
+
+
 class TestVerifySmall:
     def test_t1_small(self):
         report = verify_theorem("T1", {"n_max": 4})
